@@ -3,10 +3,14 @@
 //! Submits a batch of heterogeneous training jobs — mixed workloads,
 //! DPU counts, and fault plans — to the [`TrainingService`] job queue
 //! and measures end-to-end drain time against running the same batch
-//! serially on a dedicated platform. Reports per-batch throughput
-//! (jobs/s), aggregate simulated kernel time, and the fault/resilience
-//! totals across tenants. Results land in `BENCH_SERVICE.json` in the
-//! current directory.
+//! serially, one job after another, on the very platforms the service
+//! runs them under ([`TrainingService::job_platform`]: same tier, same
+//! per-job engine width), so `speedup_vs_serial` measures multiplexing
+//! alone. Every wall time is the median of [`REPEATS`] runs, with the
+//! spread beside it and the host's thread count in the
+//! artifact. Reports per-batch throughput (jobs/s), aggregate simulated
+//! kernel time, and the fault/resilience totals across tenants. Results
+//! land in `BENCH_SERVICE.json` in the current directory.
 //!
 //! ```text
 //! cargo run --release -p swiftrl-bench --bin service_throughput
@@ -35,8 +39,11 @@ use swiftrl_env::frozen_lake::FrozenLake;
 use swiftrl_env::taxi::Taxi;
 use swiftrl_env::ExperienceDataset;
 use swiftrl_pim::config::PimConfig;
+use swiftrl_pim::engine::host_threads;
 use swiftrl_pim::faults::FaultPlan;
-use swiftrl_telemetry::{service_trace, Event, Json, ServiceMetrics, ServiceTelemetry};
+use swiftrl_telemetry::{
+    service_trace, Event, Json, MetricsSnapshot, ServiceMetrics, ServiceTelemetry, Telemetry,
+};
 
 /// Builds the heterogeneous tenant batch: four workload variants,
 /// 2–4-DPU slices, a quarter of the tenants with transient faults and
@@ -84,6 +91,76 @@ fn build_requests(jobs: usize, episodes: u32) -> Vec<JobRequest> {
                 .with_resilience(resilience)
         })
         .collect()
+}
+
+/// Timed runs per point; every reported wall time is their median.
+const REPEATS: usize = 5;
+
+/// Simulated totals of one pass over the batch: kernel seconds, faulted
+/// launches, retries, rollbacks. Identical for every pass, serial or
+/// multiplexed, at every worker count.
+type SimTotals = (f64, u64, u64, u64);
+
+/// Runs every job solo, one after another, on the platform `service`
+/// would run it under, with a private event sink and metrics fold per
+/// job as the service keeps them.
+fn serial_pass(service: &TrainingService, requests: &[JobRequest]) -> SimTotals {
+    let mut totals: SimTotals = (0.0, 0, 0, 0);
+    for request in requests {
+        let telemetry = Telemetry::enabled();
+        let mut platform = service.job_platform(request);
+        platform.telemetry = telemetry.clone();
+        let out = PimRunner::with_platform(request.spec, request.cfg, platform)
+            .expect("runner")
+            .with_resilience(request.resilience)
+            .run(&request.dataset)
+            .expect("serial run");
+        let metrics = MetricsSnapshot::from_events("", &telemetry.events());
+        totals.0 += out.breakdown.pim_kernel_s;
+        totals.1 += metrics.faulted_launches;
+        totals.2 += metrics.retries;
+        totals.3 += metrics.rollbacks;
+    }
+    totals
+}
+
+/// Submits the whole batch to `service` and waits for every job.
+fn drain(service: &TrainingService, requests: &[JobRequest]) -> SimTotals {
+    let handles: Vec<_> = requests
+        .iter()
+        .map(|r| service.submit(r.clone()).expect("admission"))
+        .collect();
+    let mut totals: SimTotals = (0.0, 0, 0, 0);
+    for handle in &handles {
+        match handle.wait() {
+            JobOutcome::Completed(out) => totals.0 += out.breakdown.pim_kernel_s,
+            other => panic!("job {} did not complete: {other:?}", handle.id()),
+        }
+        let metrics = handle.metrics();
+        totals.1 += metrics.faulted_launches;
+        totals.2 += metrics.retries;
+        totals.3 += metrics.rollbacks;
+    }
+    totals
+}
+
+/// Wall seconds of `f`, with its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let started = Instant::now();
+    let out = f();
+    (started.elapsed().as_secs_f64(), out)
+}
+
+/// Median, minimum and maximum of `samples` (non-empty).
+fn spread(samples: &mut [f64]) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    let median = if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+    };
+    (median, samples[0], samples[n - 1])
 }
 
 fn main() {
@@ -134,67 +211,56 @@ fn main() {
     let requests = build_requests(jobs, episodes);
 
     println!("# Service throughput: multi-tenant multiplexing over one shared fleet\n");
+    let threads = host_threads();
     println!(
-        "{jobs} jobs, {episodes} episodes each, fleet of {} DPUs in {} ranks{}\n",
+        "{jobs} jobs, {episodes} episodes each, fleet of {} DPUs in {} ranks, \
+         {threads} host threads, median of {REPEATS} runs{}\n",
         fleet.dpus,
         fleet.ranks_for(fleet.dpus),
         if quick { " (--quick)" } else { "" }
     );
 
-    // Baseline: the same batch run serially on dedicated platforms.
-    let serial_started = Instant::now();
-    let mut serial_sim_kernel_s = 0.0_f64;
-    for request in &requests {
-        let mut platform = fleet.clone();
-        platform.dpus = request.cfg.dpus;
-        platform.faults = request.faults.clone();
-        let out = PimRunner::with_platform(request.spec, request.cfg, platform)
-            .expect("runner")
-            .with_resilience(request.resilience)
-            .run(&request.dataset)
-            .expect("serial run");
-        serial_sim_kernel_s += out.breakdown.pim_kernel_s;
-    }
-    let serial_wall_s = serial_started.elapsed().as_secs_f64();
-
     let mut rows = Vec::new();
     let mut points = Vec::new();
+    let mut sim_totals: Option<SimTotals> = None;
     for &workers in &worker_sweep {
         let service = TrainingService::new(fleet.clone(), workers);
-        let started = Instant::now();
-        let handles: Vec<_> = requests
-            .iter()
-            .map(|r| service.submit(r.clone()).expect("admission"))
-            .collect();
-        let mut completed = 0usize;
-        let mut sim_kernel_s = 0.0_f64;
-        let mut faulted_launches = 0u64;
-        let mut retries = 0u64;
-        let mut rollbacks = 0u64;
-        for handle in &handles {
-            match handle.wait() {
-                JobOutcome::Completed(out) => {
-                    completed += 1;
-                    sim_kernel_s += out.breakdown.pim_kernel_s;
-                }
-                other => panic!("job {} did not complete: {other:?}", handle.id()),
-            }
-            let metrics = handle.metrics();
-            faulted_launches += metrics.faulted_launches;
-            retries += metrics.retries;
-            rollbacks += metrics.rollbacks;
+        // The per-job engine width the service picked for this worker
+        // count (unclamped by the job's DPU count).
+        let engine_workers = requests.first().map_or(1, |r| {
+            service.job_platform(r).engine.workers_for(usize::MAX)
+        });
+        // Alternate the serial baseline and the drain so both see the
+        // same host conditions.
+        let (mut serial_s, mut drain_s) = (Vec::new(), Vec::new());
+        for _ in 0..REPEATS {
+            let (wall_s, serial) = timed(|| serial_pass(&service, &requests));
+            serial_s.push(wall_s);
+            let (wall_s, totals) = timed(|| drain(&service, &requests));
+            drain_s.push(wall_s);
+            let expected = *sim_totals.get_or_insert(totals);
+            assert!(
+                totals == expected && serial == expected,
+                "simulated totals moved with the schedule: drain {totals:?}, \
+                 serial {serial:?}, first drain {expected:?}"
+            );
         }
-        let wall_s = started.elapsed().as_secs_f64();
+        let (serial_wall_s, _, _) = spread(&mut serial_s);
+        let (wall_s, wall_min_s, wall_max_s) = spread(&mut drain_s);
+        let (sim_kernel_s, faulted_launches, retries, rollbacks) =
+            sim_totals.expect("at least one repeat");
         let jobs_per_s = if wall_s > 0.0 {
-            completed as f64 / wall_s
+            jobs as f64 / wall_s
         } else {
             0.0
         };
 
         rows.push(vec![
             workers.to_string(),
-            completed.to_string(),
+            engine_workers.to_string(),
+            jobs.to_string(),
             swiftrl_bench::fmt_secs(wall_s),
+            swiftrl_bench::fmt_secs(serial_wall_s),
             format!("{jobs_per_s:.1}"),
             swiftrl_bench::fmt_secs(sim_kernel_s),
             faulted_launches.to_string(),
@@ -203,11 +269,15 @@ fn main() {
         ]);
         points.push(Json::obj([
             ("workers", Json::UInt(workers as u64)),
-            ("jobs", Json::UInt(completed as u64)),
+            ("engine_workers", Json::UInt(engine_workers as u64)),
+            ("jobs", Json::UInt(jobs as u64)),
             ("host_wall_s", Json::Num(wall_s)),
+            ("host_wall_s_min", Json::Num(wall_min_s)),
+            ("host_wall_s_max", Json::Num(wall_max_s)),
+            ("serial_wall_s", Json::Num(serial_wall_s)),
             // `null` instead of a non-finite value on a degenerate
             // zero-wall measurement.
-            ("jobs_per_s", swiftrl_bench::ratio_json(completed as f64, wall_s)),
+            ("jobs_per_s", swiftrl_bench::ratio_json(jobs as f64, wall_s)),
             (
                 "speedup_vs_serial",
                 swiftrl_bench::ratio_json(serial_wall_s, wall_s),
@@ -222,8 +292,10 @@ fn main() {
     swiftrl_bench::print_table(
         &[
             "Workers",
+            "Job engine width",
             "Jobs",
             "Drain wall",
+            "Serial wall",
             "Jobs/s",
             "Sim kernel",
             "Faulted",
@@ -233,8 +305,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\nSerial baseline (dedicated platform per job): {}\n",
-        swiftrl_bench::fmt_secs(serial_wall_s)
+        "\nSerial wall: the same jobs one after another on the service's job platforms.\n"
     );
 
     let doc = Json::obj([
@@ -244,8 +315,8 @@ fn main() {
         ("episodes", Json::UInt(u64::from(episodes))),
         ("fleet_dpus", Json::UInt(fleet.dpus as u64)),
         ("fleet_ranks", Json::UInt(fleet.ranks_for(fleet.dpus) as u64)),
-        ("serial_wall_s", Json::Num(serial_wall_s)),
-        ("serial_sim_kernel_s", Json::Num(serial_sim_kernel_s)),
+        ("host_threads", Json::UInt(threads as u64)),
+        ("repeats", Json::UInt(REPEATS as u64)),
         ("points", Json::Arr(points)),
     ]);
     write_json_artifact(std::path::Path::new("BENCH_SERVICE.json"), &doc)

@@ -189,7 +189,9 @@ impl PimRunner {
     /// When `cancel` is given, the token is checked at every round
     /// boundary; a cancelled run stops before its next launch and
     /// returns [`PimError::Cancelled`], leaving `set` consistent (and
-    /// reusable or freeable by the caller).
+    /// reusable or freeable by the caller). A token made with
+    /// [`CancelToken::at_round(k)`](crate::service::CancelToken::at_round)
+    /// stops the run at round `k` exactly.
     ///
     /// # Errors
     ///
@@ -294,10 +296,8 @@ impl PimRunner {
         };
         let mut round: u32 = 0;
         while round < rounds {
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return Err(PimError::Cancelled);
-                }
+            if cancel.is_some_and(|token| token.stops_at(round)) {
+                return Err(PimError::Cancelled);
             }
             // The kernel advances its own episode window in MRAM, so no
             // header re-arm is needed between rounds.

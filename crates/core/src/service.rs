@@ -25,6 +25,12 @@
 //!   every job carries a [`CancelToken`] checked by the runner at each
 //!   sync-round boundary, so a cancelled job frees its lease within
 //!   one round.
+//! - **One host thread budget**: the fleet's auto engine width
+//!   (`Threaded { workers: 0 }`) is split between the service workers
+//!   once, at construction ([`ExecutionEngine::within`]), so N workers
+//!   each driving a job never spawn more threads than the host has.
+//!   Unpinned jobs run on the [`ExecTier::Batched`] tier. Neither choice
+//!   moves a simulated bit or cycle (DESIGN.md §8.1, §14).
 //!
 //! The isolation claim is pinned by `tests/service.rs`, which runs 100+
 //! concurrent jobs with mixed fault plans and diffs every tenant's
@@ -37,8 +43,10 @@ use std::thread::JoinHandle;
 
 use swiftrl_env::dataset::ExperienceDataset;
 use swiftrl_pim::config::{ExecTier, PimConfig};
+use swiftrl_pim::engine::host_threads;
 use swiftrl_pim::faults::FaultPlan;
 use swiftrl_pim::host::{PimError, PimSystem};
+use swiftrl_pim::ExecutionEngine;
 use swiftrl_telemetry::{MetricsSnapshot, ServiceEvent, ServiceTelemetry, Telemetry};
 
 use crate::config::{RunConfig, WorkloadSpec};
@@ -52,15 +60,33 @@ use crate::runner::{PimRunner, RunOutcome};
 /// run stops before its next launch and surfaces
 /// [`PimError::Cancelled`], leaving the leased DPU set consistent so
 /// the service can free it immediately.
+///
+/// A token made with [`at_round`](Self::at_round) also trips by itself
+/// when the run reaches a given sync round: a cancellation point on the
+/// run's logical clock instead of the host's.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// Sync round at which the token trips by itself, if any.
+    trip_round: Option<u32>,
 }
 
 impl CancelToken {
     /// Creates a fresh, un-cancelled token.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A token that trips once the run reaches sync round `round`: the
+    /// run completes rounds `0..round` (launches, retries and syncs
+    /// included) and stops before the next launch. `at_round(0)` stops
+    /// a job after admission, before its first launch. [`cancel`](Self::cancel)
+    /// still stops it earlier.
+    pub fn at_round(round: u32) -> Self {
+        Self {
+            trip_round: Some(round),
+            ..Self::default()
+        }
     }
 
     /// Requests cancellation. Idempotent; takes effect at the job's
@@ -72,6 +98,16 @@ impl CancelToken {
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Whether a run about to start sync round `round` must stop: it was
+    /// cancelled, or the token trips at this round (which latches it
+    /// cancelled).
+    pub(crate) fn stops_at(&self, round: u32) -> bool {
+        if self.trip_round.is_some_and(|trip| round >= trip) {
+            self.cancel();
+        }
+        self.is_cancelled()
     }
 }
 
@@ -140,11 +176,13 @@ pub struct JobRequest {
     /// exactly those ranks for the job's lifetime and rejects the
     /// submission synchronously if they overlap another live pin.
     pub pinned_ranks: Option<Vec<usize>>,
-    /// Optional per-job execution-tier override. `None` inherits the
-    /// fleet platform's tier; `Some(tier)` runs this job's DPU set
-    /// under `tier` without affecting any other tenant — every tier
-    /// produces bit- and cycle-identical observables (DESIGN.md §14),
-    /// so mixing tiers across tenants only changes host wall-clock.
+    /// Optional per-job execution tier. `None` runs the job on
+    /// [`ExecTier::Batched`], the fastest tier, whatever the fleet
+    /// platform's tier; `Some(tier)` runs this job's DPU set under
+    /// `tier` without affecting any other tenant. Pin
+    /// [`ExecTier::Reference`] or [`ExecTier::Fast`] per job for audits.
+    /// Every tier produces bit- and cycle-identical observables
+    /// (DESIGN.md §14), so the choice only changes host wall-clock.
     pub exec_tier: Option<ExecTier>,
 }
 
@@ -187,8 +225,8 @@ impl JobRequest {
         self
     }
 
-    /// Overrides the execution tier for this job only (the fleet
-    /// default applies when unset).
+    /// Pins the execution tier for this job only (unpinned jobs run
+    /// on [`ExecTier::Batched`]).
     pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {
         self.exec_tier = Some(tier);
         self
@@ -362,6 +400,11 @@ struct FleetState {
 
 /// Scheduler shared state: FIFO queue + fleet + coordination.
 struct Shared {
+    /// The fleet platform as the caller configured it.
+    config: PimConfig,
+    /// The engine every job runs under: the fleet's engine within the
+    /// host thread budget shared by the service workers.
+    job_engine: ExecutionEngine,
     fleet: Mutex<FleetState>,
     /// Signalled when a lease is released (capacity may now fit the
     /// head-of-line job).
@@ -433,7 +476,6 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// a private [`DpuSet`](swiftrl_pim::host::DpuSet) with the job's own
 /// fault plan and telemetry sink.
 pub struct TrainingService {
-    config: PimConfig,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     next_id: Mutex<u64>,
@@ -445,7 +487,10 @@ impl TrainingService {
     ///
     /// `workers` is clamped to at least 1. More workers means more
     /// jobs training concurrently (each on its own lease); one worker
-    /// serializes the fleet.
+    /// serializes the fleet. The workers share the host's threads: a
+    /// fleet engine of `Threaded { workers: 0 }` gives each job
+    /// `max(1, host threads / workers)` of them, and `Serial` at a share
+    /// of one (see [`ExecutionEngine::within`]).
     ///
     /// Observability is off: the service emits no [`ServiceEvent`]s
     /// and pays nothing for the instrumentation. Use
@@ -463,7 +508,9 @@ impl TrainingService {
     /// section for byte-exact stream pins.
     pub fn with_observability(config: PimConfig, workers: usize, sink: ServiceTelemetry) -> Self {
         let ranks = config.ranks_for(config.dpus);
+        let workers = workers.max(1);
         let shared = Arc::new(Shared {
+            job_engine: config.engine.within(host_threads(), workers),
             fleet: Mutex::new(FleetState {
                 system: PimSystem::new(config.clone()),
                 rank_leased: vec![false; ranks],
@@ -474,17 +521,15 @@ impl TrainingService {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             observer: Observer::new(sink),
+            config,
         });
-        let workers = workers.max(1);
         let handles = (0..workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
-                let config = config.clone();
-                std::thread::spawn(move || worker_loop(&shared, &config, worker))
+                std::thread::spawn(move || worker_loop(&shared, worker))
             })
             .collect();
         Self {
-            config,
             shared,
             workers: handles,
             next_id: Mutex::new(0),
@@ -498,36 +543,31 @@ impl TrainingService {
         &self.shared.observer.sink
     }
 
-    /// The fleet's platform configuration.
+    /// The fleet's platform configuration, as passed to the
+    /// constructor (jobs run under [`job_platform`](Self::job_platform)).
     pub fn fleet_config(&self) -> &PimConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// Number of ranks in the fleet.
     pub fn fleet_ranks(&self) -> usize {
-        self.config.ranks_for(self.config.dpus)
+        self.shared.config.ranks_for(self.shared.config.dpus)
     }
 
     /// DPU capacity of rank `rank` (the last rank of a fleet whose DPU
     /// count is not a rank multiple is partial).
     fn rank_capacity(&self, rank: usize) -> usize {
-        rank_capacity(&self.config, rank)
+        rank_capacity(&self.shared.config, rank)
     }
 
     /// The platform configuration a job submitted as `request` runs
     /// under: the fleet platform with the job's own DPU count and
-    /// fault plan. A solo [`PimRunner`] run on this exact platform is
+    /// fault plan, the service's per-job engine and the job's tier, and
+    /// telemetry off. A solo [`PimRunner`] run on this exact platform is
     /// bit-identical to the job's in-service run — the equivalence the
     /// service's isolation tests pin.
     pub fn job_platform(&self, request: &JobRequest) -> PimConfig {
-        let mut platform = self.config.clone();
-        platform.dpus = request.cfg.dpus;
-        platform.faults = request.faults.clone();
-        platform.telemetry = Telemetry::disabled();
-        if let Some(tier) = request.exec_tier {
-            platform.cost.arith_tier = tier;
-        }
-        platform
+        job_platform(&self.shared, request, Telemetry::disabled())
     }
 
     /// Submits a job. Admission control runs synchronously: a job that
@@ -542,10 +582,25 @@ impl TrainingService {
     /// [`ServiceError::LeaseOverlap`] for a contested pin, and
     /// [`ServiceError::ShuttingDown`] after [`shutdown`](Self::shutdown).
     pub fn submit(&self, request: JobRequest) -> Result<JobHandle, ServiceError> {
+        self.submit_with_token(request, CancelToken::new())
+    }
+
+    /// Submits a job like [`submit`](Self::submit), driven by `token`:
+    /// [`JobHandle::cancel`] trips it as usual, and a token made with
+    /// [`CancelToken::at_round`] also stops the job at that sync round.
+    ///
+    /// # Errors
+    ///
+    /// As for [`submit`](Self::submit).
+    pub fn submit_with_token(
+        &self,
+        request: JobRequest,
+        token: CancelToken,
+    ) -> Result<JobHandle, ServiceError> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
         }
-        let fleet_dpus = self.config.dpus;
+        let fleet_dpus = self.shared.config.dpus;
         if request.cfg.dpus == 0 || request.cfg.dpus > fleet_dpus {
             return Err(ServiceError::TooLarge {
                 requested_dpus: request.cfg.dpus,
@@ -568,7 +623,6 @@ impl TrainingService {
             }
             fleet.pinned.push((id, ranks.clone()));
         }
-        let token = CancelToken::new();
         let cell = Arc::new(JobCell::new());
         let telemetry = Telemetry::enabled();
         let handle = JobHandle {
@@ -586,7 +640,14 @@ impl TrainingService {
         } else {
             String::new()
         };
+        // Recorded before the job is queued, so it precedes every event
+        // a worker records for the job.
         let dpus = request.cfg.dpus;
+        self.shared.observer.emit(|| ServiceEvent::JobSubmitted {
+            job: id,
+            tenant,
+            dpus,
+        });
         let mut queue = lock_recover(&self.shared.queue);
         queue.push_back(QueuedJob {
             id,
@@ -598,11 +659,6 @@ impl TrainingService {
         let depth = queue.len();
         drop(queue);
         self.shared.queue_cv.notify_one();
-        self.shared.observer.emit(|| ServiceEvent::JobSubmitted {
-            job: id,
-            tenant,
-            dpus,
-        });
         self.shared
             .observer
             .emit(|| ServiceEvent::QueueDepth { depth });
@@ -677,8 +733,23 @@ fn pick_free_ranks(config: &PimConfig, leased: &[bool], dpus: usize) -> Option<V
     None
 }
 
+/// The platform a job runs under, with `telemetry` as its event sink:
+/// the fleet platform with the job's DPU count and fault plan, the
+/// service's per-job engine, and the job's tier ([`ExecTier::Batched`]
+/// unless pinned). The one builder behind both the in-service run and
+/// [`TrainingService::job_platform`].
+fn job_platform(shared: &Shared, request: &JobRequest, telemetry: Telemetry) -> PimConfig {
+    let mut platform = shared.config.clone();
+    platform.dpus = request.cfg.dpus;
+    platform.faults = request.faults.clone();
+    platform.telemetry = telemetry;
+    platform.engine = shared.job_engine;
+    platform.cost.arith_tier = request.exec_tier.unwrap_or(ExecTier::Batched);
+    platform
+}
+
 /// One worker: pop jobs FIFO, lease ranks, run, release.
-fn worker_loop(shared: &Shared, fleet_config: &PimConfig, worker: usize) {
+fn worker_loop(shared: &Shared, worker: usize) {
     loop {
         let (job, depth) = {
             let mut queue = lock_recover(&shared.queue);
@@ -700,14 +771,14 @@ fn worker_loop(shared: &Shared, fleet_config: &PimConfig, worker: usize) {
             .observer
             .emit(|| ServiceEvent::WorkerBusy { worker, job: id });
         shared.observer.emit(|| ServiceEvent::QueueDepth { depth });
-        run_job(shared, fleet_config, job);
+        run_job(shared, job);
         shared.observer.emit(|| ServiceEvent::WorkerIdle { worker });
     }
 }
 
 /// Admits and executes one job end-to-end, publishing its terminal
 /// state and releasing every fleet resource it held.
-fn run_job(shared: &Shared, fleet_config: &PimConfig, job: QueuedJob) {
+fn run_job(shared: &Shared, job: QueuedJob) {
     if job.token.is_cancelled() {
         release_pin(shared, job.id);
         let id = job.id;
@@ -744,7 +815,7 @@ fn run_job(shared: &Shared, fleet_config: &PimConfig, job: QueuedJob) {
                         None
                     }
                 }
-                None => pick_free_ranks(fleet_config, &fleet.rank_leased, dpus),
+                None => pick_free_ranks(&shared.config, &fleet.rank_leased, dpus),
             };
             if let Some(ranks) = candidate {
                 break ranks;
@@ -767,13 +838,7 @@ fn run_job(shared: &Shared, fleet_config: &PimConfig, job: QueuedJob) {
                 leased_ranks,
             });
         }
-        let mut platform = fleet_config.clone();
-        platform.dpus = dpus;
-        platform.faults = job.request.faults.clone();
-        platform.telemetry = job.telemetry.clone();
-        if let Some(tier) = job.request.exec_tier {
-            platform.cost.arith_tier = tier;
-        }
+        let platform = job_platform(shared, &job.request, job.telemetry.clone());
         match fleet.system.alloc_with_config(dpus, platform) {
             Ok(set) => (lease, set),
             Err(err) => {

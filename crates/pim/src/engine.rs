@@ -35,7 +35,7 @@ use crate::config::PimConfig;
 use crate::dpu::Dpu;
 use crate::kernel::{Kernel, KernelError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// How DPU execution is scheduled on the host simulating it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,14 +70,28 @@ impl ExecutionEngine {
             ExecutionEngine::Serial => 1,
             ExecutionEngine::Threaded { workers } => {
                 let requested = if workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1)
+                    host_threads()
                 } else {
                     workers
                 };
                 requested.clamp(1, dpus.max(1))
             }
+        }
+    }
+
+    /// This engine as one of `jobs` concurrent runs sharing a budget of
+    /// `threads` host threads. The auto width (`Threaded { workers: 0 }`)
+    /// becomes the per-job share `max(1, threads / jobs)`, and a share of
+    /// 1 becomes `Serial`, so `jobs` runs never ask for more than
+    /// `max(jobs, threads)` threads in total. `Serial` and an explicit
+    /// `Threaded { workers: n }` are the caller's choice and are kept.
+    pub fn within(self, threads: usize, jobs: usize) -> Self {
+        match self {
+            ExecutionEngine::Threaded { workers: 0 } => match threads / jobs.max(1) {
+                0 | 1 => ExecutionEngine::Serial,
+                share => ExecutionEngine::Threaded { workers: share },
+            },
+            explicit => explicit,
         }
     }
 
@@ -176,6 +190,13 @@ impl ExecutionEngine {
     }
 }
 
+/// The host's available parallelism (at least 1), resolved once per
+/// process: the width of `Threaded { workers: 0 }`.
+pub fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// One unit of work: a chunk of DPUs (or DPU refs) paired with the result
 /// slots it writes.
 type ChunkTask<'a, T> = (&'a mut [T], &'a mut [Result<u64, KernelError>]);
@@ -215,7 +236,55 @@ mod tests {
     #[test]
     fn zero_workers_means_available_parallelism() {
         let e = ExecutionEngine::Threaded { workers: 0 };
-        assert!(e.workers_for(1_000) >= 1);
+        assert!(host_threads() >= 1);
+        assert_eq!(e.workers_for(1_000), host_threads().min(1_000));
+    }
+
+    /// The width `engine` runs at on a launch too large to clamp it.
+    fn width(engine: ExecutionEngine) -> usize {
+        engine.workers_for(usize::MAX)
+    }
+
+    #[test]
+    fn within_keeps_serial_and_explicit_widths() {
+        for (threads, jobs) in [(1, 1), (8, 2), (2, 8), (64, 1)] {
+            assert_eq!(
+                ExecutionEngine::Serial.within(threads, jobs),
+                ExecutionEngine::Serial
+            );
+            for workers in [1, 3, 16] {
+                let explicit = ExecutionEngine::Threaded { workers };
+                assert_eq!(explicit.within(threads, jobs), explicit);
+            }
+        }
+    }
+
+    #[test]
+    fn within_splits_the_auto_width_between_jobs() {
+        let auto = ExecutionEngine::Threaded { workers: 0 };
+        assert_eq!(auto.within(8, 2), ExecutionEngine::Threaded { workers: 4 });
+        assert_eq!(auto.within(8, 1), ExecutionEngine::Threaded { workers: 8 });
+        assert_eq!(auto.within(9, 2), ExecutionEngine::Threaded { workers: 4 });
+        // A share of one thread (or less) runs inline.
+        assert_eq!(auto.within(2, 2), ExecutionEngine::Serial);
+        assert_eq!(auto.within(3, 2), ExecutionEngine::Serial);
+        assert_eq!(auto.within(2, 8), ExecutionEngine::Serial);
+        assert_eq!(auto.within(1, 1), ExecutionEngine::Serial);
+        assert_eq!(auto.within(8, 0), ExecutionEngine::Threaded { workers: 8 });
+    }
+
+    #[test]
+    fn within_never_oversubscribes_the_budget() {
+        let auto = ExecutionEngine::Threaded { workers: 0 };
+        for threads in 1..=64 {
+            for jobs in 1..=64 {
+                let total = jobs * width(auto.within(threads, jobs));
+                assert!(
+                    total <= jobs.max(threads),
+                    "{jobs} jobs on {threads} threads ask for {total}"
+                );
+            }
+        }
     }
 
     #[test]

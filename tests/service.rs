@@ -9,15 +9,20 @@
 use swiftrl::core::config::{RunConfig, WorkloadSpec};
 use swiftrl::core::resilience::ResilienceConfig;
 use swiftrl::core::runner::PimRunner;
-use swiftrl::core::service::{JobHandle, JobOutcome, JobRequest, ServiceError, TrainingService};
+use swiftrl::core::service::{
+    CancelToken, JobHandle, JobOutcome, JobRequest, ServiceError, TrainingService,
+};
 use swiftrl::env::collect::collect_random;
 use swiftrl::env::frozen_lake::FrozenLake;
 use swiftrl::env::taxi::Taxi;
 use swiftrl::env::ExperienceDataset;
 use swiftrl::pim::config::{ExecTier, PimConfig};
+use swiftrl::pim::engine::host_threads;
 use swiftrl::pim::faults::FaultPlan;
 use swiftrl::pim::ExecutionEngine;
-use swiftrl::telemetry::{render_deterministic, Event, ServiceMetrics, ServiceTelemetry};
+use swiftrl::telemetry::{
+    render_deterministic, Event, ServiceEvent, ServiceMetrics, ServiceRecord, ServiceTelemetry,
+};
 
 fn frozen_dataset(transitions: usize, seed: u32) -> ExperienceDataset {
     let mut env = FrozenLake::slippery_4x4();
@@ -52,6 +57,62 @@ fn wait_for_first_launch(handle: &JobHandle) {
     }
 }
 
+/// The events `records` hold about job `id`, in record order: its
+/// lifecycle, its sync rounds and its lease. Worker and queue occupancy
+/// events are left out.
+fn job_events(records: &[ServiceRecord], id: u64) -> Vec<ServiceEvent> {
+    records
+        .iter()
+        .filter(|r| match &r.event {
+            ServiceEvent::JobSubmitted { job, .. }
+            | ServiceEvent::JobAdmitted { job, .. }
+            | ServiceEvent::LeaseGranted { job, .. }
+            | ServiceEvent::LeaseReleased { job, .. }
+            | ServiceEvent::SyncRound { job, .. }
+            | ServiceEvent::JobCompleted { job, .. }
+            | ServiceEvent::JobCancelled { job }
+            | ServiceEvent::JobFailed { job, .. } => *job == id,
+            ServiceEvent::WorkerBusy { .. }
+            | ServiceEvent::WorkerIdle { .. }
+            | ServiceEvent::QueueDepth { .. } => false,
+        })
+        .map(|r| r.event.clone())
+        .collect()
+}
+
+/// The exact event stream of a fault-free, 4-DPU job 0 that leases rank
+/// 0 on an otherwise idle fleet and is cancelled on reaching sync round
+/// `rounds`.
+fn cancelled_at_round(tenant: &str, rounds: u32) -> Vec<ServiceEvent> {
+    let mut events = vec![
+        ServiceEvent::JobSubmitted {
+            job: 0,
+            tenant: tenant.to_string(),
+            dpus: 4,
+        },
+        ServiceEvent::LeaseGranted {
+            job: 0,
+            ranks: vec![0],
+            leased_ranks: 1,
+        },
+        ServiceEvent::JobAdmitted { job: 0, dpus: 4 },
+    ];
+    events.extend((0..rounds).map(|round| ServiceEvent::SyncRound {
+        job: 0,
+        round,
+        live_dpus: 4,
+    }));
+    events.extend([
+        ServiceEvent::JobCancelled { job: 0 },
+        ServiceEvent::LeaseReleased {
+            job: 0,
+            ranks: vec![0],
+            leased_ranks: 0,
+        },
+    ]);
+    events
+}
+
 fn cfg(dpus: usize, episodes: u32, seed: u32) -> RunConfig {
     RunConfig::paper_defaults()
         .with_dpus(dpus)
@@ -65,7 +126,9 @@ fn cfg(dpus: usize, episodes: u32, seed: u32) -> RunConfig {
 /// dead DPUs absorbed by degradation and transient faults absorbed by
 /// retries) — run concurrently over one shared fleet, and every
 /// tenant's final Q-table and time breakdown are bit-identical to the
-/// same job run solo on a private platform.
+/// same job run solo on a private platform — both on the platform the
+/// service ran it under (the batched tier within the service's thread
+/// budget) and on the plain fleet platform pinned to the fast tier.
 #[test]
 fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
     let specs = [
@@ -74,7 +137,13 @@ fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
         WorkloadSpec::sarsa_seq_fp32(),
         WorkloadSpec::sarsa_seq_int32(),
     ];
-    let service = TrainingService::new(small_fleet(), 8);
+    let workers = 8;
+    let service = TrainingService::new(small_fleet(), workers);
+    // The service keeps the caller's fleet platform and runs every job
+    // on its share of the host's threads, on the batched tier.
+    assert_eq!(service.fleet_config().engine, small_fleet().engine);
+    assert_eq!(service.fleet_config().cost.arith_tier, ExecTier::Fast);
+    let job_engine = small_fleet().engine.within(host_threads(), workers);
 
     let mut requests = Vec::new();
     for i in 0..104u32 {
@@ -130,23 +199,30 @@ fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
         };
 
         // The same job, solo, on a private platform with the identical
-        // per-job configuration the service derived.
-        let solo_out = PimRunner::with_platform(
-            request.spec,
-            request.cfg,
-            service.job_platform(request),
-        )
-        .expect("solo runner")
-        .with_resilience(request.resilience)
-        .run(&request.dataset)
-        .expect("solo run");
+        // per-job configuration the service derived...
+        let job_platform = service.job_platform(request);
+        assert_eq!(job_platform.engine, job_engine);
+        assert_eq!(job_platform.cost.arith_tier, ExecTier::Batched);
+        // ...and on the plain fleet platform, pinned to the fast tier.
+        let mut fast_platform = small_fleet();
+        fast_platform.dpus = request.cfg.dpus;
+        fast_platform.faults = request.faults.clone();
+        fast_platform.cost.arith_tier = ExecTier::Fast;
 
-        // Byte-for-byte Q-table equality, exact breakdown equality.
-        if service_out.q_table != solo_out.q_table
-            || service_out.breakdown != solo_out.breakdown
-            || service_out.resilience != solo_out.resilience
-        {
-            mismatches.push(handle.tenant().to_string());
+        for (platform, tag) in [(job_platform, "job platform"), (fast_platform, "fast")] {
+            let solo_out = PimRunner::with_platform(request.spec, request.cfg, platform)
+                .expect("solo runner")
+                .with_resilience(request.resilience)
+                .run(&request.dataset)
+                .expect("solo run");
+
+            // Byte-for-byte Q-table equality, exact breakdown equality.
+            if service_out.q_table != solo_out.q_table
+                || service_out.breakdown != solo_out.breakdown
+                || service_out.resilience != solo_out.resilience
+            {
+                mismatches.push(format!("{} ({tag})", handle.tenant()));
+            }
         }
     }
     assert!(
@@ -269,27 +345,32 @@ fn lease_admission_rejects_overlapping_pins() {
 /// queued job discards it before it ever touches the fleet.
 #[test]
 fn cancellation_mid_round_leaves_the_fleet_reusable() {
-    let service = TrainingService::new(small_fleet(), 2);
+    let service =
+        TrainingService::with_observability(small_fleet(), 2, ServiceTelemetry::enabled());
 
-    // A job far too long to finish on its own: cancellation is the
-    // only way it ends.
+    // A per-intrinsic (fast-tier) job far too long to finish on its
+    // own, cancelled on reaching sync round 3.
     let marathon = service
-        .submit(JobRequest::new(
-            "marathon",
-            WorkloadSpec::q_learning_seq_fp32(),
-            cfg(4, 200_000, 1),
-            frozen_dataset(800, 1),
-        ))
+        .submit_with_token(
+            JobRequest::new(
+                "marathon",
+                WorkloadSpec::q_learning_seq_fp32(),
+                cfg(4, 200_000, 1),
+                frozen_dataset(800, 1),
+            )
+            .with_exec_tier(ExecTier::Fast),
+            CancelToken::at_round(3),
+        )
         .expect("admitted");
-
-    // Wait until it has launched (holding its lease), then cancel
-    // mid-run.
-    wait_for_first_launch(&marathon);
-    marathon.cancel();
     let outcome = marathon.wait();
     assert!(outcome.is_cancelled(), "expected cancellation: {outcome:?}");
-    // The cancelled job did real work before stopping.
-    assert!(marathon.metrics().launches > 0);
+    // The cancelled job did exactly rounds 0..3, one launch each.
+    assert_eq!(marathon.metrics().launches, 3);
+    assert_eq!(marathon.metrics().sync_rounds, 3);
+    assert_eq!(
+        job_events(&service.service_telemetry().records(), marathon.id()),
+        cancelled_at_round("marathon", 3)
+    );
 
     // Cancel a queued job before any worker picks it up: submit enough
     // work to keep both workers busy, cancel the last submission
@@ -337,12 +418,14 @@ fn cancellation_mid_round_leaves_the_fleet_reusable() {
 /// Cancelling a batched-tier job works exactly like cancelling a
 /// per-intrinsic one: the `CancelToken` is checked at round boundaries
 /// regardless of how the launch between them executed, so a marathon
-/// batched job stops mid-run, reports real work, and frees its lease.
+/// batched job stops at its round, reports exactly that work, and
+/// frees its lease.
 #[test]
 fn batched_job_cancellation_mid_round_frees_the_lease() {
-    let service = TrainingService::new(small_fleet(), 1);
+    let service =
+        TrainingService::with_observability(small_fleet(), 1, ServiceTelemetry::enabled());
     let marathon = service
-        .submit(
+        .submit_with_token(
             JobRequest::new(
                 "batched-marathon",
                 WorkloadSpec::q_learning_seq_fp32(),
@@ -350,13 +433,17 @@ fn batched_job_cancellation_mid_round_frees_the_lease() {
                 frozen_dataset(800, 1),
             )
             .with_exec_tier(ExecTier::Batched),
+            CancelToken::at_round(5),
         )
         .expect("admitted");
-    wait_for_first_launch(&marathon);
-    marathon.cancel();
     let outcome = marathon.wait();
     assert!(outcome.is_cancelled(), "expected cancellation: {outcome:?}");
-    assert!(marathon.metrics().launches > 0);
+    assert_eq!(marathon.metrics().launches, 5);
+    assert_eq!(marathon.metrics().sync_rounds, 5);
+    assert_eq!(
+        job_events(&service.service_telemetry().records(), marathon.id()),
+        cancelled_at_round("batched-marathon", 5)
+    );
 
     // The lease is free: a follow-up batched job completes.
     let follow_up = service
@@ -411,6 +498,11 @@ fn batched_tenant_next_to_reference_tenant_matches_solo_runs() {
             platform.cost.arith_tier,
             request.exec_tier.expect("tier set"),
             "job_platform must carry the per-job tier override"
+        );
+        assert_eq!(
+            platform.engine,
+            small_fleet().engine.within(host_threads(), 2),
+            "job_platform must carry the per-job engine share"
         );
         let solo_out = PimRunner::with_platform(request.spec, request.cfg, platform)
             .expect("solo runner")
@@ -574,7 +666,8 @@ fn observability_requests(jobs: u32) -> Vec<JobRequest> {
 /// jobs' sync rounds dropped — renders byte-identically across the
 /// serial and threaded engines *and* across worker counts, for a
 /// 100-tenant mixed-fault batch that includes dead-DPU tenants and a
-/// job cancelled mid-round.
+/// job cancelled mid-round. Both engines are explicit, so the service
+/// keeps them: the threaded case really runs every job on 3 threads.
 #[test]
 fn deterministic_service_stream_is_byte_identical_across_engines() {
     let requests = observability_requests(100);
@@ -597,6 +690,7 @@ fn deterministic_service_stream_is_byte_identical_across_engines() {
             .build();
         let service =
             TrainingService::with_observability(fleet, workers, ServiceTelemetry::deterministic());
+        assert_eq!(service.job_platform(&marathon).engine, engine, "{tag}");
         let handles: Vec<_> = requests
             .iter()
             .map(|r| service.submit(r.clone()).expect("admission"))
