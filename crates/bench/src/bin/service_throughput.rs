@@ -3,14 +3,15 @@
 //! Submits a batch of heterogeneous training jobs — mixed workloads,
 //! DPU counts, and fault plans — to the [`TrainingService`] job queue
 //! and measures end-to-end drain time against running the same batch
-//! serially, one job after another, on the very platforms the service
-//! runs them under ([`TrainingService::job_platform`]: same tier, same
-//! per-job engine width), so `speedup_vs_serial` measures multiplexing
-//! alone. Every wall time is the median of [`REPEATS`] runs, with the
-//! spread beside it and the host's thread count in the
-//! artifact. Reports per-batch throughput (jobs/s), aggregate simulated
-//! kernel time, and the fault/resilience totals across tenants. Results
-//! land in `BENCH_SERVICE.json` in the current directory.
+//! serially, one job after another, on the platforms the service runs
+//! them under ([`TrainingService::job_platform`]: same tier) with the
+//! engine width each job gets while the queue keeps every worker busy,
+//! so `speedup_vs_serial` measures multiplexing alone. Every wall time
+//! is the median of [`REPEATS`] runs; the artifact also records the
+//! host's thread count and, per worker count, that engine width. Reports
+//! per-batch throughput (jobs/s), aggregate simulated kernel time, and
+//! the fault/resilience totals across tenants. Results land in
+//! `BENCH_SERVICE.json` in the current directory.
 //!
 //! ```text
 //! cargo run --release -p swiftrl-bench --bin service_throughput
@@ -41,6 +42,7 @@ use swiftrl_env::ExperienceDataset;
 use swiftrl_pim::config::PimConfig;
 use swiftrl_pim::engine::host_threads;
 use swiftrl_pim::faults::FaultPlan;
+use swiftrl_pim::ExecutionEngine;
 use swiftrl_telemetry::{
     service_trace, Event, Json, MetricsSnapshot, ServiceMetrics, ServiceTelemetry, Telemetry,
 };
@@ -102,13 +104,18 @@ const REPEATS: usize = 5;
 type SimTotals = (f64, u64, u64, u64);
 
 /// Runs every job solo, one after another, on the platform `service`
-/// would run it under, with a private event sink and metrics fold per
-/// job as the service keeps them.
-fn serial_pass(service: &TrainingService, requests: &[JobRequest]) -> SimTotals {
+/// runs it under with `engine`, with a private event sink and metrics
+/// fold per job as the service keeps them.
+fn serial_pass(
+    service: &TrainingService,
+    requests: &[JobRequest],
+    engine: ExecutionEngine,
+) -> SimTotals {
     let mut totals: SimTotals = (0.0, 0, 0, 0);
     for request in requests {
         let telemetry = Telemetry::enabled();
         let mut platform = service.job_platform(request);
+        platform.engine = engine;
         platform.telemetry = telemetry.clone();
         let out = PimRunner::with_platform(request.spec, request.cfg, platform)
             .expect("runner")
@@ -151,16 +158,15 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (started.elapsed().as_secs_f64(), out)
 }
 
-/// Median, minimum and maximum of `samples` (non-empty).
-fn spread(samples: &mut [f64]) -> (f64, f64, f64) {
+/// Median of `samples` (non-empty).
+fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
     let n = samples.len();
-    let median = if n % 2 == 1 {
+    if n % 2 == 1 {
         samples[n / 2]
     } else {
         (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    };
-    (median, samples[0], samples[n - 1])
+    }
 }
 
 fn main() {
@@ -225,16 +231,15 @@ fn main() {
     let mut sim_totals: Option<SimTotals> = None;
     for &workers in &worker_sweep {
         let service = TrainingService::new(fleet.clone(), workers);
-        // The per-job engine width the service picked for this worker
-        // count (unclamped by the job's DPU count).
-        let engine_workers = requests.first().map_or(1, |r| {
-            service.job_platform(r).engine.workers_for(usize::MAX)
-        });
+        // The engine each job gets while every worker is busy, and its
+        // width unclamped by the job's DPU count.
+        let busy_engine = fleet.engine.within(threads, workers);
+        let engine_workers = busy_engine.workers_for(usize::MAX);
         // Alternate the serial baseline and the drain so both see the
         // same host conditions.
         let (mut serial_s, mut drain_s) = (Vec::new(), Vec::new());
         for _ in 0..REPEATS {
-            let (wall_s, serial) = timed(|| serial_pass(&service, &requests));
+            let (wall_s, serial) = timed(|| serial_pass(&service, &requests, busy_engine));
             serial_s.push(wall_s);
             let (wall_s, totals) = timed(|| drain(&service, &requests));
             drain_s.push(wall_s);
@@ -245,8 +250,8 @@ fn main() {
                  serial {serial:?}, first drain {expected:?}"
             );
         }
-        let (serial_wall_s, _, _) = spread(&mut serial_s);
-        let (wall_s, wall_min_s, wall_max_s) = spread(&mut drain_s);
+        let serial_wall_s = median(&mut serial_s);
+        let wall_s = median(&mut drain_s);
         let (sim_kernel_s, faulted_launches, retries, rollbacks) =
             sim_totals.expect("at least one repeat");
         let jobs_per_s = if wall_s > 0.0 {
@@ -272,8 +277,6 @@ fn main() {
             ("engine_workers", Json::UInt(engine_workers as u64)),
             ("jobs", Json::UInt(jobs as u64)),
             ("host_wall_s", Json::Num(wall_s)),
-            ("host_wall_s_min", Json::Num(wall_min_s)),
-            ("host_wall_s_max", Json::Num(wall_max_s)),
             ("serial_wall_s", Json::Num(serial_wall_s)),
             // `null` instead of a non-finite value on a degenerate
             // zero-wall measurement.
@@ -292,7 +295,7 @@ fn main() {
     swiftrl_bench::print_table(
         &[
             "Workers",
-            "Job engine width",
+            "Busy job engine width",
             "Jobs",
             "Drain wall",
             "Serial wall",
@@ -305,7 +308,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\nSerial wall: the same jobs one after another on the service's job platforms.\n"
+        "\nSerial wall: the same jobs one after another, each on a busy job's platform.\n"
     );
 
     let doc = Json::obj([
@@ -316,7 +319,6 @@ fn main() {
         ("fleet_dpus", Json::UInt(fleet.dpus as u64)),
         ("fleet_ranks", Json::UInt(fleet.ranks_for(fleet.dpus) as u64)),
         ("host_threads", Json::UInt(threads as u64)),
-        ("repeats", Json::UInt(REPEATS as u64)),
         ("points", Json::Arr(points)),
     ]);
     write_json_artifact(std::path::Path::new("BENCH_SERVICE.json"), &doc)

@@ -26,11 +26,13 @@
 //!   sync-round boundary, so a cancelled job frees its lease within
 //!   one round.
 //! - **One host thread budget**: the fleet's auto engine width
-//!   (`Threaded { workers: 0 }`) is split between the service workers
-//!   once, at construction ([`ExecutionEngine::within`]), so N workers
-//!   each driving a job never spawn more threads than the host has.
-//!   Unpinned jobs run on the [`ExecTier::Batched`] tier. Neither choice
-//!   moves a simulated bit or cycle (DESIGN.md §8.1, §14).
+//!   (`Threaded { workers: 0 }`) is split, at each admission, between
+//!   the jobs that share the host at that moment
+//!   ([`ExecutionEngine::within`]): a lone job gets every host thread,
+//!   and a full queue gives each of N workers a 1/N share instead of N
+//!   whole-host pools. Unpinned jobs run on the [`ExecTier::Batched`]
+//!   tier. Neither choice moves a simulated bit or cycle (DESIGN.md
+//!   §8.1, §14).
 //!
 //! The isolation claim is pinned by `tests/service.rs`, which runs 100+
 //! concurrent jobs with mixed fault plans and diffs every tenant's
@@ -38,7 +40,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 use swiftrl_env::dataset::ExperienceDataset;
@@ -61,13 +63,15 @@ use crate::runner::{PimRunner, RunOutcome};
 /// [`PimError::Cancelled`], leaving the leased DPU set consistent so
 /// the service can free it immediately.
 ///
-/// A token made with [`at_round`](Self::at_round) also trips by itself
-/// when the run reaches a given sync round: a cancellation point on the
-/// run's logical clock instead of the host's.
+/// A token made with [`at_round`](Self::at_round) also stops a run
+/// when it reaches a given sync round: a cancellation point on the
+/// run's logical clock instead of the host's. The round is checked
+/// against each run on its own, so clones of one such token drive
+/// several jobs and each stops at that round.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    /// Sync round at which the token trips by itself, if any.
+    /// Sync round at which every run driven by the token stops, if any.
     trip_round: Option<u32>,
 }
 
@@ -77,7 +81,7 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that trips once the run reaches sync round `round`: the
+    /// A token that stops a run once it reaches sync round `round`: the
     /// run completes rounds `0..round` (launches, retries and syncs
     /// included) and stops before the next launch. `at_round(0)` stops
     /// a job after admission, before its first launch. [`cancel`](Self::cancel)
@@ -101,13 +105,10 @@ impl CancelToken {
     }
 
     /// Whether a run about to start sync round `round` must stop: it was
-    /// cancelled, or the token trips at this round (which latches it
-    /// cancelled).
+    /// cancelled, or it has reached the token's stop round. A pure
+    /// check: reaching the stop round cancels no other run.
     pub(crate) fn stops_at(&self, round: u32) -> bool {
-        if self.trip_round.is_some_and(|trip| round >= trip) {
-            self.cancel();
-        }
-        self.is_cancelled()
+        self.is_cancelled() || self.trip_round.is_some_and(|trip| round >= trip)
     }
 }
 
@@ -287,6 +288,8 @@ enum JobState {
 struct JobCell {
     state: Mutex<JobState>,
     done_cv: Condvar,
+    /// The engine the job was admitted with (unset until admission).
+    engine: OnceLock<ExecutionEngine>,
 }
 
 impl JobCell {
@@ -294,6 +297,7 @@ impl JobCell {
         Self {
             state: Mutex::new(JobState::Queued),
             done_cv: Condvar::new(),
+            engine: OnceLock::new(),
         }
     }
 
@@ -330,6 +334,13 @@ impl JobHandle {
     /// boundary and frees its lease.
     pub fn cancel(&self) {
         self.token.cancel();
+    }
+
+    /// The execution engine the job was admitted with: its share of the
+    /// host's threads (see [`TrainingService::new`]). `None` until the
+    /// job is admitted, and for a job cancelled or failed before it.
+    pub fn engine(&self) -> Option<ExecutionEngine> {
+        self.cell.engine.get().copied()
     }
 
     /// A non-blocking snapshot of where the job is in its lifecycle.
@@ -396,15 +407,16 @@ struct FleetState {
     /// keyed by job id. Pinned submissions are rejected synchronously
     /// when they overlap an entry here.
     pinned: Vec<(u64, Vec<usize>)>,
+    /// Jobs currently holding a lease.
+    running: usize,
 }
 
 /// Scheduler shared state: FIFO queue + fleet + coordination.
 struct Shared {
     /// The fleet platform as the caller configured it.
     config: PimConfig,
-    /// The engine every job runs under: the fleet's engine within the
-    /// host thread budget shared by the service workers.
-    job_engine: ExecutionEngine,
+    /// Worker threads: the most jobs that run at once.
+    workers: usize,
     fleet: Mutex<FleetState>,
     /// Signalled when a lease is released (capacity may now fit the
     /// head-of-line job).
@@ -487,10 +499,16 @@ impl TrainingService {
     ///
     /// `workers` is clamped to at least 1. More workers means more
     /// jobs training concurrently (each on its own lease); one worker
-    /// serializes the fleet. The workers share the host's threads: a
-    /// fleet engine of `Threaded { workers: 0 }` gives each job
-    /// `max(1, host threads / workers)` of them, and `Serial` at a share
-    /// of one (see [`ExecutionEngine::within`]).
+    /// serializes the fleet. The jobs share the host's threads: with a
+    /// fleet engine of `Threaded { workers: 0 }`, a job admitted while
+    /// `k` jobs share the host (itself and the others running, plus the
+    /// queued ones, at most `workers`) runs on `max(1, host threads / k)`
+    /// of them, `Serial` at a share of one (see
+    /// [`ExecutionEngine::within`]). A lone job gets the whole host; a
+    /// full queue gives each worker its `1/workers` share. A job keeps
+    /// its share to the end, so jobs arriving one by one while wider
+    /// ones run can together ask for more threads than the host has
+    /// until those finish.
     ///
     /// Observability is off: the service emits no [`ServiceEvent`]s
     /// and pays nothing for the instrumentation. Use
@@ -510,11 +528,12 @@ impl TrainingService {
         let ranks = config.ranks_for(config.dpus);
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            job_engine: config.engine.within(host_threads(), workers),
+            workers,
             fleet: Mutex::new(FleetState {
                 system: PimSystem::new(config.clone()),
                 rank_leased: vec![false; ranks],
                 pinned: Vec::new(),
+                running: 0,
             }),
             lease_cv: Condvar::new(),
             queue: Mutex::new(VecDeque::new()),
@@ -561,13 +580,16 @@ impl TrainingService {
     }
 
     /// The platform configuration a job submitted as `request` runs
-    /// under: the fleet platform with the job's own DPU count and
-    /// fault plan, the service's per-job engine and the job's tier, and
-    /// telemetry off. A solo [`PimRunner`] run on this exact platform is
-    /// bit-identical to the job's in-service run — the equivalence the
-    /// service's isolation tests pin.
+    /// under when admitted to an idle service: the fleet platform with
+    /// the job's own DPU count and fault plan, the whole host's engine
+    /// width, the job's tier, and telemetry off. A job admitted beside
+    /// others differs only in its narrower engine
+    /// ([`JobHandle::engine`]). A solo [`PimRunner`] run on this
+    /// platform is bit-identical to the job's in-service run — the
+    /// equivalence the service's isolation tests pin.
     pub fn job_platform(&self, request: &JobRequest) -> PimConfig {
-        job_platform(&self.shared, request, Telemetry::disabled())
+        let engine = self.shared.config.engine.within(host_threads(), 1);
+        job_platform(&self.shared, request, engine, Telemetry::disabled())
     }
 
     /// Submits a job. Admission control runs synchronously: a job that
@@ -733,17 +755,22 @@ fn pick_free_ranks(config: &PimConfig, leased: &[bool], dpus: usize) -> Option<V
     None
 }
 
-/// The platform a job runs under, with `telemetry` as its event sink:
-/// the fleet platform with the job's DPU count and fault plan, the
-/// service's per-job engine, and the job's tier ([`ExecTier::Batched`]
-/// unless pinned). The one builder behind both the in-service run and
+/// The platform a job runs under on `engine`, with `telemetry` as its
+/// event sink: the fleet platform with the job's DPU count and fault
+/// plan, and the job's tier ([`ExecTier::Batched`] unless pinned). The
+/// one builder behind both the in-service run and
 /// [`TrainingService::job_platform`].
-fn job_platform(shared: &Shared, request: &JobRequest, telemetry: Telemetry) -> PimConfig {
+fn job_platform(
+    shared: &Shared,
+    request: &JobRequest,
+    engine: ExecutionEngine,
+    telemetry: Telemetry,
+) -> PimConfig {
     let mut platform = shared.config.clone();
     platform.dpus = request.cfg.dpus;
     platform.faults = request.faults.clone();
     platform.telemetry = telemetry;
-    platform.engine = shared.job_engine;
+    platform.engine = engine;
     platform.cost.arith_tier = request.exec_tier.unwrap_or(ExecTier::Batched);
     platform
 }
@@ -828,6 +855,11 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         for &rank in &lease {
             fleet.rank_leased[rank] = true;
         }
+        fleet.running += 1;
+        // The jobs sharing the host from now on: the running ones, this
+        // one included, and the queued ones, up to one per worker.
+        let sharing = (fleet.running + lock_recover(&shared.queue).len()).min(shared.workers);
+        let engine = shared.config.engine.within(host_threads(), sharing);
         if shared.observer.on() {
             let leased_ranks = fleet.rank_leased.iter().filter(|&&l| l).count();
             let ranks = lease.clone();
@@ -838,9 +870,12 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 leased_ranks,
             });
         }
-        let platform = job_platform(shared, &job.request, job.telemetry.clone());
+        let platform = job_platform(shared, &job.request, engine, job.telemetry.clone());
         match fleet.system.alloc_with_config(dpus, platform) {
-            Ok(set) => (lease, set),
+            Ok(set) => {
+                job.cell.engine.get_or_init(|| engine);
+                (lease, set)
+            }
             Err(err) => {
                 // Unreachable by construction (leases bound capacity),
                 // but fail the job cleanly rather than poisoning the
@@ -848,6 +883,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 for &rank in &lease {
                     fleet.rank_leased[rank] = false;
                 }
+                fleet.running -= 1;
                 if shared.observer.on() {
                     let leased_ranks = fleet.rank_leased.iter().filter(|&&l| l).count();
                     let ranks = lease.clone();
@@ -949,6 +985,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         for &rank in &lease {
             fleet.rank_leased[rank] = false;
         }
+        fleet.running -= 1;
         if shared.observer.on() {
             let leased_ranks = fleet.rank_leased.iter().filter(|&&l| l).count();
             let ranks = lease.clone();

@@ -10,7 +10,7 @@ use swiftrl::core::config::{RunConfig, WorkloadSpec};
 use swiftrl::core::resilience::ResilienceConfig;
 use swiftrl::core::runner::PimRunner;
 use swiftrl::core::service::{
-    CancelToken, JobHandle, JobOutcome, JobRequest, ServiceError, TrainingService,
+    CancelToken, JobHandle, JobOutcome, JobRequest, JobStatus, ServiceError, TrainingService,
 };
 use swiftrl::env::collect::collect_random;
 use swiftrl::env::frozen_lake::FrozenLake;
@@ -127,8 +127,9 @@ fn cfg(dpus: usize, episodes: u32, seed: u32) -> RunConfig {
 /// retries) — run concurrently over one shared fleet, and every
 /// tenant's final Q-table and time breakdown are bit-identical to the
 /// same job run solo on a private platform — both on the platform the
-/// service ran it under (the batched tier within the service's thread
-/// budget) and on the plain fleet platform pinned to the fast tier.
+/// service ran it under (the batched tier on the engine share it was
+/// admitted with) and on the plain fleet platform pinned to the fast
+/// tier.
 #[test]
 fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
     let specs = [
@@ -140,10 +141,13 @@ fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
     let workers = 8;
     let service = TrainingService::new(small_fleet(), workers);
     // The service keeps the caller's fleet platform and runs every job
-    // on its share of the host's threads, on the batched tier.
+    // on the batched tier, on its share of the host's threads: the
+    // whole host split between the 1..=workers jobs sharing it.
     assert_eq!(service.fleet_config().engine, small_fleet().engine);
     assert_eq!(service.fleet_config().cost.arith_tier, ExecTier::Fast);
-    let job_engine = small_fleet().engine.within(host_threads(), workers);
+    let shares: Vec<_> = (1..=workers)
+        .map(|jobs| small_fleet().engine.within(host_threads(), jobs))
+        .collect();
 
     let mut requests = Vec::new();
     for i in 0..104u32 {
@@ -199,10 +203,14 @@ fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
         };
 
         // The same job, solo, on a private platform with the identical
-        // per-job configuration the service derived...
-        let job_platform = service.job_platform(request);
-        assert_eq!(job_platform.engine, job_engine);
+        // per-job configuration the service derived and the engine it
+        // was admitted with...
+        let engine = handle.engine().expect("a completed job was admitted");
+        assert!(shares.contains(&engine), "{engine:?} not in {shares:?}");
+        let mut job_platform = service.job_platform(request);
+        assert_eq!(job_platform.engine, shares[0]);
         assert_eq!(job_platform.cost.arith_tier, ExecTier::Batched);
+        job_platform.engine = engine;
         // ...and on the plain fleet platform, pinned to the fast tier.
         let mut fast_platform = small_fleet();
         fast_platform.dpus = request.cfg.dpus;
@@ -460,6 +468,96 @@ fn batched_job_cancellation_mid_round_frees_the_lease() {
     assert!(follow_up.wait().completed().is_some());
 }
 
+/// An `at_round` token stops every job it drives at that round, each on
+/// its own logical clock: two jobs sharing clones of one token run
+/// concurrently and both stop at round 3, and a third job submitted
+/// after they stopped still runs its own three rounds.
+#[test]
+fn one_at_round_token_stops_each_job_at_its_own_round() {
+    let service = TrainingService::new(small_fleet(), 2);
+    let token = CancelToken::at_round(3);
+    let marathon = |i: u32| {
+        JobRequest::new(
+            format!("marathon-{i}"),
+            WorkloadSpec::q_learning_seq_fp32(),
+            cfg(4, 200_000, i),
+            frozen_dataset(800, i),
+        )
+    };
+    let pair: Vec<_> = (0..2)
+        .map(|i| {
+            service
+                .submit_with_token(marathon(i), token.clone())
+                .expect("admitted")
+        })
+        .collect();
+    for handle in &pair {
+        assert!(handle.wait().is_cancelled());
+    }
+    let late = service
+        .submit_with_token(marathon(2), token.clone())
+        .expect("admitted");
+    assert!(late.wait().is_cancelled());
+    for handle in pair.iter().chain([&late]) {
+        assert_eq!(handle.metrics().launches, 3, "{}", handle.tenant());
+        assert_eq!(handle.metrics().sync_rounds, 3, "{}", handle.tenant());
+    }
+    assert!(
+        !token.is_cancelled(),
+        "reaching the round cancelled the token"
+    );
+}
+
+/// A job's engine is its share of the host's threads among the jobs
+/// sharing the host when it is admitted: a lone job gets the whole host
+/// (the engine `job_platform` reports), a job admitted beside it half.
+/// Either engine leaves the job bit-identical to its solo run.
+#[test]
+fn job_engine_is_the_share_of_the_jobs_sharing_the_host() {
+    let auto = small_fleet().engine;
+    assert_eq!(auto, ExecutionEngine::Threaded { workers: 0 });
+    let service = TrainingService::new(small_fleet(), 2);
+    let lone = JobRequest::new(
+        "lone",
+        WorkloadSpec::q_learning_seq_fp32(),
+        cfg(4, 200_000, 1),
+        frozen_dataset(800, 1),
+    );
+    let first = service.submit(lone.clone()).expect("admitted");
+    while first.status() == JobStatus::Queued {
+        std::thread::yield_now();
+    }
+    let whole_host = auto.within(host_threads(), 1);
+    assert_eq!(first.engine(), Some(whole_host));
+    assert_eq!(service.job_platform(&lone).engine, whole_host);
+
+    let beside = JobRequest::new(
+        "beside",
+        WorkloadSpec::sarsa_seq_int32(),
+        cfg(4, 8, 2),
+        taxi_dataset(800, 2),
+    );
+    let second = service.submit(beside.clone()).expect("admitted");
+    let JobOutcome::Completed(service_out) = second.wait() else {
+        panic!("the second job did not complete");
+    };
+    let half_host = auto.within(host_threads(), 2);
+    assert_eq!(second.engine(), Some(half_host));
+    first.cancel();
+    assert!(first.wait().is_cancelled());
+
+    for engine in [half_host, whole_host] {
+        let mut platform = service.job_platform(&beside);
+        platform.engine = engine;
+        let solo_out = PimRunner::with_platform(beside.spec, beside.cfg, platform)
+            .expect("solo runner")
+            .run(&beside.dataset)
+            .expect("solo run");
+        assert_eq!(service_out.q_table, solo_out.q_table, "{engine:?}");
+        assert_eq!(service_out.breakdown, solo_out.breakdown, "{engine:?}");
+    }
+}
+
 /// Execution tiers are a per-tenant choice: a batched-tier job running
 /// next to a reference-tier tenant on the same shared fleet leaves both
 /// bit-identical to their solo runs — the tier changes host wall-clock
@@ -501,8 +599,8 @@ fn batched_tenant_next_to_reference_tenant_matches_solo_runs() {
         );
         assert_eq!(
             platform.engine,
-            small_fleet().engine.within(host_threads(), 2),
-            "job_platform must carry the per-job engine share"
+            small_fleet().engine.within(host_threads(), 1),
+            "job_platform must carry a lone job's engine share"
         );
         let solo_out = PimRunner::with_platform(request.spec, request.cfg, platform)
             .expect("solo runner")
