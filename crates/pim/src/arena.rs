@@ -4,14 +4,25 @@
 //! allocation would cost ~160 GB of host memory before a single byte is
 //! written. Instead, [`crate::memory::Bank`] materializes fixed-size
 //! segments on first write and draws every segment buffer from one
-//! `FleetArena` shared by the whole [`crate::host::DpuSet`]. The arena
+//! `FleetArena` shared by the whole [`crate::host::DpuSet`]. A buffer
+//! is handed out empty and only grows to the bytes its bank writes (a
+//! DPU's header, Q-table and replay chunk are ~12 KB of a 64 KB
+//! segment). The arena
 //!
-//! * **pools** retired full-size segments so repeated alloc/free cycles
-//!   on one [`crate::host::PimSystem`] reuse buffers instead of hitting
-//!   the host allocator, and
-//! * **accounts** every byte: live bank bytes (current and peak) and the
-//!   arena's total host footprint (live + pooled, current and peak),
-//!   queryable at any quiescent point via [`FleetArena::stats`].
+//! * **pools** retired full-size segments, cleared to length 0, so
+//!   repeated alloc/free cycles on one [`crate::host::PimSystem`] reuse
+//!   buffers instead of hitting the host allocator;
+//! * **hands its pool on** when it drops: the buffers go to one
+//!   process-wide spare list (capped at 256 MiB of buffer capacity),
+//!   and an arena that finds its own pool empty draws from that list
+//!   before allocating, so a repeated run does not page-fault its
+//!   buffers back in; and
+//! * **accounts** every segment as a whole [`BANK_SEGMENT_BYTES`] (or
+//!   sub-granule tail) however short its buffer is: live bank bytes
+//!   (current and peak) and the arena's total footprint (live + pooled,
+//!   current and peak), queryable at any quiescent point via
+//!   [`FleetArena::stats`]. Spare-list buffers belong to no arena and
+//!   are counted by none.
 //!
 //! Accounting is deterministic across execution engines. During a launch
 //! banks are never shared and nothing is released, so the live byte
@@ -23,30 +34,57 @@
 //! `DpuContext` DMA intrinsics, so its tokens must satisfy the analyzer's
 //! kernel-discipline rules (no `vec!`/`Vec` spelled in reachable
 //! signatures or bodies): buffers are cloned from an empty prototype and
-//! `resize`d, and signatures go through type aliases.
+//! grown by the bank, and signatures go through type aliases.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Size of one bank segment: 64 KB, the WRAM capacity, so a WRAM bank is
 /// exactly one segment and a 64-MB MRAM bank is 1,024 lazily-filled
 /// slots.
 pub const BANK_SEGMENT_BYTES: usize = 64 * 1024;
 
-/// A segment buffer handed out by the arena. Shared (`Arc`) so banks can
-/// be cloned copy-on-write; uniquely owned for the entire duration of a
+/// Most buffer capacity the process-wide spare list keeps; buffers of a
+/// dropped arena beyond it go back to the host allocator.
+const SPARE_LIMIT_BYTES: usize = 256 << 20;
+
+/// A segment buffer handed out by the arena: empty when acquired, grown
+/// by its bank up to the segment length. Shared (`Arc`) so banks can be
+/// cloned copy-on-write; uniquely owned for the entire duration of a
 /// launch.
 pub(crate) type SegmentArc = Arc<Vec<u8>>;
 
 type Buf = Vec<u8>;
-type PoolGuard<'a> = std::sync::MutexGuard<'a, Vec<Buf>>;
+type BufList = Vec<Buf>;
+
+/// Length-0 buffers left over by dropped arenas, and their total
+/// capacity.
+struct Spares {
+    bufs: BufList,
+    bytes: usize,
+}
+
+static SPARES: Mutex<Spares> = Mutex::new(Spares {
+    bufs: Vec::new(),
+    bytes: 0,
+});
+
+/// Locks `mutex`, recovering from poisoning: a panic mid-push leaves
+/// the buffer list structurally valid.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    match mutex.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
 
 /// Memory ceilings of one fleet, sampled from its arena.
 ///
 /// `bank_*` counts bytes live inside bank segments (what an eager
 /// simulator would have allocated up front, truncated to touched
 /// segments); `arena_*` counts the arena's total host footprint
-/// including pooled-but-idle buffers.
+/// including pooled-but-idle buffers. Both count whole segments, not
+/// the shorter buffers that back them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
     /// Bytes currently live in bank segments.
@@ -60,17 +98,31 @@ pub struct MemoryStats {
 }
 
 struct ArenaInner {
-    /// Retired full-size (`BANK_SEGMENT_BYTES`) buffers awaiting reuse.
-    /// Sub-size tail segments are returned to the host allocator instead.
-    pool: Mutex<Vec<Buf>>,
+    /// Retired full-size (`BANK_SEGMENT_BYTES`) segments' buffers,
+    /// cleared to length 0, awaiting reuse. Sub-size tail segments are
+    /// returned to the host allocator instead.
+    pool: Mutex<BufList>,
     /// Empty prototype buffer cloned by the kernel-reachable allocation
     /// path (see the module docs on token discipline).
     proto: Buf,
     bank_bytes: AtomicU64,
     bank_peak: AtomicU64,
-    pooled_bytes: AtomicU64,
     footprint: AtomicU64,
     footprint_peak: AtomicU64,
+}
+
+impl Drop for ArenaInner {
+    fn drop(&mut self) {
+        let pool = std::mem::take(&mut *lock(&self.pool));
+        let mut spares = lock(&SPARES);
+        for buf in pool {
+            if spares.bytes + buf.capacity() > SPARE_LIMIT_BYTES {
+                break;
+            }
+            spares.bytes += buf.capacity();
+            spares.bufs.push(buf);
+        }
+    }
 }
 
 /// Cheaply-cloneable handle to a shared segment arena.
@@ -105,80 +157,69 @@ impl FleetArena {
                 proto: Vec::new(),
                 bank_bytes: AtomicU64::new(0),
                 bank_peak: AtomicU64::new(0),
-                pooled_bytes: AtomicU64::new(0),
                 footprint: AtomicU64::new(0),
                 footprint_peak: AtomicU64::new(0),
             }),
         }
     }
 
-    fn lock_pool(&self) -> PoolGuard<'_> {
-        // A poisoned pool only means another worker panicked mid-push;
-        // the buffer list itself is always structurally valid.
-        match self.inner.pool.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Obtains a buffer of exactly `len` bytes and charges it as live
-    /// bank bytes. The flag is `true` for a recycled pool buffer, whose
-    /// contents are stale; a fresh buffer comes back zero-filled.
-    fn obtain(&self, len: usize) -> (Buf, bool) {
-        let reused = if len == BANK_SEGMENT_BYTES {
-            self.lock_pool().pop()
+    /// Obtains an empty buffer for a segment of `seg_len` bytes and
+    /// charges the whole segment as live bank bytes: from this arena's
+    /// pool, else from the spare list, else freshly allocated.
+    fn obtain(&self, seg_len: usize) -> Buf {
+        let len = seg_len as u64;
+        let pooled = if seg_len == BANK_SEGMENT_BYTES {
+            lock(&self.inner.pool).pop()
         } else {
             None
         };
-        let recycled = reused.is_some();
-        let buf = match reused {
-            Some(b) => {
-                self.inner.pooled_bytes.fetch_sub(len as u64, Ordering::Relaxed);
-                b
-            }
+        let buf = match pooled {
+            Some(b) => b,
             None => {
-                let now = self.inner.footprint.fetch_add(len as u64, Ordering::Relaxed) + len as u64;
+                let now = self.inner.footprint.fetch_add(len, Ordering::Relaxed) + len;
                 bump_peak(&self.inner.footprint_peak, now);
-                let mut b = self.inner.proto.clone();
-                b.resize(len, 0);
-                b
+                let mut spares = lock(&SPARES);
+                match spares.bufs.pop() {
+                    Some(b) => {
+                        spares.bytes -= b.capacity();
+                        b
+                    }
+                    None => self.inner.proto.clone(),
+                }
             }
         };
-        let now = self.inner.bank_bytes.fetch_add(len as u64, Ordering::Relaxed) + len as u64;
+        let now = self.inner.bank_bytes.fetch_add(len, Ordering::Relaxed) + len;
         bump_peak(&self.inner.bank_peak, now);
-        (buf, recycled)
+        buf
     }
 
-    /// Hands out a zero-filled segment of `len` bytes. Only a recycled
-    /// buffer needs clearing.
-    pub(crate) fn acquire(&self, len: usize) -> SegmentArc {
-        let (mut buf, recycled) = self.obtain(len);
-        if recycled {
-            buf.fill(0);
-        }
-        Arc::new(buf)
+    /// Hands out an empty buffer for a segment of `seg_len` bytes; the
+    /// bank grows it with zeros as it writes.
+    pub(crate) fn acquire(&self, seg_len: usize) -> SegmentArc {
+        Arc::new(self.obtain(seg_len))
     }
 
-    /// Hands out a segment initialized to a copy of `src` (the
+    /// Hands out a buffer for a segment of `seg_len` bytes holding a
+    /// copy of `src`, another segment's written bytes (the
     /// copy-on-write path).
-    pub(crate) fn acquire_copy(&self, src: &[u8]) -> SegmentArc {
-        let (mut buf, _) = self.obtain(src.len());
-        buf.copy_from_slice(src);
+    pub(crate) fn acquire_copy(&self, src: &[u8], seg_len: usize) -> SegmentArc {
+        let mut buf = self.obtain(seg_len);
+        buf.extend_from_slice(src);
         Arc::new(buf)
     }
 
-    /// Returns a segment to the arena. Only the *last* holder actually
-    /// releases the bytes; a still-shared segment stays charged to the
-    /// clone that keeps it alive.
-    pub(crate) fn release(&self, segment: SegmentArc) {
-        let Ok(buf) = Arc::try_unwrap(segment) else {
+    /// Returns a segment of `seg_len` bytes to the arena. Only the
+    /// *last* holder actually releases it; a still-shared segment stays
+    /// charged to the clone that keeps it alive.
+    pub(crate) fn release(&self, segment: SegmentArc, seg_len: usize) {
+        let Ok(mut buf) = Arc::try_unwrap(segment) else {
             return;
         };
-        let len = buf.len() as u64;
+        let len = seg_len as u64;
         self.inner.bank_bytes.fetch_sub(len, Ordering::Relaxed);
-        if buf.len() == BANK_SEGMENT_BYTES {
-            self.inner.pooled_bytes.fetch_add(len, Ordering::Relaxed);
-            self.lock_pool().push(buf);
+        if seg_len == BANK_SEGMENT_BYTES {
+            buf.clear();
+            lock(&self.inner.pool).push(buf);
         } else {
             self.inner.footprint.fetch_sub(len, Ordering::Relaxed);
         }
@@ -200,32 +241,56 @@ impl FleetArena {
 mod tests {
     use super::*;
 
+    const SEG: u64 = BANK_SEGMENT_BYTES as u64;
+
+    /// Writes `len` bytes of `byte` into a uniquely held segment, the way
+    /// its bank grows it.
+    fn fill(seg: &mut SegmentArc, len: usize, byte: u8) {
+        Arc::get_mut(seg).expect("unique").resize(len, byte);
+    }
+
     #[test]
-    fn acquire_charges_and_release_pools_full_segments() {
+    fn acquire_charges_a_whole_segment_for_an_empty_buffer() {
         let arena = FleetArena::new();
-        let seg = arena.acquire(BANK_SEGMENT_BYTES);
+        let mut seg = arena.acquire(BANK_SEGMENT_BYTES);
+        assert!(seg.is_empty(), "a fresh segment holds no written bytes");
         let s = arena.stats();
-        assert_eq!(s.bank_bytes, BANK_SEGMENT_BYTES as u64);
-        assert_eq!(s.arena_bytes, BANK_SEGMENT_BYTES as u64);
-        arena.release(seg);
+        assert_eq!(s.bank_bytes, SEG);
+        assert_eq!(s.arena_bytes, SEG);
+        // Growing the buffer does not change the accounting.
+        fill(&mut seg, 100, 0xAB);
+        assert_eq!(arena.stats(), s);
+        arena.release(seg, BANK_SEGMENT_BYTES);
         let s = arena.stats();
         assert_eq!(s.bank_bytes, 0);
         // The buffer went to the pool: still part of the host footprint.
-        assert_eq!(s.arena_bytes, BANK_SEGMENT_BYTES as u64);
-        // Re-acquiring reuses it without growing the footprint.
+        assert_eq!(s.arena_bytes, SEG);
+    }
+
+    #[test]
+    fn released_full_segments_come_back_empty_from_the_pool() {
+        let arena = FleetArena::new();
+        let mut seg = arena.acquire(BANK_SEGMENT_BYTES);
+        fill(&mut seg, 4096, 0xFF);
+        arena.release(seg, BANK_SEGMENT_BYTES);
+        // Re-acquiring reuses the pooled buffer (its capacity survives)
+        // without growing the footprint, and none of its old bytes show.
         let seg = arena.acquire(BANK_SEGMENT_BYTES);
-        assert!(seg.iter().all(|&b| b == 0), "pooled segment not re-zeroed");
+        assert!(seg.is_empty(), "pooled segment not cleared");
+        assert!(seg.capacity() >= 4096, "pooled buffer not reused");
         let s = arena.stats();
-        assert_eq!(s.arena_bytes, BANK_SEGMENT_BYTES as u64);
-        assert_eq!(s.arena_peak_bytes, BANK_SEGMENT_BYTES as u64);
+        assert_eq!(s.arena_bytes, SEG);
+        assert_eq!(s.arena_peak_bytes, SEG);
+        arena.release(seg, BANK_SEGMENT_BYTES);
     }
 
     #[test]
     fn sub_size_segments_are_freed_not_pooled() {
         let arena = FleetArena::new();
-        let seg = arena.acquire(100);
+        let mut seg = arena.acquire(100);
+        fill(&mut seg, 10, 1);
         assert_eq!(arena.stats().bank_bytes, 100);
-        arena.release(seg);
+        arena.release(seg, 100);
         let s = arena.stats();
         assert_eq!(s.bank_bytes, 0);
         assert_eq!(s.arena_bytes, 0);
@@ -237,23 +302,41 @@ mod tests {
         let arena = FleetArena::new();
         let a = arena.acquire(BANK_SEGMENT_BYTES);
         let b = Arc::clone(&a);
-        arena.release(a);
+        arena.release(a, BANK_SEGMENT_BYTES);
         // Still shared: nothing released.
-        assert_eq!(arena.stats().bank_bytes, BANK_SEGMENT_BYTES as u64);
-        arena.release(b);
+        assert_eq!(arena.stats().bank_bytes, SEG);
+        arena.release(b, BANK_SEGMENT_BYTES);
         assert_eq!(arena.stats().bank_bytes, 0);
     }
 
     #[test]
-    fn copy_acquire_preserves_contents_and_peak_tracks_max() {
+    fn copy_acquire_copies_written_bytes_and_charges_the_segment() {
         let arena = FleetArena::new();
         let a = arena.acquire(64);
-        let b = arena.acquire_copy(&[7u8; 32]);
+        let b = arena.acquire_copy(&[7u8; 32], 64);
         assert_eq!(&b[..], &[7u8; 32]);
-        assert_eq!(arena.stats().bank_peak_bytes, 96);
-        arena.release(a);
-        arena.release(b);
+        assert_eq!(arena.stats().bank_peak_bytes, 128);
+        arena.release(a, 64);
+        arena.release(b, 64);
         assert_eq!(arena.stats().bank_bytes, 0);
-        assert_eq!(arena.stats().bank_peak_bytes, 96);
+        assert_eq!(arena.stats().bank_peak_bytes, 128);
+    }
+
+    #[test]
+    fn a_dropped_arenas_buffers_serve_a_new_arena_empty() {
+        let first = FleetArena::new();
+        let mut seg = first.acquire(BANK_SEGMENT_BYTES);
+        fill(&mut seg, BANK_SEGMENT_BYTES, 0xFF);
+        first.release(seg, BANK_SEGMENT_BYTES);
+        drop(first);
+        // The new arena starts its own accounting from zero and charges a
+        // spare buffer like a fresh one; whichever buffer it gets is empty.
+        let second = FleetArena::new();
+        assert_eq!(second.stats(), MemoryStats::default());
+        let seg = second.acquire(BANK_SEGMENT_BYTES);
+        assert!(seg.is_empty(), "a spare buffer kept its bytes");
+        let s = second.stats();
+        assert_eq!((s.bank_bytes, s.arena_bytes, s.arena_peak_bytes), (SEG, SEG, SEG));
+        second.release(seg, BANK_SEGMENT_BYTES);
     }
 }

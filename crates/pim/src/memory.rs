@@ -8,13 +8,21 @@
 //!
 //! Banks are lazily materialized in fixed
 //! [`BANK_SEGMENT_BYTES`]-sized segments drawn from a
-//! [`FleetArena`] shared by the whole DPU set: a segment only consumes
-//! host memory once a byte inside it is written, which keeps
-//! thousand-DPU fleets affordable (an idle 64-MB bank costs a vector of
-//! `None` slots) while still enforcing the capacity limits. Unwritten
-//! bytes read as zero. Cloning a bank is cheap — segments are shared and
-//! copied on write — and every allocated byte is accounted by the arena,
-//! so fleet-wide memory ceilings are queryable at any quiescent point.
+//! [`FleetArena`] shared by the whole DPU set, which keeps thousand-DPU
+//! fleets affordable while still enforcing the capacity limits:
+//!
+//! * a segment only consumes host memory once a byte inside it is
+//!   written, and its buffer is only as long as the highest byte written
+//!   so far (writes grow it with zeros);
+//! * the slot table grows on demand up to the highest materialized
+//!   segment, so an idle 64-MB bank allocates nothing;
+//! * unwritten bytes — in an unmaterialized segment or past a buffer's
+//!   end — read as zero.
+//!
+//! Cloning a bank is cheap — segments are shared and copied on write —
+//! and the arena accounts every materialized segment at its full
+//! length, so fleet-wide memory ceilings are queryable at any quiescent
+//! point and do not depend on how far into a segment a run wrote.
 //!
 //! The read/write paths here are reachable from kernel code through the
 //! `DpuContext` DMA intrinsics, so their tokens must satisfy the
@@ -105,6 +113,7 @@ impl std::error::Error for MemoryError {}
 /// Cloning shares the materialized segments copy-on-write.
 #[derive(Debug, Clone)]
 pub struct Bank {
+    /// Slot per segment up to the highest one materialized so far.
     segments: Vec<Option<SegmentArc>>,
     capacity: usize,
     kind: MemoryKind,
@@ -120,9 +129,8 @@ impl Bank {
 
     /// Creates an empty bank drawing segments from `arena`.
     pub fn with_arena(capacity: usize, kind: MemoryKind, arena: FleetArena) -> Self {
-        let slots = capacity.div_ceil(BANK_SEGMENT_BYTES);
         Self {
-            segments: vec![None; slots],
+            segments: Vec::new(),
             capacity,
             kind,
             arena,
@@ -134,10 +142,14 @@ impl Bank {
         self.capacity
     }
 
-    /// Bytes currently backed by host memory (whole segments touched by
-    /// at least one write).
+    /// Bytes this bank's materialized segments account for: whole
+    /// segments touched by at least one write, however few bytes of each
+    /// were written.
     pub fn allocated_bytes(&self) -> usize {
-        self.segments.iter().flatten().map(|seg| seg.len()).sum()
+        (0..self.segments.len())
+            .filter(|&i| self.segments[i].is_some())
+            .map(|i| self.seg_len(i))
+            .sum()
     }
 
     /// Length of segment `index`: the fixed granule, except for a
@@ -146,10 +158,19 @@ impl Bank {
         BANK_SEGMENT_BYTES.min(self.capacity - index * BANK_SEGMENT_BYTES)
     }
 
+    /// The materialized segment `index`, if any.
+    fn segment(&self, index: usize) -> Option<&SegmentArc> {
+        self.segments.get(index)?.as_ref()
+    }
+
     /// Materializes (and, if shared with a clone, un-shares) segment
-    /// `index`, returning its bytes.
-    fn segment_mut(&mut self, index: usize) -> &mut [u8] {
+    /// `index` and grows its buffer with zeros to at least `end` bytes,
+    /// returning the buffer's bytes.
+    fn segment_mut(&mut self, index: usize, end: usize) -> &mut [u8] {
         let len = self.seg_len(index);
+        if self.segments.len() <= index {
+            self.segments.resize(index + 1, None);
+        }
         let arena = &self.arena;
         let slot = &mut self.segments[index];
         let unique = match slot {
@@ -160,8 +181,8 @@ impl Bank {
             let fresh = match slot.take() {
                 // Copy-on-write: the segment is shared with a clone.
                 Some(shared) => {
-                    let copy = arena.acquire_copy(&shared);
-                    arena.release(shared);
+                    let copy = arena.acquire_copy(&shared, len);
+                    arena.release(shared, len);
                     copy
                 }
                 None => arena.acquire(len),
@@ -169,7 +190,12 @@ impl Bank {
             *slot = Some(fresh);
         }
         match slot.as_mut().and_then(Arc::get_mut) {
-            Some(buf) => buf,
+            Some(buf) => {
+                if buf.len() < end {
+                    buf.resize(end, 0);
+                }
+                buf
+            }
             None => &mut [],
         }
     }
@@ -205,10 +231,7 @@ impl Bank {
             let index = at / BANK_SEGMENT_BYTES;
             let within = at % BANK_SEGMENT_BYTES;
             let n = (self.seg_len(index) - within).min(dst.len() - done);
-            match &self.segments[index] {
-                Some(seg) => dst[done..done + n].copy_from_slice(&seg[within..within + n]),
-                None => dst[done..done + n].fill(0),
-            }
+            read_segment(self.segment(index), within, &mut dst[done..done + n]);
             done += n;
         }
         Ok(())
@@ -229,29 +252,42 @@ impl Bank {
             let index = at / BANK_SEGMENT_BYTES;
             let within = at % BANK_SEGMENT_BYTES;
             let n = (self.seg_len(index) - within).min(src.len() - done);
-            self.segment_mut(index)[within..within + n].copy_from_slice(&src[done..done + n]);
+            self.segment_mut(index, within + n)[within..within + n]
+                .copy_from_slice(&src[done..done + n]);
             done += n;
         }
         Ok(())
     }
 
     /// Borrows `offset..offset + len` straight from the bank. `Some` only
-    /// when the range lies inside one materialized segment; `None` when
-    /// it spans a segment boundary, touches an unmaterialized segment or
-    /// leaves the bank.
+    /// when the range lies inside the written bytes of one materialized
+    /// segment; `None` when it spans a segment boundary, touches an
+    /// unmaterialized segment, reaches past the segment's written length
+    /// or leaves the bank.
     pub fn slice(&self, offset: usize, len: usize) -> Option<&[u8]> {
         let within = offset % BANK_SEGMENT_BYTES;
-        let seg = self.segments.get(offset / BANK_SEGMENT_BYTES)?.as_ref()?;
-        seg.get(within..within.checked_add(len)?)
+        self.segment(offset / BANK_SEGMENT_BYTES)?
+            .get(within..within.checked_add(len)?)
     }
 
-    /// [`Self::slice`] for writing in place. Additionally `None` when the
-    /// segment is shared copy-on-write with a clone of this bank, so a
-    /// write through the slice can never reach the clone.
+    /// [`Self::slice`] for writing in place. Unlike `slice`, a range past
+    /// the segment's written length is grown with zeros first. `None`
+    /// when the range spans a segment boundary, touches an
+    /// unmaterialized segment or leaves the bank, and when the segment
+    /// is shared copy-on-write with a clone of this bank, so a write
+    /// through the slice can never reach the clone.
     pub fn slice_mut(&mut self, offset: usize, len: usize) -> Option<&mut [u8]> {
+        let index = offset / BANK_SEGMENT_BYTES;
         let within = offset % BANK_SEGMENT_BYTES;
-        let seg = self.segments.get_mut(offset / BANK_SEGMENT_BYTES)?.as_mut()?;
-        Arc::get_mut(seg)?.get_mut(within..within.checked_add(len)?)
+        let end = within.checked_add(len)?;
+        if self.segment(index).is_none() || end > self.seg_len(index) {
+            return None;
+        }
+        let buf = Arc::get_mut(self.segments[index].as_mut()?)?;
+        if buf.len() < end {
+            buf.resize(end, 0);
+        }
+        buf.get_mut(within..end)
     }
 
     /// Reads a little-endian `u32` at `offset`.
@@ -261,10 +297,10 @@ impl Bank {
     /// Returns [`MemoryError::OutOfRange`] if the access exceeds capacity.
     #[inline]
     pub fn read_u32(&self, offset: usize) -> Result<u32, MemoryError> {
-        // Hot path: the word sits inside one materialized segment — one
-        // bounds-checked slice load.
+        // Hot path: the word sits inside the written bytes of one
+        // materialized segment — one bounds-checked slice load.
         let within = offset % BANK_SEGMENT_BYTES;
-        if let Some(Some(seg)) = self.segments.get(offset / BANK_SEGMENT_BYTES) {
+        if let Some(seg) = self.segment(offset / BANK_SEGMENT_BYTES) {
             if let Some(bytes) = seg
                 .get(within..within.wrapping_add(4))
                 .and_then(|s| <[u8; 4]>::try_from(s).ok())
@@ -272,6 +308,15 @@ impl Bank {
                 return Ok(u32::from_le_bytes(bytes));
             }
         }
+        self.read_u32_slow(offset)
+    }
+
+    /// [`Self::read_u32`] off the hot path (a word past the written bytes
+    /// or across a segment boundary), kept out of line so the hot path
+    /// stays small enough to inline into the WRAM load/store intrinsics.
+    #[cold]
+    #[inline(never)]
+    fn read_u32_slow(&self, offset: usize) -> Result<u32, MemoryError> {
         let mut buf = [0u8; 4];
         self.read(offset, &mut buf)?;
         Ok(u32::from_le_bytes(buf))
@@ -284,8 +329,8 @@ impl Bank {
     /// Returns [`MemoryError::OutOfRange`] if the access exceeds capacity.
     #[inline]
     pub fn write_u32(&mut self, offset: usize, value: u32) -> Result<(), MemoryError> {
-        // Hot path: the word sits inside one already-materialized,
-        // unshared segment — store in place.
+        // Hot path: the word sits inside the written bytes of one
+        // already-materialized, unshared segment — store in place.
         let within = offset % BANK_SEGMENT_BYTES;
         if let Some(Some(seg)) = self.segments.get_mut(offset / BANK_SEGMENT_BYTES) {
             if let Some(slot) = Arc::get_mut(seg)
@@ -295,18 +340,46 @@ impl Bank {
                 return Ok(());
             }
         }
+        self.write_u32_slow(offset, value)
+    }
+
+    /// [`Self::write_u32`] off the hot path, out of line for the same
+    /// reason as [`Self::read_u32_slow`].
+    #[cold]
+    #[inline(never)]
+    fn write_u32_slow(&mut self, offset: usize, value: u32) -> Result<(), MemoryError> {
         self.write(offset, &value.to_le_bytes())
     }
 }
 
 impl Drop for Bank {
     fn drop(&mut self) {
-        for slot in &mut self.segments {
-            if let Some(seg) = slot.take() {
-                self.arena.release(seg);
+        for (index, slot) in std::mem::take(&mut self.segments).into_iter().enumerate() {
+            if let Some(seg) = slot {
+                self.arena.release(seg, self.seg_len(index));
             }
         }
     }
+}
+
+/// Fills `dst` with the bytes of segment `seg` (`None`: unmaterialized)
+/// from `within` on; bytes past the segment's written length read as
+/// zero.
+#[inline]
+fn read_segment(seg: Option<&SegmentArc>, within: usize, dst: &mut [u8]) {
+    match seg.and_then(|seg| seg.get(within..within + dst.len())) {
+        Some(bytes) => dst.copy_from_slice(bytes),
+        None => read_zero_extended(seg, within, dst),
+    }
+}
+
+/// [`read_segment`] for a range that reaches past the written bytes.
+#[cold]
+fn read_zero_extended(seg: Option<&SegmentArc>, within: usize, dst: &mut [u8]) {
+    let written = seg.and_then(|seg| seg.get(within..)).unwrap_or_default();
+    let n = written.len().min(dst.len());
+    dst[..n].copy_from_slice(&written[..n]);
+    dst[n..].fill(0);
 }
 
 /// The per-DPU memory pair.
@@ -334,7 +407,7 @@ impl DpuMemory {
     }
 
     /// Copies `len` bytes MRAM → WRAM without a staging buffer,
-    /// preserving [`Bank::read`]'s zero-fill of unmaterialized source
+    /// preserving [`Bank::read`]'s zero-fill of unwritten source
     /// bytes.
     ///
     /// # Errors
@@ -352,7 +425,7 @@ impl DpuMemory {
     }
 
     /// Copies `len` bytes WRAM → MRAM without a staging buffer,
-    /// preserving [`Bank::read`]'s zero-fill of unmaterialized source
+    /// preserving [`Bank::read`]'s zero-fill of unwritten source
     /// bytes.
     ///
     /// # Errors
@@ -372,10 +445,12 @@ impl DpuMemory {
 
 /// Direct bank-to-bank copy with the exact semantics of a `read` into a
 /// zeroed buffer followed by a `write`: both ranges are validated before
-/// any byte moves, and source bytes in unmaterialized segments read as
+/// any byte moves, and source bytes that were never written read as
 /// zero. Copying zeroes into a destination segment that was never
 /// materialized leaves it unmaterialized — the bytes read back as zero
 /// either way, so only the allocation counters can tell the difference.
+/// Which segments materialize or un-share depends only on which source
+/// segments are materialized, never on how far they were written.
 fn copy_between(
     src: &Bank,
     dst: &mut Bank,
@@ -396,13 +471,10 @@ fn copy_between(
         let n = (src.seg_len(s_index) - s_within)
             .min(dst.seg_len(d_index) - d_within)
             .min(len - done);
-        match &src.segments[s_index] {
-            Some(seg) => dst.segment_mut(d_index)[d_within..d_within + n]
-                .copy_from_slice(&seg[s_within..s_within + n]),
-            None if dst.segments[d_index].is_some() => {
-                dst.segment_mut(d_index)[d_within..d_within + n].fill(0);
-            }
-            None => {}
+        let seg = src.segment(s_index);
+        if seg.is_some() || dst.segment(d_index).is_some() {
+            let end = d_within + n;
+            read_segment(seg, s_within, &mut dst.segment_mut(d_index, end)[d_within..end]);
         }
         done += n;
     }
@@ -557,6 +629,143 @@ mod tests {
         let mut out = [0u8; 16];
         mem.wram.read(128, &mut out).unwrap();
         assert_eq!(out, [5u8; 16]);
+    }
+
+    #[test]
+    fn reads_past_the_written_length_return_zeros() {
+        let mut bank = Bank::new(2 * BANK_SEGMENT_BYTES, MemoryKind::Mram);
+        bank.write(8, &[1, 2, 3, 4]).unwrap();
+        let mut buf = [0xAAu8; 8];
+        bank.read(10, &mut buf).unwrap();
+        assert_eq!(buf, [3, 4, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(bank.read_u32(10).unwrap(), 0x0403);
+        assert_eq!(bank.read_u32(12).unwrap(), 0);
+        assert_eq!(bank.read_u32(4096).unwrap(), 0);
+        // Across a boundary: segment 0 was written up to byte 12 and
+        // segment 1 up to its byte 3.
+        bank.write(BANK_SEGMENT_BYTES + 2, &[9]).unwrap();
+        let mut buf = [0xAAu8; 8];
+        bank.read(BANK_SEGMENT_BYTES - 4, &mut buf).unwrap();
+        assert_eq!(buf, [0, 0, 0, 0, 0, 0, 9, 0]);
+        assert_eq!(bank.read_u32(BANK_SEGMENT_BYTES - 1).unwrap(), 0x0900_0000);
+    }
+
+    #[test]
+    fn slice_stops_at_the_written_length_and_slice_mut_grows_it() {
+        let mut bank = Bank::new(2 * BANK_SEGMENT_BYTES, MemoryKind::Mram);
+        bank.write(8, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(bank.slice(8, 4), Some(&[1u8, 2, 3, 4][..]));
+        assert!(bank.slice(8, 5).is_none(), "one byte past the written length");
+        assert!(bank.slice(100, 4).is_none());
+        assert_eq!(bank.slice_mut(100, 4).unwrap(), &mut [0u8; 4][..]);
+        // The growth zero-filled everything up to the new end.
+        let grown = bank.slice(8, 96).unwrap();
+        assert_eq!(&grown[..4], &[1, 2, 3, 4]);
+        assert!(grown[4..].iter().all(|&b| b == 0));
+        // Growth stops at the segment: a boundary-spanning range and an
+        // unmaterialized segment still refuse, and nothing materializes.
+        assert!(bank.slice_mut(BANK_SEGMENT_BYTES - 2, 4).is_none());
+        assert!(bank.slice_mut(BANK_SEGMENT_BYTES + 8, 4).is_none());
+        assert_eq!(bank.allocated_bytes(), BANK_SEGMENT_BYTES);
+        // The whole segment can be lent for writing.
+        assert_eq!(bank.slice_mut(0, BANK_SEGMENT_BYTES).unwrap().len(), BANK_SEGMENT_BYTES);
+        assert!(bank.slice(BANK_SEGMENT_BYTES - 4, 4).is_some());
+    }
+
+    #[test]
+    fn copy_between_from_a_short_source_zero_fills_the_rest() {
+        let mut mem = DpuMemory::new(4 * BANK_SEGMENT_BYTES, 1 << 16);
+        mem.mram.write(0, &[5u8; 8]).unwrap();
+        mem.wram.write(0, &[0xFFu8; 64]).unwrap();
+        // 8 written source bytes, then 24 the source never wrote.
+        mem.copy_mram_to_wram(0, 0, 32).unwrap();
+        let mut buf = [0xAAu8; 64];
+        mem.wram.read(0, &mut buf).unwrap();
+        assert_eq!(&buf[..8], &[5u8; 8]);
+        assert_eq!(&buf[8..32], &[0u8; 24]);
+        assert_eq!(&buf[32..], &[0xFFu8; 32]);
+        // A range wholly past the source's written length copies zeros.
+        mem.copy_mram_to_wram(1000, 32, 16).unwrap();
+        mem.wram.read(0, &mut buf).unwrap();
+        assert_eq!(&buf[32..48], &[0u8; 16]);
+        assert_eq!(&buf[48..], &[0xFFu8; 16]);
+        // Into a fresh bank, a materialized-but-short source materializes
+        // the destination segment, as it always has, and writes zeros.
+        let mut fresh = DpuMemory::new(4 * BANK_SEGMENT_BYTES, 1 << 16);
+        fresh.mram.write(0, &[5u8; 8]).unwrap();
+        fresh.copy_mram_to_wram(1000, 0, 16).unwrap();
+        assert_eq!(fresh.wram.allocated_bytes(), 1 << 16);
+        assert_eq!(fresh.wram.slice(0, 16), Some(&[0u8; 16][..]));
+        // And WRAM → MRAM across an MRAM segment boundary.
+        fresh.wram.write(0, &[3u8; 8]).unwrap();
+        fresh.copy_wram_to_mram(0, BANK_SEGMENT_BYTES - 4, 16).unwrap();
+        let mut out = [0xAAu8; 16];
+        fresh.mram.read(BANK_SEGMENT_BYTES - 4, &mut out).unwrap();
+        assert_eq!(out, [3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_clone_writing_past_the_shared_length_leaves_the_original() {
+        let mut a = Bank::new(2 * BANK_SEGMENT_BYTES, MemoryKind::Mram);
+        a.write(0, &[1u8; 4]).unwrap();
+        let mut b = a.clone();
+        assert!(b.slice_mut(0, 8).is_none(), "shared: no in-place growth");
+        b.write(100, &[2u8; 4]).unwrap();
+        b.write_u32(200, 0x0303_0303).unwrap();
+        let mut buf = [0xAAu8; 4];
+        a.read(100, &mut buf).unwrap();
+        assert_eq!(buf, [0; 4]);
+        assert_eq!(a.read_u32(200).unwrap(), 0);
+        assert!(a.slice(0, 5).is_none(), "the original kept its length");
+        b.read(0, &mut buf).unwrap();
+        assert_eq!(buf, [1; 4]);
+        b.read(100, &mut buf).unwrap();
+        assert_eq!(buf, [2; 4]);
+        // And the other way round.
+        a.write(300, &[4u8; 4]).unwrap();
+        assert_eq!(b.read_u32(300).unwrap(), 0);
+    }
+
+    #[test]
+    fn accounting_counts_whole_segments_not_written_bytes() {
+        let arena = FleetArena::new();
+        let seg = BANK_SEGMENT_BYTES as u64;
+        let mut bank = Bank::with_arena(3 * BANK_SEGMENT_BYTES + 100, MemoryKind::Mram, arena.clone());
+        bank.write(0, &[1]).unwrap();
+        assert_eq!(bank.allocated_bytes(), BANK_SEGMENT_BYTES);
+        assert_eq!(arena.stats().bank_bytes, seg);
+        // The sub-granule tail counts its own length.
+        bank.write(3 * BANK_SEGMENT_BYTES + 5, &[1]).unwrap();
+        assert_eq!(bank.allocated_bytes(), BANK_SEGMENT_BYTES + 100);
+        let before = arena.stats();
+        assert_eq!(before.bank_bytes, seg + 100);
+        // Filling a segment to its end changes nothing.
+        bank.write(BANK_SEGMENT_BYTES - 4, &[1; 4]).unwrap();
+        bank.slice_mut(3 * BANK_SEGMENT_BYTES, 100).unwrap().fill(7);
+        assert_eq!(arena.stats(), before);
+        // A copy-on-write un-share charges a whole segment again.
+        let clone = bank.clone();
+        bank.write(1, &[2]).unwrap();
+        assert_eq!(arena.stats().bank_bytes, 2 * seg + 100);
+        assert_eq!(clone.allocated_bytes(), BANK_SEGMENT_BYTES + 100);
+        drop(clone);
+        drop(bank);
+        let after = arena.stats();
+        assert_eq!(after.bank_bytes, 0);
+        assert_eq!(after.bank_peak_bytes, 2 * seg + 100);
+        // Two full segments pooled; the tail went back to the allocator.
+        assert_eq!(after.arena_bytes, 2 * seg);
+    }
+
+    #[test]
+    fn an_idle_bank_has_no_slots() {
+        let mut bank = Bank::new(1024 * BANK_SEGMENT_BYTES, MemoryKind::Mram);
+        assert!(bank.segments.is_empty());
+        assert_eq!(bank.read_u32(1000 * BANK_SEGMENT_BYTES).unwrap(), 0);
+        assert!(bank.slice_mut(0, 4).is_none());
+        assert!(bank.segments.is_empty());
+        bank.write(2 * BANK_SEGMENT_BYTES, &[1]).unwrap();
+        assert_eq!(bank.segments.len(), 3);
     }
 
     #[test]
