@@ -27,7 +27,7 @@ use swiftrl_env::collect::collect_random;
 use swiftrl_env::frozen_lake::FrozenLake;
 use swiftrl_env::taxi::Taxi;
 use swiftrl_env::ExperienceDataset;
-use swiftrl_telemetry::{chrome_trace_multi, snapshot_bundle, Event, MetricsSnapshot, Telemetry};
+use swiftrl_telemetry::{chrome_trace, snapshot_bundle, Event, MetricsSnapshot, Telemetry};
 
 const PAPER_EPISODES: u32 = 2_000;
 const TAU: u32 = 50;
@@ -142,7 +142,7 @@ fn main() {
                 row_secs.push(secs);
             }
             if args.observability_on() {
-                traced.push((format!("{} {}", case.tag, spec.name()), telemetry.events()));
+                traced.push((format!("{} {}", case.tag, spec.name()), telemetry.records()));
             }
             let [pim_s, v1, v2, gpu_s] = row_secs[..] else {
                 unreachable!("four backends per workload");
@@ -176,11 +176,11 @@ fn main() {
     energy_extension(&times);
 
     if let Some(path) = &args.trace {
-        let runs: Vec<(String, &[Event])> = traced
-            .iter()
-            .map(|(label, events)| (label.clone(), events.as_slice()))
+        let runs: Vec<(u64, &str, &[Event])> = (0..)
+            .zip(&traced)
+            .map(|(id, (label, events))| (id, label.as_str(), events.as_slice()))
             .collect();
-        write_trace_artifact(path, &chrome_trace_multi(&runs))
+        write_trace_artifact(path, &chrome_trace(&runs))
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         let snapshots: Vec<MetricsSnapshot> = traced
             .iter()

@@ -122,7 +122,7 @@ fn serial_pass(
             .with_resilience(request.resilience)
             .run(&request.dataset)
             .expect("serial run");
-        let metrics = MetricsSnapshot::from_events("", &telemetry.events());
+        let metrics = MetricsSnapshot::from_events("", &telemetry.records());
         totals.0 += out.breakdown.pim_kernel_s;
         totals.1 += metrics.faulted_launches;
         totals.2 += metrics.retries;
@@ -362,15 +362,19 @@ fn observed_drain(
     );
 
     if let Some(path) = &trace {
-        let jobs: Vec<(u64, String, Vec<Event>)> = handles
+        let owned: Vec<(u64, String, Vec<Event>)> = handles
             .iter()
             .map(|h| {
                 (
                     h.id(),
                     format!("{}/job-{}", h.tenant(), h.id()),
-                    h.telemetry().events(),
+                    h.telemetry().records(),
                 )
             })
+            .collect();
+        let jobs: Vec<(u64, &str, &[Event])> = owned
+            .iter()
+            .map(|(id, label, events)| (*id, label.as_str(), events.as_slice()))
             .collect();
         write_trace_artifact(path, &service_trace(&records, &jobs))
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));

@@ -152,12 +152,12 @@ fn main() {
                 .run(dataset)
                 .unwrap_or_else(|e| panic!("{tag} {spec} failed: {e}"));
 
-            let events = telemetry.events();
+            let events = telemetry.records();
             let label = format!("{tag} {}", spec.name());
             let trace_path = args
                 .out_dir
                 .join(format!("trace_{tag}_{}.json", slug(&spec.name())));
-            write_trace_artifact(&trace_path, &chrome_trace(&label, &events))
+            write_trace_artifact(&trace_path, &chrome_trace(&[(0, &label, &events)]))
                 .unwrap_or_else(|e| panic!("writing {}: {e}", trace_path.display()));
 
             let snap = MetricsSnapshot::from_events(label, &events);

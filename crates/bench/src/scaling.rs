@@ -8,7 +8,7 @@ use swiftrl_core::backend::TrainingBackend;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
 use swiftrl_core::runner::PimRunner;
 use swiftrl_env::ExperienceDataset;
-use swiftrl_telemetry::{chrome_trace_multi, snapshot_bundle, Event, MetricsSnapshot, Telemetry};
+use swiftrl_telemetry::{chrome_trace, snapshot_bundle, Event, MetricsSnapshot, Telemetry};
 
 /// The DPU counts swept by Figures 5 and 6.
 pub const PAPER_DPU_COUNTS: [usize; 5] = [125, 250, 500, 1_000, 2_000];
@@ -114,7 +114,7 @@ pub fn run_scaling_figure(
                 .train(dataset)
                 .unwrap_or_else(|e| panic!("PIM run failed: {e}"));
             if args.observability_on() {
-                traced.push((format!("{spec} @ {dpus} DPUs"), telemetry.events()));
+                traced.push((format!("{spec} @ {dpus} DPUs"), telemetry.records()));
             }
             let b = extra.apply(&report.breakdown);
             rows.push(vec![
@@ -163,11 +163,11 @@ pub fn run_scaling_figure(
 /// Writes the Chrome trace (all runs, one process lane each) and the
 /// metrics-snapshot bundle next to it.
 fn write_trace_artifacts(fig: &ScalingFigure, path: &std::path::Path, traced: &[(String, Vec<Event>)]) {
-    let runs: Vec<(String, &[Event])> = traced
-        .iter()
-        .map(|(label, events)| (label.clone(), events.as_slice()))
+    let runs: Vec<(u64, &str, &[Event])> = (0..)
+        .zip(traced)
+        .map(|(id, (label, events))| (id, label.as_str(), events.as_slice()))
         .collect();
-    write_trace_artifact(path, &chrome_trace_multi(&runs))
+    write_trace_artifact(path, &chrome_trace(&runs))
         .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     let snapshots: Vec<MetricsSnapshot> = traced
         .iter()

@@ -49,7 +49,9 @@ use swiftrl_pim::engine::host_threads;
 use swiftrl_pim::faults::FaultPlan;
 use swiftrl_pim::host::{PimError, PimSystem};
 use swiftrl_pim::ExecutionEngine;
-use swiftrl_telemetry::{MetricsSnapshot, ServiceEvent, ServiceTelemetry, Telemetry};
+use swiftrl_telemetry::{
+    MetricsSnapshot, ServiceEvent, ServiceRecord, ServiceTelemetry, Telemetry,
+};
 
 use crate::config::{RunConfig, WorkloadSpec};
 use crate::resilience::ResilienceConfig;
@@ -381,7 +383,7 @@ impl JobHandle {
     pub fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot::from_events(
             format!("{}/job-{}", self.tenant, self.id),
-            &self.telemetry.events(),
+            &self.telemetry.records(),
         )
     }
 }
@@ -437,11 +439,10 @@ struct Shared {
 /// ---- Non-deterministic section ----
 /// `started` is host wall-clock; elapsed seconds stamp every record's
 /// `wall_s` for timeline layout and latency histograms. Wall time
-/// never feeds a simulated observable, and a sink created with
-/// [`ServiceTelemetry::deterministic`] zeroes it at recording time so
-/// rendered streams can be pinned byte-exactly. Everything else on a
-/// [`ServiceEvent`] is logical-clock data (job id, round, rank id) or
-/// a simulated quantity.
+/// never feeds a simulated observable, and the deterministic
+/// projection never reads it. Everything else on a [`ServiceEvent`]
+/// is logical-clock data (job id, round, rank id) or a simulated
+/// quantity.
 struct Observer {
     sink: ServiceTelemetry,
     started: std::time::Instant,
@@ -465,9 +466,10 @@ impl Observer {
     /// The closure is evaluated only when the sink is enabled.
     #[inline]
     fn emit(&self, make: impl FnOnce() -> ServiceEvent) {
-        if self.sink.is_enabled() {
-            self.sink.emit(self.started.elapsed().as_secs_f64(), make);
-        }
+        self.sink.emit(|| ServiceRecord {
+            wall_s: self.started.elapsed().as_secs_f64(),
+            event: make(),
+        });
     }
 }
 
@@ -521,9 +523,7 @@ impl TrainingService {
     /// Builds a service like [`new`](Self::new) with a service-event
     /// sink attached: every job-lifecycle transition, worker busy/idle
     /// change, rank-lease change and queue-depth sample is recorded
-    /// into `sink` (see [`ServiceTelemetry`]). A
-    /// [`ServiceTelemetry::deterministic`] sink zeroes the wall-clock
-    /// section for byte-exact stream pins.
+    /// into `sink` (see [`ServiceTelemetry`]).
     pub fn with_observability(config: PimConfig, workers: usize, sink: ServiceTelemetry) -> Self {
         let ranks = config.ranks_for(config.dpus);
         let workers = workers.max(1);
@@ -938,7 +938,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     // and the whole block is skipped when no sink is attached.
     if shared.observer.on() {
         let id = job.id;
-        let events = job.telemetry.events();
+        let events = job.telemetry.records();
         for event in &events {
             if let swiftrl_telemetry::Event::SyncRound { round, live_dpus } = event {
                 let (round, live_dpus) = (*round, *live_dpus);

@@ -4,7 +4,7 @@
 //! `swiftrl-telemetry` — deterministic, engine-invariant observability
 //! for the SwiftRL PIM simulator (DESIGN.md §11).
 //!
-//! The crate provides three layers:
+//! The crate provides four layers:
 //!
 //! 1. **Event stream** ([`event::Event`], recorded by a [`Telemetry`]
 //!    sink attached to `PimConfig`): typed host-side events for program
@@ -18,7 +18,8 @@
 //!    byte/latency totals and fault/resilience counters, rendered as
 //!    versioned JSON shared by every bench binary.
 //! 3. **Chrome trace export** ([`chrome_trace`]): a Perfetto-loadable
-//!    `trace_event` timeline with one lane per DPU plus a host lane.
+//!    `trace_event` timeline with one process per run, each with a
+//!    host lane and one lane per DPU.
 //! 4. **Service observability** ([`service`]): the typed
 //!    [`ServiceEvent`] lifecycle/occupancy stream emitted by the
 //!    multi-tenant training service, its logical-clock deterministic
@@ -26,6 +27,11 @@
 //!    Prometheus-style text exposition, and a fleet-wide
 //!    [`service_trace`] timeline merging every tenant onto worker,
 //!    rank and per-job lanes.
+//!
+//! Both streams are recorded by one generic [`Recorder`]:
+//! [`Telemetry`] is `Recorder<Event>` and [`ServiceTelemetry`] is
+//! `Recorder<ServiceRecord>`. Both timelines lay a run's events out
+//! through the same per-run lane writer.
 //!
 //! The off switch is a true zero: a default (disabled) [`Telemetry`]
 //! never evaluates event constructors, allocates nothing on the launch
@@ -44,10 +50,10 @@ pub mod trace;
 
 pub use event::{CycleClassTotals, Event, TransferFaultKind, TransferKind};
 pub use json::Json;
-pub use metrics::{percentile, percentiles, snapshot_bundle, Histogram, MetricsSnapshot, TransferTotals};
+pub use metrics::{percentile, snapshot_bundle, Histogram, MetricsSnapshot, TransferTotals};
 pub use service::{
     deterministic_projection, render_deterministic, ServiceEvent, ServiceMetrics, ServiceRecord,
     ServiceTelemetry,
 };
-pub use sink::Telemetry;
-pub use trace::{chrome_trace, chrome_trace_jobs, chrome_trace_multi, service_trace};
+pub use sink::{Recorder, Telemetry};
+pub use trace::{chrome_trace, service_trace};

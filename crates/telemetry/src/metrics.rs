@@ -24,21 +24,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// `(p50, p95, p99)` nearest-rank percentiles of a sample set; all
-/// zeros when empty.
-pub fn percentiles(samples: &[f64]) -> (f64, f64, f64) {
-    if samples.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let at = |q: f64| {
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    };
-    (at(0.50), at(0.95), at(0.99))
-}
-
 /// An exact-sample histogram: records every observation and answers
 /// count/sum/min/mean/max plus nearest-rank p50/p95/p99.
 ///
@@ -306,9 +291,7 @@ impl MetricsSnapshot {
     /// Key order is fixed; rendering is byte-deterministic.
     pub fn to_json(&self) -> Json {
         let (imb_min, imb_mean, imb_max) = distribution(&self.imbalance);
-        let (imb_p50, imb_p95, imb_p99) = percentiles(&self.imbalance);
         let (lc_min, lc_mean, lc_max) = distribution(&self.launch_cycles);
-        let (lc_p50, lc_p95, lc_p99) = percentiles(&self.launch_cycles);
         Json::obj([
             ("schema", Json::str("swiftrl-metrics-v3")),
             ("label", Json::str(self.label.clone())),
@@ -333,9 +316,9 @@ impl MetricsSnapshot {
                     ("min", Json::Num(imb_min)),
                     ("mean", Json::Num(imb_mean)),
                     ("max", Json::Num(imb_max)),
-                    ("p50", Json::Num(imb_p50)),
-                    ("p95", Json::Num(imb_p95)),
-                    ("p99", Json::Num(imb_p99)),
+                    ("p50", Json::Num(percentile(&self.imbalance, 0.50))),
+                    ("p95", Json::Num(percentile(&self.imbalance, 0.95))),
+                    ("p99", Json::Num(percentile(&self.imbalance, 0.99))),
                     (
                         "per_launch",
                         Json::Arr(self.imbalance.iter().map(|&x| Json::Num(x)).collect()),
@@ -349,9 +332,9 @@ impl MetricsSnapshot {
                     ("min", Json::Num(lc_min)),
                     ("mean", Json::Num(lc_mean)),
                     ("max", Json::Num(lc_max)),
-                    ("p50", Json::Num(lc_p50)),
-                    ("p95", Json::Num(lc_p95)),
-                    ("p99", Json::Num(lc_p99)),
+                    ("p50", Json::Num(percentile(&self.launch_cycles, 0.50))),
+                    ("p95", Json::Num(percentile(&self.launch_cycles, 0.95))),
+                    ("p99", Json::Num(percentile(&self.launch_cycles, 0.99))),
                 ]),
             ),
             ("program_load", self.program_load.to_json()),
@@ -572,14 +555,18 @@ mod tests {
         assert_eq!(percentile(&samples, 0.95), 95.0);
         assert_eq!(percentile(&samples, 0.99), 99.0);
         assert_eq!(percentile(&samples, 1.0), 100.0);
-        assert_eq!(percentiles(&samples), (50.0, 95.0, 99.0));
         // Small sets: p50 of [3,1] is the 1st sorted sample, p95/p99 the 2nd.
-        assert_eq!(percentiles(&[3.0, 1.0]), (1.0, 3.0, 3.0));
+        assert_eq!(percentile(&[3.0, 1.0], 0.50), 1.0);
+        assert_eq!(percentile(&[3.0, 1.0], 0.95), 3.0);
+        assert_eq!(percentile(&[3.0, 1.0], 0.99), 3.0);
         // Singleton: every percentile is the sample.
-        assert_eq!(percentiles(&[7.5]), (7.5, 7.5, 7.5));
+        for q in [0.50, 0.95, 0.99] {
+            assert_eq!(percentile(&[7.5], q), 7.5);
+        }
         // Empty: zeros, no panic.
-        assert_eq!(percentiles(&[]), (0.0, 0.0, 0.0));
-        assert_eq!(percentile(&[], 0.5), 0.0);
+        for q in [0.50, 0.95, 0.99] {
+            assert_eq!(percentile(&[], q), 0.0);
+        }
     }
 
     #[test]

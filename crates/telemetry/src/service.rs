@@ -14,9 +14,8 @@
 //!   counts;
 //! - **wall-clock seconds** ([`ServiceRecord::wall_s`]) — the one
 //!   explicitly non-deterministic section, used only for timeline
-//!   layout and latency histograms, and zeroed by
-//!   [`ServiceTelemetry::deterministic`] so tests can pin rendered
-//!   streams byte-for-byte.
+//!   layout and latency histograms, and never read by the
+//!   deterministic projection.
 //!
 //! [`deterministic_projection`] extracts the engine-invariant core:
 //! lifecycle events only (scheduling-dependent occupancy events are
@@ -28,7 +27,7 @@
 
 use crate::json::Json;
 use crate::metrics::Histogram;
-use std::sync::{Arc, Mutex};
+use crate::sink::Recorder;
 
 /// One occurrence in the training service's lifecycle/occupancy stream.
 ///
@@ -265,141 +264,22 @@ impl ServiceEvent {
     }
 }
 
-/// One recorded service event: the event plus its position on both
-/// clocks.
+/// One recorded service event: the event plus its position on the
+/// wall clock. Its arrival order is its position in
+/// [`Recorder::records`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceRecord {
-    /// Monotonic recording sequence number (arrival order at the sink;
-    /// scheduling-dependent under concurrency).
-    pub seq: u64,
     /// Host wall-clock seconds since the service started — **the
-    /// non-deterministic section**. Zero when the sink was created in
-    /// deterministic mode.
+    /// non-deterministic section**.
     pub wall_s: f64,
     /// The event itself (logical-clock quantities only).
     pub event: ServiceEvent,
 }
 
-/// Shared record buffer (present only when the sink is enabled).
-type Sink = Arc<Mutex<Vec<ServiceRecord>>>;
-
-/// A handle to an (optional) service-event stream, mirroring
-/// [`Telemetry`](crate::Telemetry): disabled by default, closure-lazy,
-/// clones share one buffer.
-///
-/// The `deterministic` flag marks the wall-clock section off: records
-/// are stored with `wall_s = 0.0`, so the rendered stream is a pure
-/// function of the logical clock and can be pinned byte-exactly.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceTelemetry {
-    sink: Option<Sink>,
-    zero_wall: bool,
-}
-
-impl ServiceTelemetry {
-    /// A disabled handle: emissions are no-ops, nothing is allocated.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// An enabled handle recording real wall-clock offsets.
-    pub fn enabled() -> Self {
-        Self {
-            sink: Some(Arc::new(Mutex::new(Vec::new()))),
-            zero_wall: false,
-        }
-    }
-
-    /// An enabled handle that zeroes the wall-clock section
-    /// (`wall_s = 0.0` on every record) for byte-exact pins.
-    pub fn deterministic() -> Self {
-        Self {
-            sink: Some(Arc::new(Mutex::new(Vec::new()))),
-            zero_wall: true,
-        }
-    }
-
-    /// Whether records are being kept. Callers building expensive
-    /// payloads (folding a job's event stream) should gate on this.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Whether the wall-clock section is being zeroed.
-    pub fn is_deterministic(&self) -> bool {
-        self.zero_wall
-    }
-
-    /// Appends a record. `wall_s` is the wall-clock offset the caller
-    /// measured (zeroed here in deterministic mode); the closure is
-    /// evaluated only when the handle is enabled, so event construction
-    /// is free on the disabled path.
-    #[inline]
-    pub fn emit(&self, wall_s: f64, make: impl FnOnce() -> ServiceEvent) {
-        if let Some(sink) = &self.sink {
-            let event = make();
-            let wall_s = if self.zero_wall { 0.0 } else { wall_s };
-            if let Ok(mut records) = sink.lock() {
-                let seq = records.len() as u64;
-                records.push(ServiceRecord {
-                    seq,
-                    wall_s,
-                    event,
-                });
-            }
-        }
-    }
-
-    /// A snapshot of the records so far, in arrival order. Empty for a
-    /// disabled handle.
-    pub fn records(&self) -> Vec<ServiceRecord> {
-        match &self.sink {
-            Some(sink) => match sink.lock() {
-                Ok(records) => records.clone(),
-                Err(_) => Vec::new(),
-            },
-            None => Vec::new(),
-        }
-    }
-
-    /// Number of records so far (0 when disabled).
-    pub fn len(&self) -> usize {
-        match &self.sink {
-            Some(sink) => match sink.lock() {
-                Ok(records) => records.len(),
-                Err(_) => 0,
-            },
-            None => 0,
-        }
-    }
-
-    /// Whether no records exist (always true when disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards all records, keeping the handle enabled.
-    pub fn clear(&self) {
-        if let Some(sink) = &self.sink {
-            if let Ok(mut records) = sink.lock() {
-                records.clear();
-            }
-        }
-    }
-}
-
-/// Identity equality, like [`Telemetry`](crate::Telemetry): equal when
-/// both disabled or sharing one buffer.
-impl PartialEq for ServiceTelemetry {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.sink, &other.sink) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
+/// The training service's record stream: the same closure-lazy,
+/// clone-shared [`Recorder`] as [`Telemetry`](crate::Telemetry), over
+/// [`ServiceRecord`]s.
+pub type ServiceTelemetry = Recorder<ServiceRecord>;
 
 /// Logical-clock sort key of a lifecycle event: `(job, phase, round)`.
 /// Submission < admission < sync rounds (by round) < terminal.
@@ -498,10 +378,10 @@ pub struct ServiceMetrics {
     /// Most workers busy at once.
     pub workers_busy_max: u64,
     /// Wall-clock seconds from submission to admission, one sample per
-    /// admitted job. All-zero in deterministic mode.
+    /// admitted job.
     pub admission_wait_s: Histogram,
     /// Wall-clock seconds from admission to the terminal event, one
-    /// sample per finished job. All-zero in deterministic mode.
+    /// sample per finished job.
     pub run_duration_s: Histogram,
     /// Per-launch critical-path cycles over completed jobs (simulated;
     /// deterministic).
@@ -760,18 +640,13 @@ impl ServiceMetrics {
 mod tests {
     use super::*;
 
-    fn rec(seq: u64, wall_s: f64, event: ServiceEvent) -> ServiceRecord {
-        ServiceRecord {
-            seq,
-            wall_s,
-            event,
-        }
+    fn rec(wall_s: f64, event: ServiceEvent) -> ServiceRecord {
+        ServiceRecord { wall_s, event }
     }
 
     fn sample_records() -> Vec<ServiceRecord> {
         vec![
             rec(
-                0,
                 0.0,
                 ServiceEvent::JobSubmitted {
                     job: 0,
@@ -779,9 +654,8 @@ mod tests {
                     dpus: 4,
                 },
             ),
-            rec(1, 0.0, ServiceEvent::QueueDepth { depth: 1 }),
+            rec(0.0, ServiceEvent::QueueDepth { depth: 1 }),
             rec(
-                2,
                 0.1,
                 ServiceEvent::JobSubmitted {
                     job: 1,
@@ -789,10 +663,9 @@ mod tests {
                     dpus: 4,
                 },
             ),
-            rec(3, 0.1, ServiceEvent::QueueDepth { depth: 2 }),
-            rec(4, 0.2, ServiceEvent::WorkerBusy { worker: 0, job: 0 }),
+            rec(0.1, ServiceEvent::QueueDepth { depth: 2 }),
+            rec(0.2, ServiceEvent::WorkerBusy { worker: 0, job: 0 }),
             rec(
-                5,
                 0.2,
                 ServiceEvent::LeaseGranted {
                     job: 0,
@@ -800,9 +673,8 @@ mod tests {
                     leased_ranks: 1,
                 },
             ),
-            rec(6, 0.2, ServiceEvent::JobAdmitted { job: 0, dpus: 4 }),
+            rec(0.2, ServiceEvent::JobAdmitted { job: 0, dpus: 4 }),
             rec(
-                7,
                 0.3,
                 ServiceEvent::SyncRound {
                     job: 0,
@@ -810,9 +682,8 @@ mod tests {
                     live_dpus: 4,
                 },
             ),
-            rec(8, 0.35, ServiceEvent::WorkerBusy { worker: 1, job: 1 }),
+            rec(0.35, ServiceEvent::WorkerBusy { worker: 1, job: 1 }),
             rec(
-                9,
                 0.35,
                 ServiceEvent::LeaseGranted {
                     job: 1,
@@ -820,9 +691,8 @@ mod tests {
                     leased_ranks: 2,
                 },
             ),
-            rec(10, 0.35, ServiceEvent::JobAdmitted { job: 1, dpus: 4 }),
+            rec(0.35, ServiceEvent::JobAdmitted { job: 1, dpus: 4 }),
             rec(
-                11,
                 0.4,
                 ServiceEvent::SyncRound {
                     job: 1,
@@ -831,7 +701,6 @@ mod tests {
                 },
             ),
             rec(
-                12,
                 0.5,
                 ServiceEvent::JobCompleted {
                     job: 0,
@@ -846,7 +715,6 @@ mod tests {
                 },
             ),
             rec(
-                13,
                 0.5,
                 ServiceEvent::LeaseReleased {
                     job: 0,
@@ -854,10 +722,9 @@ mod tests {
                     leased_ranks: 1,
                 },
             ),
-            rec(14, 0.5, ServiceEvent::WorkerIdle { worker: 0 }),
-            rec(15, 0.6, ServiceEvent::JobCancelled { job: 1 }),
+            rec(0.5, ServiceEvent::WorkerIdle { worker: 0 }),
+            rec(0.6, ServiceEvent::JobCancelled { job: 1 }),
             rec(
-                16,
                 0.6,
                 ServiceEvent::LeaseReleased {
                     job: 1,
@@ -865,35 +732,8 @@ mod tests {
                     leased_ranks: 0,
                 },
             ),
-            rec(17, 0.6, ServiceEvent::WorkerIdle { worker: 1 }),
+            rec(0.6, ServiceEvent::WorkerIdle { worker: 1 }),
         ]
-    }
-
-    #[test]
-    fn disabled_sink_records_nothing_and_skips_the_closure() {
-        let t = ServiceTelemetry::disabled();
-        let mut evaluated = false;
-        t.emit(1.0, || {
-            evaluated = true;
-            ServiceEvent::QueueDepth { depth: 1 }
-        });
-        assert!(!evaluated);
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn deterministic_mode_zeroes_wall_clock() {
-        let t = ServiceTelemetry::deterministic();
-        t.emit(123.456, || ServiceEvent::QueueDepth { depth: 3 });
-        let records = t.records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].wall_s, 0.0);
-        assert_eq!(records[0].seq, 0);
-        assert!(t.is_deterministic());
-        let real = ServiceTelemetry::enabled();
-        real.emit(123.456, || ServiceEvent::QueueDepth { depth: 3 });
-        assert_eq!(real.records()[0].wall_s, 123.456);
     }
 
     #[test]

@@ -1,106 +1,111 @@
-//! The [`Telemetry`] handle: a cloneable, optionally-attached event sink.
+//! The [`Recorder`] handle: a cloneable, optionally-attached record
+//! sink, instantiated as [`Telemetry`] for a run's [`Event`] stream and
+//! as [`ServiceTelemetry`](crate::ServiceTelemetry) for the training
+//! service's [`ServiceRecord`](crate::ServiceRecord) stream.
 //!
 //! Disabled (the default) it is a `None` — emitting is a single branch
-//! and the event constructor closure is never evaluated, so the launch
+//! and the record constructor closure is never evaluated, so the launch
 //! hot path allocates nothing and observes nothing. Enabled, all clones
-//! share one ordered buffer behind an `Arc<Mutex<…>>`; every emission
-//! happens on the host thread after worker results are merged in
-//! DPU-index order, so the buffer order is deterministic and
+//! share one ordered buffer behind an `Arc<Mutex<…>>`; every run event
+//! is emitted on the host thread after worker results are merged in
+//! DPU-index order, so a run's buffer order is deterministic and
 //! engine-invariant.
 
 use crate::event::Event;
 use std::sync::{Arc, Mutex};
 
-/// Shared event buffer (present only when telemetry is enabled).
-type Sink = Arc<Mutex<Vec<Event>>>;
-
-/// A handle to an (optional) telemetry event stream.
+/// A handle to an (optional) stream of `E` records.
 ///
-/// `Telemetry::default()` is disabled and costs nothing. An enabled
-/// handle created with [`Telemetry::enabled`] can be cloned freely —
+/// `Recorder::default()` is disabled and costs nothing. An enabled
+/// handle created with [`Recorder::enabled`] can be cloned freely —
 /// clones share the same buffer, which is how a `PimConfig` carried
 /// into a `DpuSet` keeps feeding the stream the caller holds.
-#[derive(Debug, Clone, Default)]
-pub struct Telemetry {
-    sink: Option<Sink>,
+#[derive(Debug, Clone)]
+pub struct Recorder<E> {
+    sink: Option<Arc<Mutex<Vec<E>>>>,
 }
 
-impl Telemetry {
+/// A run's simulated event stream (DESIGN.md §11).
+pub type Telemetry = Recorder<Event>;
+
+impl<E> Recorder<E> {
     /// A disabled handle: emissions are no-ops, nothing is allocated.
     pub fn disabled() -> Self {
-        Self::default()
+        Self { sink: None }
     }
 
-    /// An enabled handle with a fresh, empty event buffer.
+    /// An enabled handle with a fresh, empty buffer.
     pub fn enabled() -> Self {
         Self {
             sink: Some(Arc::new(Mutex::new(Vec::new()))),
         }
     }
 
-    /// Whether events are being recorded. Callers building expensive
-    /// event payloads (e.g. per-DPU span vectors) should gate the work
-    /// on this.
+    /// Whether records are being kept. Callers building expensive
+    /// payloads (e.g. per-DPU span vectors) should gate the work on
+    /// this.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
     }
 
-    /// Appends an event to the stream. The closure is evaluated only
-    /// when the handle is enabled, so constructing the event (and any
-    /// allocation inside it) is free on the disabled path.
+    /// Appends a record. The closure is evaluated only when the handle
+    /// is enabled, so constructing the record (and any allocation
+    /// inside it) is free on the disabled path.
     #[inline]
-    pub fn emit(&self, make: impl FnOnce() -> Event) {
+    pub fn emit(&self, make: impl FnOnce() -> E) {
         if let Some(sink) = &self.sink {
-            let event = make();
-            if let Ok(mut events) = sink.lock() {
-                events.push(event);
+            let record = make();
+            if let Ok(mut records) = sink.lock() {
+                records.push(record);
             }
         }
     }
 
-    /// A snapshot of the events recorded so far, in emission order.
-    /// Empty for a disabled handle.
-    pub fn events(&self) -> Vec<Event> {
-        match &self.sink {
-            Some(sink) => match sink.lock() {
-                Ok(events) => events.clone(),
-                Err(_) => Vec::new(),
-            },
-            None => Vec::new(),
-        }
-    }
-
-    /// Number of events recorded so far (0 when disabled).
+    /// Number of records so far (0 when disabled).
     pub fn len(&self) -> usize {
-        match &self.sink {
-            Some(sink) => match sink.lock() {
-                Ok(events) => events.len(),
-                Err(_) => 0,
-            },
-            None => 0,
-        }
+        self.sink
+            .as_ref()
+            .and_then(|sink| sink.lock().ok().map(|records| records.len()))
+            .unwrap_or(0)
     }
 
-    /// Whether no events have been recorded (always true when disabled).
+    /// Whether no records exist (always true when disabled).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Discards all recorded events, keeping the handle enabled.
+    /// Discards all records, keeping the handle enabled.
     pub fn clear(&self) {
         if let Some(sink) = &self.sink {
-            if let Ok(mut events) = sink.lock() {
-                events.clear();
+            if let Ok(mut records) = sink.lock() {
+                records.clear();
             }
         }
+    }
+}
+
+impl<E: Clone> Recorder<E> {
+    /// A snapshot of the records so far, in emission order. Empty for
+    /// a disabled handle.
+    pub fn records(&self) -> Vec<E> {
+        self.sink
+            .as_ref()
+            .and_then(|sink| sink.lock().ok().map(|records| records.clone()))
+            .unwrap_or_default()
+    }
+}
+
+impl<E> Default for Recorder<E> {
+    fn default() -> Self {
+        Self::disabled()
     }
 }
 
 /// Identity equality: two handles are equal when they are both disabled
 /// or share the same buffer. This keeps `PimConfig`'s derived
 /// `PartialEq` meaningful without comparing stream contents.
-impl PartialEq for Telemetry {
+impl<E> PartialEq for Recorder<E> {
     fn eq(&self, other: &Self) -> bool {
         match (&self.sink, &other.sink) {
             (None, None) => true,
@@ -126,6 +131,7 @@ mod tests {
         assert!(!evaluated);
         assert!(t.is_empty());
         assert!(!t.is_enabled());
+        assert_eq!(t, Telemetry::default());
     }
 
     #[test]
@@ -134,7 +140,7 @@ mod tests {
         let clone = t.clone();
         clone.emit(|| Event::Rollback { to_round: 7 });
         assert_eq!(t.len(), 1);
-        assert_eq!(t.events(), clone.events());
+        assert_eq!(t.records(), clone.records());
         assert_eq!(t, clone);
         t.clear();
         assert!(clone.is_empty());

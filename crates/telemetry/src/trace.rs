@@ -3,7 +3,8 @@
 //! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
 //! Mapping:
-//! - one *process* per run (`pid` = run index + 1, named by its label);
+//! - one *process* per run, named by its label, at the stable
+//!   `pid = JOB_PID_BASE + id` ([`JOB_PID_BASE`]);
 //! - `tid 0` is the host lane: program loads, transfers, launch
 //!   critical paths and host aggregations as `"X"` complete events;
 //! - `tid i+1` is DPU `i`: each launch contributes one `"X"` span per
@@ -30,36 +31,21 @@ pub const SERVICE_PID: u64 = 1;
 /// Trace process id of the rank-occupancy lanes in a merged service
 /// timeline.
 pub const RANKS_PID: u64 = 2;
-/// First trace process id available to per-job processes: job `j` maps
-/// to `pid = JOB_PID_BASE + j`, which is stable across exports and can
-/// never collide with the service or rank processes.
+/// First trace process id available to per-run and per-job processes:
+/// run or job `j` maps to `pid = JOB_PID_BASE + j`, which is stable
+/// across exports and can never collide with the service or rank
+/// processes.
 pub const JOB_PID_BASE: u64 = 10;
 
-/// Renders one run's event stream as a Chrome trace JSON string.
-pub fn chrome_trace(label: &str, events: &[Event]) -> String {
-    chrome_trace_multi(&[(label.to_string(), events)])
-}
-
-/// Renders several runs side by side (one trace process per run).
-/// Accepts `(label, events)` pairs; run order fixes `pid` assignment.
-pub fn chrome_trace_multi(runs: &[(String, &[Event])]) -> String {
+/// Renders runs side by side with **stable** lane identity: each
+/// `(id, label, events)` run gets `pid = JOB_PID_BASE + id`, so merged
+/// traces keep one distinct process per run no matter which subset of
+/// runs is exported or in what order. A single run is `&[(0, label,
+/// events)]`.
+pub fn chrome_trace(runs: &[(u64, &str, &[Event])]) -> String {
     let mut trace_events = Vec::new();
-    for (run_idx, (label, events)) in runs.iter().enumerate() {
-        let pid = run_idx as u64 + 1;
-        emit_run(&mut trace_events, pid, label, events, 0.0);
-    }
-    wrap(trace_events)
-}
-
-/// Renders several *jobs* side by side with **stable** lane identity:
-/// each `(job_id, label, events)` run gets `pid = JOB_PID_BASE +
-/// job_id`, so merged traces keep one distinct process per job no
-/// matter which subset of jobs is exported or in what order — unlike
-/// [`chrome_trace_multi`], whose pids follow slice order.
-pub fn chrome_trace_jobs(runs: &[(u64, String, &[Event])]) -> String {
-    let mut trace_events = Vec::new();
-    for (job, label, events) in runs {
-        emit_run(&mut trace_events, JOB_PID_BASE + job, label, events, 0.0);
+    for &(id, label, events) in runs {
+        emit_run(&mut trace_events, JOB_PID_BASE + id, label, events, 0.0);
     }
     wrap(trace_events)
 }
@@ -83,17 +69,15 @@ fn wrap(trace_events: Vec<Json>) -> String {
 /// - process [`RANKS_PID`] (`ranks`): `tid r+1` is rank `r`, with one
 ///   span per lease it served (from `LeaseGranted` to
 ///   `LeaseReleased`);
-/// - one process per job at the stable `pid = JOB_PID_BASE + job_id`
-///   (via [`chrome_trace_jobs`]'s mapping), laying the job's private
-///   event stream out exactly like [`chrome_trace`] but offset by the
-///   job's admission wall time, so per-job simulated timelines sit in
-///   service wall-clock context.
+/// - one process per job at the stable `pid = JOB_PID_BASE + job_id`,
+///   laying the job's private event stream out exactly like
+///   [`chrome_trace`] but offset by the job's admission wall time, so
+///   per-job simulated timelines sit in service wall-clock context.
 ///
-/// Service lanes are on the **wall clock** ([`ServiceRecord::wall_s`],
-/// all-zero under a deterministic sink); job lanes are simulated time
-/// offset by admission. `jobs` supplies `(job_id, label, events)` for
-/// every job process to render.
-pub fn service_trace(records: &[ServiceRecord], jobs: &[(u64, String, Vec<Event>)]) -> String {
+/// Service lanes are on the **wall clock** ([`ServiceRecord::wall_s`]);
+/// job lanes are simulated time offset by admission. `jobs` supplies
+/// `(job_id, label, events)` for every job process to render.
+pub fn service_trace(records: &[ServiceRecord], jobs: &[(u64, &str, &[Event])]) -> String {
     let mut out = Vec::new();
     out.push(metadata(SERVICE_PID, 0, "process_name", "service"));
     out.push(metadata(SERVICE_PID, 0, "thread_name", "scheduler"));
@@ -239,13 +223,11 @@ pub fn service_trace(records: &[ServiceRecord], jobs: &[(u64, String, Vec<Event>
     }
 
     // Per-job processes at stable pids, offset by admission wall time.
-    for (job, label, events) in jobs {
+    for &(job, label, events) in jobs {
         let admitted_us = records
             .iter()
             .find_map(|r| match &r.event {
-                ServiceEvent::JobAdmitted { job: j, .. } if j == job => {
-                    Some(r.wall_s * US_PER_S)
-                }
+                ServiceEvent::JobAdmitted { job: j, .. } if *j == job => Some(r.wall_s * US_PER_S),
                 _ => None,
             })
             .unwrap_or(0.0);
@@ -542,17 +524,30 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn trace_parses_and_lays_out_lanes() {
-        let rendered = chrome_trace("unit test", &stream());
-        let doc = parse(&rendered).expect("valid JSON");
-        let events = doc
+    fn trace_events(rendered: &str) -> Vec<Json> {
+        parse(rendered)
+            .expect("valid JSON")
             .get("traceEvents")
             .and_then(Json::as_array)
-            .expect("traceEvents array");
+            .expect("traceEvents array")
+            .to_vec()
+    }
+
+    fn pids(events: &[Json]) -> Vec<u64> {
+        events
+            .iter()
+            .filter_map(|e| e.get("pid").and_then(Json::as_u64))
+            .collect()
+    }
+
+    #[test]
+    fn trace_parses_and_lays_out_lanes() {
+        let s = stream();
+        let events = trace_events(&chrome_trace(&[(0, "unit test", &s)]));
         // 2 process/host metadata + 2 DPU lane names + load + transfer
         // + launch + 2 spans + sync instant.
         assert_eq!(events.len(), 10);
+        assert!(pids(&events).iter().all(|&pid| pid == JOB_PID_BASE));
         let spans: Vec<_> = events
             .iter()
             .filter(|e| e.get("name").and_then(Json::as_str) == Some("kernel"))
@@ -570,95 +565,74 @@ mod tests {
     }
 
     #[test]
-    fn multi_run_assigns_distinct_pids() {
-        let s = stream();
-        let rendered = chrome_trace_multi(&[("a".to_string(), &s[..]), ("b".to_string(), &s[..])]);
-        let doc = parse(&rendered).expect("valid JSON");
-        let events = doc
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .expect("array");
-        let pids: Vec<u64> = events
-            .iter()
-            .filter_map(|e| e.get("pid").and_then(Json::as_u64))
-            .collect();
-        assert!(pids.contains(&1) && pids.contains(&2));
-    }
-
-    #[test]
     fn export_is_deterministic() {
         let s = stream();
-        assert_eq!(chrome_trace("x", &s), chrome_trace("x", &s));
+        assert_eq!(chrome_trace(&[(0, "x", &s)]), chrome_trace(&[(0, "x", &s)]));
     }
 
     #[test]
-    fn job_traces_get_stable_pids_regardless_of_order() {
+    fn runs_get_stable_pids_regardless_of_order() {
         let s = stream();
-        let fwd = chrome_trace_jobs(&[(3, "job-3".into(), &s[..]), (7, "job-7".into(), &s[..])]);
-        let doc = parse(&fwd).expect("valid JSON");
-        let pids: Vec<u64> = doc
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .expect("array")
-            .iter()
-            .filter_map(|e| e.get("pid").and_then(Json::as_u64))
+        for runs in [
+            [(3, "job-3", &s[..]), (7, "job-7", &s[..])],
+            [(7, "job-7", &s[..]), (3, "job-3", &s[..])],
+        ] {
+            let pids = pids(&trace_events(&chrome_trace(&runs)));
+            assert!(pids.contains(&(JOB_PID_BASE + 3)));
+            assert!(pids.contains(&(JOB_PID_BASE + 7)));
+            assert!(pids
+                .iter()
+                .all(|&pid| pid == JOB_PID_BASE + 3 || pid == JOB_PID_BASE + 7));
+        }
+    }
+
+    fn record(wall_s: f64, event: ServiceEvent) -> ServiceRecord {
+        ServiceRecord { wall_s, event }
+    }
+
+    #[test]
+    fn service_job_lanes_are_the_chrome_trace_of_the_job() {
+        // A job admitted at wall time 0 sits on the same lanes, with the
+        // same timestamps, as its stand-alone trace.
+        let (job, label, s) = (4, "tenant/job-4", stream());
+        let records = [
+            record(0.0, ServiceEvent::WorkerBusy { worker: 0, job }),
+            record(0.0, ServiceEvent::JobAdmitted { job, dpus: 2 }),
+            record(0.002, ServiceEvent::WorkerIdle { worker: 0 }),
+        ];
+        let runs = [(job, label, &s[..])];
+        let merged: Vec<Json> = trace_events(&service_trace(&records, &runs))
+            .into_iter()
+            .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(JOB_PID_BASE + job))
             .collect();
-        assert!(pids.contains(&(JOB_PID_BASE + 3)));
-        assert!(pids.contains(&(JOB_PID_BASE + 7)));
-        // Same jobs in the opposite order keep the same pids.
-        let rev = chrome_trace_jobs(&[(7, "job-7".into(), &s[..]), (3, "job-3".into(), &s[..])]);
-        let rev_doc = parse(&rev).expect("valid JSON");
-        let rev_pids: Vec<u64> = rev_doc
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .expect("array")
-            .iter()
-            .filter_map(|e| e.get("pid").and_then(Json::as_u64))
-            .collect();
-        assert!(rev_pids.contains(&(JOB_PID_BASE + 3)));
-        assert!(rev_pids.contains(&(JOB_PID_BASE + 7)));
+        assert_eq!(merged, trace_events(&chrome_trace(&runs)));
     }
 
     #[test]
     fn service_trace_lays_out_worker_rank_and_job_lanes() {
         let records = vec![
-            ServiceRecord {
-                seq: 0,
-                wall_s: 0.0,
-                event: ServiceEvent::JobSubmitted {
+            record(
+                0.0,
+                ServiceEvent::JobSubmitted {
                     job: 0,
                     tenant: "t".into(),
                     dpus: 2,
                 },
-            },
-            ServiceRecord {
-                seq: 1,
-                wall_s: 0.0,
-                event: ServiceEvent::QueueDepth { depth: 1 },
-            },
-            ServiceRecord {
-                seq: 2,
-                wall_s: 0.001,
-                event: ServiceEvent::WorkerBusy { worker: 0, job: 0 },
-            },
-            ServiceRecord {
-                seq: 3,
-                wall_s: 0.001,
-                event: ServiceEvent::LeaseGranted {
+            ),
+            record(0.0, ServiceEvent::QueueDepth { depth: 1 }),
+            record(0.001, ServiceEvent::WorkerBusy { worker: 0, job: 0 }),
+            record(
+                0.001,
+                ServiceEvent::LeaseGranted {
                     job: 0,
                     ranks: vec![2],
                     leased_ranks: 1,
                 },
-            },
-            ServiceRecord {
-                seq: 4,
-                wall_s: 0.001,
-                event: ServiceEvent::JobAdmitted { job: 0, dpus: 2 },
-            },
-            ServiceRecord {
-                seq: 5,
-                wall_s: 0.004,
-                event: ServiceEvent::JobCompleted {
+            ),
+            record(0.001, ServiceEvent::JobAdmitted { job: 0, dpus: 2 }),
+            record(
+                0.004,
+                ServiceEvent::JobCompleted {
                     job: 0,
                     sync_rounds: 1,
                     launches: 1,
@@ -669,29 +643,21 @@ mod tests {
                     kernel_seconds: 0.004,
                     launch_cycles: vec![1000.0],
                 },
-            },
-            ServiceRecord {
-                seq: 6,
-                wall_s: 0.004,
-                event: ServiceEvent::LeaseReleased {
+            ),
+            record(
+                0.004,
+                ServiceEvent::LeaseReleased {
                     job: 0,
                     ranks: vec![2],
                     leased_ranks: 0,
                 },
-            },
-            ServiceRecord {
-                seq: 7,
-                wall_s: 0.004,
-                event: ServiceEvent::WorkerIdle { worker: 0 },
-            },
+            ),
+            record(0.004, ServiceEvent::WorkerIdle { worker: 0 }),
         ];
-        let jobs = vec![(0u64, "tenant/job-0".to_string(), stream())];
+        let s = stream();
+        let jobs = [(0, "tenant/job-0", &s[..])];
         let rendered = service_trace(&records, &jobs);
-        let doc = parse(&rendered).expect("valid JSON");
-        let events = doc
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .expect("array");
+        let events = trace_events(&rendered);
         let by = |pred: &dyn Fn(&&Json) -> bool| events.iter().filter(pred).count();
         // Worker span on the service process, lane 1.
         assert_eq!(

@@ -153,7 +153,7 @@ fn scatter_event_reports_addressed_dpus_only() {
     set.scatter(0, &parts).unwrap();
 
     let scatters: Vec<(u64, usize)> = telemetry
-        .events()
+        .records()
         .iter()
         .filter_map(|e| match e {
             Event::Transfer {

@@ -48,7 +48,7 @@ fn wait_for_first_launch(handle: &JobHandle) {
     let launched = || {
         handle
             .telemetry()
-            .events()
+            .records()
             .iter()
             .any(|e| matches!(e, Event::KernelLaunch { .. }))
     };
@@ -380,9 +380,11 @@ fn cancellation_mid_round_leaves_the_fleet_reusable() {
         cancelled_at_round("marathon", 3)
     );
 
-    // Cancel a queued job before any worker picks it up: submit enough
-    // work to keep both workers busy, cancel the last submission
-    // immediately.
+    // Cancel a queued job before any worker admits it: submit enough
+    // work to keep both workers busy, then a job whose token is
+    // cancelled before submission, so whichever worker dequeues it
+    // discards it without touching the fleet. (Cancelling after
+    // `submit` raced the job's own completion.)
     let fillers: Vec<_> = (0..2)
         .map(|i| {
             service
@@ -395,16 +397,21 @@ fn cancellation_mid_round_leaves_the_fleet_reusable() {
                 .expect("admitted")
         })
         .collect();
+    let token = CancelToken::new();
+    token.cancel();
     let queued = service
-        .submit(JobRequest::new(
-            "queued-cancel",
-            WorkloadSpec::q_learning_seq_fp32(),
-            cfg(4, 8, 20),
-            frozen_dataset(600, 20),
-        ))
+        .submit_with_token(
+            JobRequest::new(
+                "queued-cancel",
+                WorkloadSpec::q_learning_seq_fp32(),
+                cfg(4, 8, 20),
+                frozen_dataset(600, 20),
+            ),
+            token,
+        )
         .expect("admitted");
-    queued.cancel();
     assert!(queued.wait().is_cancelled());
+    assert_eq!(queued.metrics().launches, 0);
 
     for f in fillers {
         assert!(f.wait().completed().is_some());
@@ -787,7 +794,7 @@ fn deterministic_service_stream_is_byte_identical_across_engines() {
             .engine(engine)
             .build();
         let service =
-            TrainingService::with_observability(fleet, workers, ServiceTelemetry::deterministic());
+            TrainingService::with_observability(fleet, workers, ServiceTelemetry::enabled());
         assert_eq!(service.job_platform(&marathon).engine, engine, "{tag}");
         let handles: Vec<_> = requests
             .iter()
@@ -906,6 +913,26 @@ fn service_metrics_reconcile_with_per_tenant_totals() {
     ] {
         assert!(prom.contains(&line), "exposition missing `{line}`:\n{prom}");
     }
+}
+
+/// An enabled sink stamps every record with the wall-clock offset the
+/// service measured: after a drain, some record lies past time zero.
+#[test]
+fn enabled_sink_stamps_wall_clock_offsets() {
+    let service =
+        TrainingService::with_observability(small_fleet(), 2, ServiceTelemetry::enabled());
+    let handles: Vec<_> = observability_requests(2)
+        .into_iter()
+        .map(|r| service.submit(r).expect("admission"))
+        .collect();
+    for handle in &handles {
+        assert!(handle.wait().completed().is_some());
+    }
+    let records = service.service_telemetry().records();
+    assert!(
+        records.iter().any(|r| r.wall_s > 0.0),
+        "no record carries a wall-clock offset: {records:?}"
+    );
 }
 
 /// Observability off is the default and costs nothing: a service built

@@ -54,7 +54,7 @@ fn traced_run(
         .with_resilience(resilience)
         .run(&dataset())
         .unwrap();
-    (out, telemetry.events())
+    (out, telemetry.records())
 }
 
 /// Serial and Threaded record identical event streams for every paper
@@ -80,8 +80,8 @@ fn engines_emit_byte_identical_streams_across_all_variants() {
         assert!(!serial.is_empty(), "{spec}: no events recorded");
         assert_eq!(serial, threaded, "{spec}: event streams diverged");
         assert_eq!(
-            chrome_trace("run", &serial),
-            chrome_trace("run", &threaded),
+            chrome_trace(&[(0, "run", &serial)]),
+            chrome_trace(&[(0, "run", &threaded)]),
             "{spec}: rendered traces diverged"
         );
         assert_eq!(
@@ -232,7 +232,7 @@ fn artifacts_are_deterministic_across_runs() {
         .1
     };
     let (a, b) = (run(), run());
-    assert_eq!(chrome_trace("run", &a), chrome_trace("run", &b));
+    assert_eq!(chrome_trace(&[(0, "run", &a)]), chrome_trace(&[(0, "run", &b)]));
     assert_eq!(
         MetricsSnapshot::from_events("run", &a).to_json().render_pretty(),
         MetricsSnapshot::from_events("run", &b).to_json().render_pretty()
