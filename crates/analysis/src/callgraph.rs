@@ -1,6 +1,6 @@
 //! Workspace call-graph construction and kernel reachability.
 //!
-//! Builds a function index over a parsed [`Workspace`](crate::parse::Workspace),
+//! Builds a function index over a parsed [`Workspace`],
 //! resolves each call site into edges, and computes the set of functions
 //! transitively reachable from *kernel entry points*:
 //!

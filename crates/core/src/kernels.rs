@@ -34,7 +34,7 @@ pub const MAX_TASKLETS: usize = 24;
 
 /// Static WRAM budget of the kernel, in the `WRAM_<X>_OFFSET`/`_BYTES`
 /// convention the analyzer proves non-overlapping and within the 64-KB
-/// scratchpad (K009). The runtime [`WramMap`] packs tighter (its batch
+/// scratchpad (K009). The runtime `WramMap` packs tighter (its batch
 /// window starts right after the *actual* Q-table), but never exceeds
 /// these bounds.
 pub const WRAM_Q_TABLE_OFFSET: usize = 0;

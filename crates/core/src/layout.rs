@@ -14,7 +14,13 @@
 //! shape, the episode schedule of this launch, sampling strategy, seeds
 //! and (scaled) hyper-parameters. All fields are little-endian `u32`.
 
-use swiftrl_env::Transition;
+use std::ops::Range;
+
+use swiftrl_env::{ExperienceDataset, Transition};
+use swiftrl_rl::policy::epsilon_threshold;
+use swiftrl_rl::sampling::SamplingStrategy;
+
+use crate::config::{DataType, RunConfig, WorkloadSpec};
 
 /// Magic word identifying a SwiftRL header ("SWFT").
 pub const HEADER_MAGIC: u32 = 0x5357_4654;
@@ -120,6 +126,48 @@ pub struct KernelHeader {
 }
 
 impl KernelHeader {
+    /// The header the host stages on DPU `dpu` for a chunk of
+    /// `chunk_len` transitions of `dataset` under `spec` and `cfg`:
+    /// `episodes` episodes per launch from episode 0 (`cfg.tau` for the
+    /// synchronized runner, the whole budget for independent agents),
+    /// with the hyper-parameters encoded for `spec`'s data type.
+    pub fn for_chunk(
+        spec: WorkloadSpec,
+        cfg: &RunConfig,
+        dataset: &ExperienceDataset,
+        dpu: usize,
+        chunk_len: usize,
+        episodes: u32,
+    ) -> Self {
+        let scale = cfg.scale();
+        let (alpha, gamma) = match spec.dtype {
+            DataType::Fp32 => (cfg.alpha.to_bits(), cfg.gamma.to_bits()),
+            DataType::Int32 => (
+                scale.to_fixed(cfg.alpha) as u32,
+                scale.to_fixed(cfg.gamma) as u32,
+            ),
+        };
+        let (sampling, stride) = match spec.sampling {
+            SamplingStrategy::Sequential => (sampling_kind::SEQ, 0),
+            SamplingStrategy::Stride(k) => (sampling_kind::STR, k as u32),
+            SamplingStrategy::Random => (sampling_kind::RAN, 0),
+        };
+        Self {
+            n_transitions: chunk_len as u32,
+            num_states: dataset.num_states() as u32,
+            num_actions: dataset.num_actions() as u32,
+            episodes,
+            episode_base: 0,
+            sampling,
+            stride,
+            seed: dpu_seed(cfg.seed, dpu),
+            alpha,
+            gamma,
+            epsilon_threshold: epsilon_threshold(cfg.epsilon).min(u32::MAX as u64) as u32,
+            scale: scale.factor() as u32,
+        }
+    }
+
     /// Serializes into a caller-provided 64-byte block without heap
     /// allocation — the form kernels use (K002: no free work in kernel
     /// bodies). Trailing pad bytes are zeroed.
@@ -202,6 +250,21 @@ impl KernelHeader {
     /// MRAM offset of transition record `i`.
     pub fn transition_offset(&self, i: usize) -> usize {
         self.transitions_offset() + i * Transition::RECORD_BYTES
+    }
+}
+
+/// Encodes records `range` of `dataset` as transition records in
+/// `spec`'s data type (INT32 rewards in `cfg`'s fixed-point scale): the
+/// bytes the host stages after the Q-table.
+pub fn encode_chunk(
+    spec: WorkloadSpec,
+    cfg: &RunConfig,
+    dataset: &ExperienceDataset,
+    range: Range<usize>,
+) -> Vec<u8> {
+    match spec.dtype {
+        DataType::Fp32 => dataset.encode_range_fp32(range),
+        DataType::Int32 => dataset.encode_range_int32(range, cfg.scale().factor()),
     }
 }
 

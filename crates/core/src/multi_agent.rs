@@ -9,13 +9,11 @@
 use crate::breakdown::TimeBreakdown;
 use crate::config::{DataType, RunConfig, WorkloadSpec};
 use crate::kernels::SwiftRlKernel;
-use crate::layout::{dpu_seed, sampling_kind, KernelHeader, Q_TABLE_OFFSET};
+use crate::layout::{encode_chunk, KernelHeader, Q_TABLE_OFFSET};
 use swiftrl_env::ExperienceDataset;
 use swiftrl_pim::config::PimConfig;
 use swiftrl_pim::host::{PimError, PimSystem};
-use swiftrl_rl::policy::epsilon_threshold;
 use swiftrl_rl::qtable::{FixedQTable, QTable};
-use swiftrl_rl::sampling::SamplingStrategy;
 
 /// Result of a multi-agent run.
 #[derive(Debug, Clone)]
@@ -71,34 +69,7 @@ pub fn train_multi_agent(
     let headers: Vec<KernelHeader> = datasets
         .iter()
         .enumerate()
-        .map(|(agent, d)| {
-            let (alpha, gamma) = match spec.dtype {
-                DataType::Fp32 => (cfg.alpha.to_bits(), cfg.gamma.to_bits()),
-                DataType::Int32 => (
-                    scale.to_fixed(cfg.alpha) as u32,
-                    scale.to_fixed(cfg.gamma) as u32,
-                ),
-            };
-            let (sampling, stride) = match spec.sampling {
-                SamplingStrategy::Sequential => (sampling_kind::SEQ, 0),
-                SamplingStrategy::Stride(k) => (sampling_kind::STR, k as u32),
-                SamplingStrategy::Random => (sampling_kind::RAN, 0),
-            };
-            KernelHeader {
-                n_transitions: d.len() as u32,
-                num_states: ns as u32,
-                num_actions: na as u32,
-                episodes: cfg.episodes,
-                episode_base: 0,
-                sampling,
-                stride,
-                seed: dpu_seed(cfg.seed, agent),
-                alpha,
-                gamma,
-                epsilon_threshold: epsilon_threshold(cfg.epsilon).min(u32::MAX as u64) as u32,
-                scale: scale.factor() as u32,
-            }
-        })
+        .map(|(agent, d)| KernelHeader::for_chunk(spec, cfg, d, agent, d.len(), cfg.episodes))
         .collect();
 
     set.scatter(0, &headers.iter().map(|h| h.to_bytes()).collect::<Vec<_>>())?;
@@ -116,10 +87,7 @@ pub fn train_multi_agent(
     let trans_offset = headers[0].transitions_offset();
     let chunks: Vec<Vec<u8>> = datasets
         .iter()
-        .map(|d| match spec.dtype {
-            DataType::Fp32 => d.encode_range_fp32(0..d.len()),
-            DataType::Int32 => d.encode_range_int32(0..d.len(), scale.factor()),
-        })
+        .map(|d| encode_chunk(spec, cfg, d, 0..d.len()))
         .collect();
     set.scatter(trans_offset, &chunks)?;
     breakdown.cpu_pim_s = set.stats().cpu_to_pim_seconds;
@@ -152,8 +120,10 @@ pub fn train_multi_agent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::dpu_seed;
     use swiftrl_env::collect::collect_per_agent;
     use swiftrl_env::frozen_lake::FrozenLake;
+    use swiftrl_rl::sampling::SamplingStrategy;
 
     fn cfg() -> RunConfig {
         RunConfig::paper_defaults().with_episodes(10).with_tau(10)

@@ -16,7 +16,7 @@
 use crate::breakdown::TimeBreakdown;
 use crate::config::{DataType, RunConfig, WorkloadSpec};
 use crate::kernels::SwiftRlKernel;
-use crate::layout::{dpu_seed, sampling_kind, KernelHeader, HEADER_BYTES, Q_TABLE_OFFSET};
+use crate::layout::{encode_chunk, KernelHeader, HEADER_BYTES, Q_TABLE_OFFSET};
 use crate::partition::partition_even;
 use crate::resilience::{ResilienceConfig, ResilienceStats};
 use std::ops::Range;
@@ -26,9 +26,7 @@ use swiftrl_env::{ExperienceDataset, Transition};
 use swiftrl_pim::config::PimConfig;
 use swiftrl_pim::host::{check_alloc, DpuSet, PimError, PimSystem};
 use swiftrl_pim::report::SanitizerReport;
-use swiftrl_rl::policy::epsilon_threshold;
 use swiftrl_rl::qtable::{FixedQTable, FixedQTableSum, QTable, QTableSum};
-use swiftrl_rl::sampling::SamplingStrategy;
 use swiftrl_telemetry::{Event, Telemetry};
 
 /// Host DRAM bandwidth assumed for the aggregation (averaging) step, in
@@ -228,7 +226,16 @@ impl PimRunner {
         let headers: Vec<KernelHeader> = ranges
             .iter()
             .enumerate()
-            .map(|(dpu, range)| self.header_for(dpu, range.len(), ns, na, 0))
+            .map(|(dpu, range)| {
+                KernelHeader::for_chunk(
+                    self.spec,
+                    &self.cfg,
+                    dataset,
+                    dpu,
+                    range.len(),
+                    self.cfg.tau,
+                )
+            })
             .collect();
 
         let header_parts: Vec<Vec<u8>> = headers.iter().map(|h| h.to_bytes()).collect();
@@ -255,10 +262,7 @@ impl PimRunner {
         let trans_offset = headers[0].transitions_offset();
         let chunk_parts: Vec<Vec<u8>> = ranges
             .iter()
-            .map(|r| match self.spec.dtype {
-                DataType::Fp32 => dataset.encode_range_fp32(r.clone()),
-                DataType::Int32 => dataset.encode_range_int32(r.clone(), scale.factor()),
-            })
+            .map(|r| encode_chunk(self.spec, &self.cfg, dataset, r.clone()))
             .collect();
         set.scatter(trans_offset, &chunk_parts)?;
         breakdown.cpu_pim_s = set.stats().cpu_to_pim_seconds;
@@ -551,12 +555,7 @@ impl PimRunner {
             if added > 0 {
                 let mut bytes = Vec::with_capacity(added * Transition::RECORD_BYTES);
                 for r in &pieces[slot] {
-                    let part = match self.spec.dtype {
-                        DataType::Fp32 => dataset.encode_range_fp32(r.clone()),
-                        DataType::Int32 => {
-                            dataset.encode_range_int32(r.clone(), self.cfg.scale().factor())
-                        }
-                    };
+                    let part = encode_chunk(self.spec, &self.cfg, dataset, r.clone());
                     bytes.extend_from_slice(&part);
                 }
                 set.copy_to(
@@ -581,45 +580,6 @@ impl PimRunner {
             }
         }
         Ok(rollback)
-    }
-
-    /// Builds the per-DPU header for an episode window starting at
-    /// `episode_base`.
-    fn header_for(
-        &self,
-        dpu: usize,
-        chunk_len: usize,
-        ns: usize,
-        na: usize,
-        episode_base: u32,
-    ) -> KernelHeader {
-        let scale = self.cfg.scale();
-        let (alpha, gamma) = match self.spec.dtype {
-            DataType::Fp32 => (self.cfg.alpha.to_bits(), self.cfg.gamma.to_bits()),
-            DataType::Int32 => (
-                scale.to_fixed(self.cfg.alpha) as u32,
-                scale.to_fixed(self.cfg.gamma) as u32,
-            ),
-        };
-        let (sampling, stride) = match self.spec.sampling {
-            SamplingStrategy::Sequential => (sampling_kind::SEQ, 0),
-            SamplingStrategy::Stride(k) => (sampling_kind::STR, k as u32),
-            SamplingStrategy::Random => (sampling_kind::RAN, 0),
-        };
-        KernelHeader {
-            n_transitions: chunk_len as u32,
-            num_states: ns as u32,
-            num_actions: na as u32,
-            episodes: self.cfg.tau,
-            episode_base,
-            sampling,
-            stride,
-            seed: dpu_seed(self.cfg.seed, dpu),
-            alpha,
-            gamma,
-            epsilon_threshold: epsilon_threshold(self.cfg.epsilon).min(u32::MAX as u64) as u32,
-            scale: scale.factor() as u32,
-        }
     }
 
     /// Modelled host time to average `n` Q-tables of `q_bytes` each.
@@ -676,8 +636,10 @@ impl RoundSum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::dpu_seed;
     use swiftrl_env::collect::collect_random;
     use swiftrl_env::frozen_lake::FrozenLake;
+    use swiftrl_rl::sampling::SamplingStrategy;
 
     fn dataset() -> ExperienceDataset {
         let mut env = FrozenLake::slippery_4x4();

@@ -13,7 +13,7 @@
 //!   its own ranks exactly as a solo run would be.
 //! - **Per-job platform views**: every admitted job gets its own
 //!   [`DpuSet`] built from its own [`PimConfig`] — its own
-//!   [`FaultPlan`](swiftrl_pim::faults::FaultPlan), its own
+//!   [`FaultPlan`], its own
 //!   [`Telemetry`] sink, local DPU indices `0..n`. The only shared
 //!   pieces of machinery are the fleet's memory arena (accounting) and
 //!   the DPU/rank capacity counters, neither of which feeds any
@@ -24,13 +24,14 @@
 //!   queue rather than being starved by smaller late arrivals), and
 //!   every job carries a [`CancelToken`] checked by the runner at each
 //!   sync-round boundary, so a cancelled job frees its lease within
-//!   one round.
+//!   one round. [`JobHandle::cancel`] ends a job that is still queued,
+//!   or still waiting for ranks, at once.
 //! - **One host thread budget**: the fleet's auto engine width
 //!   (`Threaded { workers: 0 }`) is split, at each admission, between
 //!   the jobs that share the host at that moment
 //!   ([`ExecutionEngine::within`]): a lone job gets every host thread,
 //!   and a full queue gives each of N workers a 1/N share instead of N
-//!   whole-host pools. Unpinned jobs run on the [`ExecTier::Batched`]
+//!   whole-host pools. Every job runs on the [`ExecTier::Batched`]
 //!   tier. Neither choice moves a simulated bit or cycle (DESIGN.md
 //!   §8.1, §14).
 //!
@@ -39,7 +40,7 @@
 //! Q-table byte-for-byte against its solo run.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
@@ -47,7 +48,7 @@ use swiftrl_env::dataset::ExperienceDataset;
 use swiftrl_pim::config::{ExecTier, PimConfig};
 use swiftrl_pim::engine::host_threads;
 use swiftrl_pim::faults::FaultPlan;
-use swiftrl_pim::host::{PimError, PimSystem};
+use swiftrl_pim::host::{DpuSet, PimError, PimSystem};
 use swiftrl_pim::ExecutionEngine;
 use swiftrl_telemetry::{
     MetricsSnapshot, ServiceEvent, ServiceRecord, ServiceTelemetry, Telemetry,
@@ -95,8 +96,11 @@ impl CancelToken {
         }
     }
 
-    /// Requests cancellation. Idempotent; takes effect at the job's
-    /// next round boundary (or immediately if the job is still queued).
+    /// Requests cancellation. Idempotent. A running job stops at its
+    /// next round boundary. On its own, a token only raises its flag: a
+    /// job still queued ends when a worker dequeues it, and one waiting
+    /// for ranks when the next lease is released.
+    /// [`JobHandle::cancel`] also ends either of those at once.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
     }
@@ -117,22 +121,13 @@ impl CancelToken {
 /// Errors surfaced by [`TrainingService`] admission and job handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The job wants more rank capacity than the whole fleet has.
+    /// The job asks for no DPUs, or for more than the whole fleet has.
     TooLarge {
         /// DPUs the job asked for.
         requested_dpus: usize,
         /// DPUs the fleet has in total.
         fleet_dpus: usize,
     },
-    /// A pinned-rank request overlaps a lease already promised to
-    /// another live (queued or running) job.
-    LeaseOverlap {
-        /// The first contested rank index.
-        rank: usize,
-    },
-    /// A pinned-rank request is malformed: a rank index out of range,
-    /// a duplicate rank, or pinned capacity below the job's DPU count.
-    BadPin(String),
     /// The service is shutting down and no longer accepts jobs.
     ShuttingDown,
 }
@@ -147,10 +142,6 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "job wants {requested_dpus} DPUs but the fleet has only {fleet_dpus}"
             ),
-            ServiceError::LeaseOverlap { rank } => {
-                write!(f, "pinned rank {rank} is already leased to another job")
-            }
-            ServiceError::BadPin(msg) => write!(f, "invalid rank pin: {msg}"),
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
@@ -174,24 +165,11 @@ pub struct JobRequest {
     pub faults: FaultPlan,
     /// Offline experience dataset to train on.
     pub dataset: ExperienceDataset,
-    /// Optional explicit rank lease. `None` lets the scheduler pick
-    /// the lowest free ranks at admission time; `Some(ranks)` reserves
-    /// exactly those ranks for the job's lifetime and rejects the
-    /// submission synchronously if they overlap another live pin.
-    pub pinned_ranks: Option<Vec<usize>>,
-    /// Optional per-job execution tier. `None` runs the job on
-    /// [`ExecTier::Batched`], the fastest tier, whatever the fleet
-    /// platform's tier; `Some(tier)` runs this job's DPU set under
-    /// `tier` without affecting any other tenant. Pin
-    /// [`ExecTier::Reference`] or [`ExecTier::Fast`] per job for audits.
-    /// Every tier produces bit- and cycle-identical observables
-    /// (DESIGN.md §14), so the choice only changes host wall-clock.
-    pub exec_tier: Option<ExecTier>,
 }
 
 impl JobRequest {
-    /// Convenience constructor for an unpinned, fault-free job with no
-    /// resilience policy.
+    /// Convenience constructor for a fault-free job with no resilience
+    /// policy.
     pub fn new(
         tenant: impl Into<String>,
         spec: WorkloadSpec,
@@ -205,8 +183,6 @@ impl JobRequest {
             resilience: ResilienceConfig::none(),
             faults: FaultPlan::none(),
             dataset,
-            pinned_ranks: None,
-            exec_tier: None,
         }
     }
 
@@ -219,19 +195,6 @@ impl JobRequest {
     /// Sets the job's resilience policy.
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;
-        self
-    }
-
-    /// Pins the job to an explicit set of ranks.
-    pub fn with_pinned_ranks(mut self, ranks: Vec<usize>) -> Self {
-        self.pinned_ranks = Some(ranks);
-        self
-    }
-
-    /// Pins the execution tier for this job only (unpinned jobs run
-    /// on [`ExecTier::Batched`]).
-    pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {
-        self.exec_tier = Some(tier);
         self
     }
 }
@@ -311,13 +274,24 @@ impl JobCell {
 
 /// Caller-side handle to a submitted job: wait for the outcome, cancel
 /// it, and read its private telemetry.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct JobHandle {
     id: u64,
     tenant: String,
     token: CancelToken,
     cell: Arc<JobCell>,
     telemetry: Telemetry,
+    shared: Arc<Shared>,
+}
+
+impl std::fmt::Debug for JobHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JobHandle")
+            .field("id", &self.id)
+            .field("tenant", &self.tenant)
+            .field("status", &self.status())
+            .finish_non_exhaustive()
+    }
 }
 
 impl JobHandle {
@@ -331,11 +305,28 @@ impl JobHandle {
         &self.tenant
     }
 
-    /// Requests cancellation: a queued job is discarded before it ever
-    /// touches the fleet; a running job stops at its next sync-round
+    /// Requests cancellation: a queued job leaves the queue and ends at
+    /// once, without touching the fleet; a job waiting for ranks is
+    /// woken and ends; a running job stops at its next sync-round
     /// boundary and frees its lease.
     pub fn cancel(&self) {
         self.token.cancel();
+        let shared = &self.shared;
+        let mut queue = lock_recover(&shared.queue);
+        let queued = queue.iter().position(|job| job.id == self.id);
+        let Some(job) = queued.and_then(|at| queue.remove(at)) else {
+            drop(queue);
+            // A worker may hold the job in the lease wait. It checks the
+            // token under the fleet lock, so taking that lock before the
+            // wake orders the wake after the check: it cannot be lost.
+            drop(lock_recover(&shared.fleet));
+            shared.lease_cv.notify_all();
+            return;
+        };
+        let depth = queue.len();
+        drop(queue);
+        shared.observer.emit(|| ServiceEvent::QueueDepth { depth });
+        finish(shared, &job, JobOutcome::Cancelled, None);
     }
 
     /// The execution engine the job was admitted with: its share of the
@@ -405,10 +396,6 @@ struct FleetState {
     system: PimSystem,
     /// `true` for each rank currently leased to a *running* job.
     rank_leased: Vec<bool>,
-    /// Rank sets promised to live pinned jobs (queued or running),
-    /// keyed by job id. Pinned submissions are rejected synchronously
-    /// when they overlap an entry here.
-    pinned: Vec<(u64, Vec<usize>)>,
     /// Jobs currently holding a lease.
     running: usize,
 }
@@ -421,7 +408,7 @@ struct Shared {
     workers: usize,
     fleet: Mutex<FleetState>,
     /// Signalled when a lease is released (capacity may now fit the
-    /// head-of-line job).
+    /// head-of-line job) or a job waiting for one is cancelled.
     lease_cv: Condvar,
     queue: Mutex<VecDeque<QueuedJob>>,
     /// Signalled when a job is enqueued or shutdown begins.
@@ -487,12 +474,12 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`shutdown`](Self::shutdown) (also run on drop). Worker threads the
 /// service owns admit jobs strictly in submission order, lease each
 /// one a disjoint slice of 64-DPU ranks, and drive the training run on
-/// a private [`DpuSet`](swiftrl_pim::host::DpuSet) with the job's own
-/// fault plan and telemetry sink.
+/// a private [`DpuSet`] with the job's own fault plan and telemetry
+/// sink.
 pub struct TrainingService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    next_id: Mutex<u64>,
+    next_id: AtomicU64,
 }
 
 impl TrainingService {
@@ -532,7 +519,6 @@ impl TrainingService {
             fleet: Mutex::new(FleetState {
                 system: PimSystem::new(config.clone()),
                 rank_leased: vec![false; ranks],
-                pinned: Vec::new(),
                 running: 0,
             }),
             lease_cv: Condvar::new(),
@@ -551,7 +537,7 @@ impl TrainingService {
         Self {
             shared,
             workers: handles,
-            next_id: Mutex::new(0),
+            next_id: AtomicU64::new(0),
         }
     }
 
@@ -568,41 +554,28 @@ impl TrainingService {
         &self.shared.config
     }
 
-    /// Number of ranks in the fleet.
-    pub fn fleet_ranks(&self) -> usize {
-        self.shared.config.ranks_for(self.shared.config.dpus)
-    }
-
-    /// DPU capacity of rank `rank` (the last rank of a fleet whose DPU
-    /// count is not a rank multiple is partial).
-    fn rank_capacity(&self, rank: usize) -> usize {
-        rank_capacity(&self.shared.config, rank)
-    }
-
     /// The platform configuration a job submitted as `request` runs
     /// under when admitted to an idle service: the fleet platform with
     /// the job's own DPU count and fault plan, the whole host's engine
-    /// width, the job's tier, and telemetry off. A job admitted beside
-    /// others differs only in its narrower engine
+    /// width, the batched tier, and telemetry off. A job admitted
+    /// beside others differs only in its narrower engine
     /// ([`JobHandle::engine`]). A solo [`PimRunner`] run on this
     /// platform is bit-identical to the job's in-service run — the
     /// equivalence the service's isolation tests pin.
     pub fn job_platform(&self, request: &JobRequest) -> PimConfig {
         let engine = self.shared.config.engine.within(host_threads(), 1);
-        job_platform(&self.shared, request, engine, Telemetry::disabled())
+        job_platform(&self.shared.config, request, engine, Telemetry::disabled())
     }
 
     /// Submits a job. Admission control runs synchronously: a job that
-    /// can never fit the fleet, or whose pinned ranks overlap another
-    /// live pin, is rejected here; everything else is queued FIFO and
-    /// picked up by a worker as capacity frees.
+    /// can never fit the fleet is rejected here; everything else is
+    /// queued FIFO and picked up by a worker as capacity frees.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::TooLarge`] if `cfg.dpus` exceeds the fleet,
-    /// [`ServiceError::BadPin`] for a malformed pin,
-    /// [`ServiceError::LeaseOverlap`] for a contested pin, and
-    /// [`ServiceError::ShuttingDown`] after [`shutdown`](Self::shutdown).
+    /// [`ServiceError::TooLarge`] if `cfg.dpus` is zero or exceeds the
+    /// fleet, and [`ServiceError::ShuttingDown`] after
+    /// [`shutdown`](Self::shutdown).
     pub fn submit(&self, request: JobRequest) -> Result<JobHandle, ServiceError> {
         self.submit_with_token(request, CancelToken::new())
     }
@@ -629,22 +602,7 @@ impl TrainingService {
                 fleet_dpus,
             });
         }
-        let id = {
-            let mut next = lock_recover(&self.next_id);
-            let id = *next;
-            *next += 1;
-            id
-        };
-        if let Some(ranks) = &request.pinned_ranks {
-            self.validate_pin(ranks, request.cfg.dpus)?;
-            let mut fleet = lock_recover(&self.shared.fleet);
-            for (_, held) in &fleet.pinned {
-                if let Some(&rank) = ranks.iter().find(|r| held.contains(r)) {
-                    return Err(ServiceError::LeaseOverlap { rank });
-                }
-            }
-            fleet.pinned.push((id, ranks.clone()));
-        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(JobCell::new());
         let telemetry = Telemetry::enabled();
         let handle = JobHandle {
@@ -653,6 +611,7 @@ impl TrainingService {
             token: token.clone(),
             cell: Arc::clone(&cell),
             telemetry: telemetry.clone(),
+            shared: Arc::clone(&self.shared),
         };
         // Clone the tenant label only when someone is listening:
         // `String::new()` does not allocate, keeping the disabled
@@ -687,30 +646,6 @@ impl TrainingService {
         Ok(handle)
     }
 
-    /// Checks a pinned-rank list: in range, duplicate-free, and with
-    /// enough DPU capacity for the job.
-    fn validate_pin(&self, ranks: &[usize], dpus: usize) -> Result<(), ServiceError> {
-        let fleet_ranks = self.fleet_ranks();
-        let mut capacity = 0usize;
-        for (i, &rank) in ranks.iter().enumerate() {
-            if rank >= fleet_ranks {
-                return Err(ServiceError::BadPin(format!(
-                    "rank {rank} out of range for a {fleet_ranks}-rank fleet"
-                )));
-            }
-            if ranks[..i].contains(&rank) {
-                return Err(ServiceError::BadPin(format!("rank {rank} pinned twice")));
-            }
-            capacity += self.rank_capacity(rank);
-        }
-        if capacity < dpus {
-            return Err(ServiceError::BadPin(format!(
-                "pinned ranks hold {capacity} DPUs but the job wants {dpus}"
-            )));
-        }
-        Ok(())
-    }
-
     /// Stops accepting jobs, drains the queue (every queued and
     /// running job still reaches a terminal state), and joins the
     /// workers. Idempotent.
@@ -730,24 +665,17 @@ impl Drop for TrainingService {
     }
 }
 
-/// DPU capacity of rank `rank` on `config`'s fleet.
-fn rank_capacity(config: &PimConfig, rank: usize) -> usize {
-    let per_rank = config.dpus_per_rank.max(1);
-    let start = rank * per_rank;
-    config.dpus.saturating_sub(start).min(per_rank)
-}
-
 /// Picks the lowest free ranks whose combined DPU capacity covers
 /// `dpus`, or returns `None` if the free set is currently too small.
 fn pick_free_ranks(config: &PimConfig, leased: &[bool], dpus: usize) -> Option<Vec<usize>> {
+    let per_rank = config.dpus_per_rank.max(1);
     let mut chosen = Vec::new();
     let mut capacity = 0usize;
-    for (rank, &held) in leased.iter().enumerate() {
-        if held {
-            continue;
-        }
+    for rank in (0..leased.len()).filter(|&rank| !leased[rank]) {
         chosen.push(rank);
-        capacity += rank_capacity(config, rank);
+        // The last rank of a fleet whose DPU count is not a rank
+        // multiple is partial.
+        capacity += config.dpus.saturating_sub(rank * per_rank).min(per_rank);
         if capacity >= dpus {
             return Some(chosen);
         }
@@ -756,22 +684,21 @@ fn pick_free_ranks(config: &PimConfig, leased: &[bool], dpus: usize) -> Option<V
 }
 
 /// The platform a job runs under on `engine`, with `telemetry` as its
-/// event sink: the fleet platform with the job's DPU count and fault
-/// plan, and the job's tier ([`ExecTier::Batched`] unless pinned). The
-/// one builder behind both the in-service run and
-/// [`TrainingService::job_platform`].
+/// event sink: the `fleet` platform with the job's DPU count and fault
+/// plan, on [`ExecTier::Batched`]. The one builder behind both the
+/// in-service run and [`TrainingService::job_platform`].
 fn job_platform(
-    shared: &Shared,
+    fleet: &PimConfig,
     request: &JobRequest,
     engine: ExecutionEngine,
     telemetry: Telemetry,
 ) -> PimConfig {
-    let mut platform = shared.config.clone();
+    let mut platform = fleet.clone();
     platform.dpus = request.cfg.dpus;
     platform.faults = request.faults.clone();
     platform.telemetry = telemetry;
     platform.engine = engine;
-    platform.cost.arith_tier = request.exec_tier.unwrap_or(ExecTier::Batched);
+    platform.cost.arith_tier = ExecTier::Batched;
     platform
 }
 
@@ -803,117 +730,57 @@ fn worker_loop(shared: &Shared, worker: usize) {
     }
 }
 
-/// Admits and executes one job end-to-end, publishing its terminal
-/// state and releasing every fleet resource it held.
-fn run_job(shared: &Shared, job: QueuedJob) {
-    if job.token.is_cancelled() {
-        release_pin(shared, job.id);
-        let id = job.id;
-        shared
-            .observer
-            .emit(|| ServiceEvent::JobCancelled { job: id });
-        job.cell.set(JobState::Done(JobOutcome::Cancelled));
-        return;
-    }
+/// The ranks leased to an admitted job, with the DPU set allocated on
+/// them (`None` if the allocation failed).
+type Lease = (Vec<usize>, Option<DpuSet>);
 
+/// Admits and executes one job end to end, then ends it through
+/// [`finish`].
+fn run_job(shared: &Shared, job: QueuedJob) {
     // ---- Admission: lease ranks and allocate the job's private set ----
     let dpus = job.request.cfg.dpus;
-    let (lease, mut set) = {
-        let mut fleet = lock_recover(&shared.fleet);
-        let lease = loop {
-            if job.token.is_cancelled() {
-                drop(fleet);
-                release_pin(shared, job.id);
-                let id = job.id;
-                shared
-                    .observer
-                    .emit(|| ServiceEvent::JobCancelled { job: id });
-                job.cell.set(JobState::Done(JobOutcome::Cancelled));
-                return;
-            }
-            let candidate = match &job.request.pinned_ranks {
-                Some(ranks) => {
-                    // The pin is registered; wait for the ranks to be
-                    // physically free (an unpinned job may still hold
-                    // them).
-                    if ranks.iter().all(|&r| !fleet.rank_leased[r]) {
-                        Some(ranks.clone())
-                    } else {
-                        None
-                    }
-                }
-                None => pick_free_ranks(&shared.config, &fleet.rank_leased, dpus),
-            };
-            if let Some(ranks) = candidate {
-                break ranks;
-            }
-            fleet = shared
-                .lease_cv
-                .wait(fleet)
-                .unwrap_or_else(|e| e.into_inner());
-        };
-        for &rank in &lease {
-            fleet.rank_leased[rank] = true;
+    let mut fleet = lock_recover(&shared.fleet);
+    let ranks = loop {
+        if job.token.is_cancelled() {
+            drop(fleet);
+            return finish(shared, &job, JobOutcome::Cancelled, None);
         }
-        fleet.running += 1;
-        // The jobs sharing the host from now on: the running ones, this
-        // one included, and the queued ones, up to one per worker.
-        let sharing = (fleet.running + lock_recover(&shared.queue).len()).min(shared.workers);
-        let engine = shared.config.engine.within(host_threads(), sharing);
-        if shared.observer.on() {
-            let leased_ranks = fleet.rank_leased.iter().filter(|&&l| l).count();
-            let ranks = lease.clone();
-            let id = job.id;
-            shared.observer.emit(|| ServiceEvent::LeaseGranted {
-                job: id,
-                ranks,
-                leased_ranks,
-            });
+        if let Some(ranks) = pick_free_ranks(&shared.config, &fleet.rank_leased, dpus) {
+            break ranks;
         }
-        let platform = job_platform(shared, &job.request, engine, job.telemetry.clone());
-        match fleet.system.alloc_with_config(dpus, platform) {
-            Ok(set) => {
-                job.cell.engine.get_or_init(|| engine);
-                (lease, set)
-            }
-            Err(err) => {
-                // Unreachable by construction (leases bound capacity),
-                // but fail the job cleanly rather than poisoning the
-                // fleet if the invariant is ever broken.
-                for &rank in &lease {
-                    fleet.rank_leased[rank] = false;
-                }
-                fleet.running -= 1;
-                if shared.observer.on() {
-                    let leased_ranks = fleet.rank_leased.iter().filter(|&&l| l).count();
-                    let ranks = lease.clone();
-                    let id = job.id;
-                    let error = err.to_string();
-                    shared.observer.emit(|| ServiceEvent::LeaseReleased {
-                        job: id,
-                        ranks,
-                        leased_ranks,
-                    });
-                    shared
-                        .observer
-                        .emit(|| ServiceEvent::JobFailed { job: id, error });
-                }
-                drop(fleet);
-                shared.lease_cv.notify_all();
-                release_pin(shared, job.id);
-                job.cell.set(JobState::Done(JobOutcome::Failed(err)));
-                return;
-            }
-        }
+        fleet = shared
+            .lease_cv
+            .wait(fleet)
+            .unwrap_or_else(|e| e.into_inner());
     };
-
-    job.cell.set(JobState::Running);
-    {
-        let id = job.id;
-        shared
-            .observer
-            .emit(|| ServiceEvent::JobAdmitted { job: id, dpus });
+    for &rank in &ranks {
+        fleet.rank_leased[rank] = true;
     }
+    fleet.running += 1;
+    // The jobs sharing the host from now on: the running ones, this
+    // one included, and the queued ones, up to one per worker.
+    let sharing = (fleet.running + lock_recover(&shared.queue).len()).min(shared.workers);
+    let engine = shared.config.engine.within(host_threads(), sharing);
+    shared.observer.emit(|| ServiceEvent::LeaseGranted {
+        job: job.id,
+        ranks: ranks.clone(),
+        leased_ranks: fleet.rank_leased.iter().filter(|&&l| l).count(),
+    });
+    let platform = job_platform(&shared.config, &job.request, engine, job.telemetry.clone());
+    let allocated = fleet.system.alloc_with_config(dpus, platform);
+    drop(fleet);
+    let mut set = match allocated {
+        Ok(set) => set,
+        // Unreachable by construction (leases bound capacity), but fail
+        // the job cleanly rather than poisoning the fleet if the
+        // invariant is ever broken.
+        Err(err) => return finish(shared, &job, JobOutcome::Failed(err), Some((ranks, None))),
+    };
+    job.cell.engine.get_or_init(|| engine);
+    job.cell.set(JobState::Running);
+    shared
+        .observer
+        .emit(|| ServiceEvent::JobAdmitted { job: job.id, dpus });
 
     // ---- Execution: drive the run outside every lock ----
     let outcome = match PimRunner::with_platform(
@@ -931,11 +798,16 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         }
         Err(err) => JobOutcome::Failed(err),
     };
+    finish(shared, &job, outcome, Some((ranks, Some(set))));
+}
 
-    // ---- Observability: re-emit the job's simulated timeline onto
-    // the service stream, then its terminal event. Everything here is
-    // folded from the job's private telemetry (simulated observables),
-    // and the whole block is skipped when no sink is attached.
+/// Ends `job` with `outcome`, however it got there. In order: re-emits
+/// the job's simulated sync rounds and then its terminal event onto the
+/// service stream (all folded from the job's private telemetry, and
+/// skipped when no sink is attached), returns its lease if it holds
+/// one, and publishes the outcome, so a woken [`JobHandle::wait`] finds
+/// the stream complete and the ranks free.
+fn finish(shared: &Shared, job: &QueuedJob, outcome: JobOutcome, lease: Option<Lease>) {
     if shared.observer.on() {
         let id = job.id;
         let events = job.telemetry.records();
@@ -949,10 +821,10 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 });
             }
         }
-        match &outcome {
+        shared.observer.emit(|| match &outcome {
             JobOutcome::Completed(_) => {
                 let snap = MetricsSnapshot::from_events("", &events);
-                shared.observer.emit(|| ServiceEvent::JobCompleted {
+                ServiceEvent::JobCompleted {
                     job: id,
                     sync_rounds: snap.sync_rounds,
                     launches: snap.launches,
@@ -962,48 +834,37 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                     degraded_dpus: snap.degraded_dpus,
                     kernel_seconds: snap.kernel_seconds,
                     launch_cycles: snap.launch_cycles,
-                });
+                }
             }
-            JobOutcome::Cancelled => {
-                shared
-                    .observer
-                    .emit(|| ServiceEvent::JobCancelled { job: id });
-            }
-            JobOutcome::Failed(err) => {
-                let error = err.to_string();
-                shared
-                    .observer
-                    .emit(|| ServiceEvent::JobFailed { job: id, error });
-            }
-        }
-    }
-
-    // ---- Release: return DPUs and ranks, wake waiting admissions ----
-    {
-        let mut fleet = lock_recover(&shared.fleet);
-        fleet.system.free(set);
-        for &rank in &lease {
-            fleet.rank_leased[rank] = false;
-        }
-        fleet.running -= 1;
-        if shared.observer.on() {
-            let leased_ranks = fleet.rank_leased.iter().filter(|&&l| l).count();
-            let ranks = lease.clone();
-            let id = job.id;
-            shared.observer.emit(|| ServiceEvent::LeaseReleased {
+            JobOutcome::Cancelled => ServiceEvent::JobCancelled { job: id },
+            JobOutcome::Failed(err) => ServiceEvent::JobFailed {
                 job: id,
-                ranks,
-                leased_ranks,
-            });
-        }
+                error: err.to_string(),
+            },
+        });
     }
-    shared.lease_cv.notify_all();
-    release_pin(shared, job.id);
+    if let Some(lease) = lease {
+        release_lease(shared, job.id, lease);
+    }
     job.cell.set(JobState::Done(outcome));
 }
 
-/// Drops job `id`'s pinned-rank registration, if any.
-fn release_pin(shared: &Shared, id: u64) {
+/// Returns job `id`'s lease to the fleet — its DPU set, if allocated,
+/// and its ranks — and wakes the workers waiting for ranks.
+fn release_lease(shared: &Shared, id: u64, (ranks, set): Lease) {
     let mut fleet = lock_recover(&shared.fleet);
-    fleet.pinned.retain(|(job, _)| *job != id);
+    if let Some(set) = set {
+        fleet.system.free(set);
+    }
+    for &rank in &ranks {
+        fleet.rank_leased[rank] = false;
+    }
+    fleet.running -= 1;
+    shared.observer.emit(|| ServiceEvent::LeaseReleased {
+        job: id,
+        leased_ranks: fleet.rank_leased.iter().filter(|&&l| l).count(),
+        ranks,
+    });
+    drop(fleet);
+    shared.lease_cv.notify_all();
 }

@@ -16,7 +16,7 @@
 //!   arithmetic. IEEE-754 binary32 round-to-nearest-even is what both the
 //!   host FPU and the soft-float library implement, so results are
 //!   bit-identical by construction (NaNs are canonicalized to
-//!   [`QNAN`](crate::softfloat::QNAN), as the reference tier does);
+//!   [`QNAN`], as the reference tier does);
 //! * a **tally** function that evaluates, in closed form, exactly the
 //!   [`OpTally`](crate::cost::OpTally) count the reference routine would
 //!   have accumulated: leading-zeros-driven iteration counts for the

@@ -131,7 +131,7 @@ pub trait Kernel: Sync {
     /// The fused batched form of this kernel, if it has one and the
     /// current configuration makes it eligible.
     ///
-    /// Under [`ExecTier::Batched`](crate::config::ExecTier::Batched) the
+    /// Under [`ExecTier::Batched`] the
     /// DPU executor asks for this before falling back to the
     /// per-intrinsic `run` loop; `None` (the default) means the kernel
     /// always executes per-intrinsic, which is correct for every kernel.

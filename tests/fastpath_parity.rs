@@ -531,7 +531,7 @@ fn staged_image(
     dpu: usize,
 ) -> (swiftrl::core::layout::KernelHeader, Vec<u8>) {
     use swiftrl::core::config::DataType;
-    use swiftrl::core::layout::{dpu_seed, sampling_kind, KernelHeader};
+    use swiftrl::core::layout::{dpu_seed, encode_chunk, sampling_kind, KernelHeader};
     use swiftrl::rl::policy::epsilon_threshold;
     use swiftrl::rl::sampling::SamplingStrategy;
 
@@ -566,9 +566,15 @@ fn staged_image(
     };
     let range = dpu * chunk..(dpu + 1) * chunk;
     let records = match spec.dtype {
-        DataType::Fp32 => data.encode_range_fp32(range),
-        DataType::Int32 => data.encode_range_int32(range, scale.factor()),
+        DataType::Fp32 => data.encode_range_fp32(range.clone()),
+        DataType::Int32 => data.encode_range_int32(range.clone(), scale.factor()),
     };
+    // The runner's own builders stage exactly these bytes.
+    assert_eq!(
+        KernelHeader::for_chunk(spec, &cfg, data, dpu, chunk, 4).to_bytes(),
+        header.to_bytes()
+    );
+    assert_eq!(encode_chunk(spec, &cfg, data, range), records);
     (header, records)
 }
 

@@ -10,7 +10,7 @@ use swiftrl::core::config::{RunConfig, WorkloadSpec};
 use swiftrl::core::resilience::ResilienceConfig;
 use swiftrl::core::runner::PimRunner;
 use swiftrl::core::service::{
-    CancelToken, JobHandle, JobOutcome, JobRequest, JobStatus, ServiceError, TrainingService,
+    CancelToken, JobOutcome, JobRequest, JobStatus, ServiceError, TrainingService,
 };
 use swiftrl::env::collect::collect_random;
 use swiftrl::env::frozen_lake::FrozenLake;
@@ -21,7 +21,7 @@ use swiftrl::pim::engine::host_threads;
 use swiftrl::pim::faults::FaultPlan;
 use swiftrl::pim::ExecutionEngine;
 use swiftrl::telemetry::{
-    render_deterministic, Event, ServiceEvent, ServiceMetrics, ServiceRecord, ServiceTelemetry,
+    render_deterministic, ServiceEvent, ServiceMetrics, ServiceRecord, ServiceTelemetry,
 };
 
 fn frozen_dataset(transitions: usize, seed: u32) -> ExperienceDataset {
@@ -38,23 +38,6 @@ fn taxi_dataset(transitions: usize, seed: u32) -> ExperienceDataset {
 /// multiplex heavily.
 fn small_fleet() -> PimConfig {
     PimConfig::builder().dpus(64).dpus_per_rank(4).build()
-}
-
-/// Returns once the job's private telemetry holds a `KernelLaunch`: the
-/// job has been admitted, holds its lease and has done real work, so a
-/// cancel issued afterwards lands mid-run with `launches > 0` by
-/// construction, however the threads are scheduled.
-fn wait_for_first_launch(handle: &JobHandle) {
-    let launched = || {
-        handle
-            .telemetry()
-            .records()
-            .iter()
-            .any(|e| matches!(e, Event::KernelLaunch { .. }))
-    };
-    while !launched() {
-        std::thread::yield_now();
-    }
 }
 
 /// The events `records` hold about job `id`, in record order: its
@@ -246,118 +229,19 @@ fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
     assert!(faulted > 20, "fault plans never fired; the test is vacuous");
 }
 
-/// Lease admission rejects overlapping pinned rank sets synchronously,
-/// and malformed pins never reach the queue.
-#[test]
-fn lease_admission_rejects_overlapping_pins() {
-    // One worker: the first (unpinned) job occupies it, so the pinned
-    // jobs stay queued — their pins must still exclude each other.
-    let service = TrainingService::new(small_fleet(), 1);
-
-    let busy = service
-        .submit(JobRequest::new(
-            "busy",
-            WorkloadSpec::q_learning_seq_fp32(),
-            cfg(4, 8, 1),
-            frozen_dataset(600, 1),
-        ))
-        .expect("unpinned job admitted");
-
-    let pinned = service
-        .submit(
-            JobRequest::new(
-                "pinned",
-                WorkloadSpec::q_learning_seq_fp32(),
-                cfg(4, 4, 2),
-                frozen_dataset(400, 2),
-            )
-            .with_pinned_ranks(vec![0, 1]),
-        )
-        .expect("first pin accepted");
-
-    // Overlap with a queued pin is rejected before queueing.
-    let overlap = service.submit(
-        JobRequest::new(
-            "overlap",
-            WorkloadSpec::q_learning_seq_fp32(),
-            cfg(4, 4, 3),
-            frozen_dataset(400, 3),
-        )
-        .with_pinned_ranks(vec![1, 2]),
-    );
-    assert_eq!(overlap.unwrap_err(), ServiceError::LeaseOverlap { rank: 1 });
-
-    // Disjoint pins are fine.
-    let disjoint = service
-        .submit(
-            JobRequest::new(
-                "disjoint",
-                WorkloadSpec::q_learning_seq_fp32(),
-                cfg(4, 4, 4),
-                frozen_dataset(400, 4),
-            )
-            .with_pinned_ranks(vec![2, 3]),
-        )
-        .expect("disjoint pin accepted");
-
-    // Malformed pins: out-of-range rank, duplicate rank, and a pin too
-    // small for the job's DPU count.
-    for (ranks, dpus) in [(vec![99], 4), (vec![0, 0], 4), (vec![0], 5)] {
-        let err = service
-            .submit(
-                JobRequest::new(
-                    "bad-pin",
-                    WorkloadSpec::q_learning_seq_fp32(),
-                    cfg(dpus, 4, 5),
-                    frozen_dataset(400, 5),
-                )
-                .with_pinned_ranks(ranks),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ServiceError::BadPin(_)), "{err}");
-    }
-
-    // A job larger than the whole fleet is rejected outright.
-    let err = service
-        .submit(JobRequest::new(
-            "giant",
-            WorkloadSpec::q_learning_seq_fp32(),
-            cfg(65, 4, 6),
-            frozen_dataset(400, 6),
-        ))
-        .unwrap_err();
-    assert!(matches!(err, ServiceError::TooLarge { .. }));
-
-    for h in [busy, pinned, disjoint] {
-        assert!(h.wait().completed().is_some(), "{} failed", h.tenant());
-    }
-
-    // Completed pins release their reservation: the once-contested
-    // ranks are pinnable again.
-    let repinned = service
-        .submit(
-            JobRequest::new(
-                "repinned",
-                WorkloadSpec::q_learning_seq_fp32(),
-                cfg(4, 4, 7),
-                frozen_dataset(400, 7),
-            )
-            .with_pinned_ranks(vec![0, 1]),
-        )
-        .expect("released pin is reusable");
-    assert!(repinned.wait().completed().is_some());
-}
-
 /// Cancelling a running job stops it at a round boundary and frees its
-/// lease; the fleet stays fully reusable afterwards. Cancelling a
-/// queued job discards it before it ever touches the fleet.
+/// lease; the fleet stays fully reusable afterwards. The `CancelToken`
+/// is checked at round boundaries however the batched tier executed
+/// the launches between them, so the job reports exactly the rounds it
+/// ran. Cancelling a queued job discards it before it ever touches the
+/// fleet.
 #[test]
 fn cancellation_mid_round_leaves_the_fleet_reusable() {
     let service =
         TrainingService::with_observability(small_fleet(), 2, ServiceTelemetry::enabled());
 
-    // A per-intrinsic (fast-tier) job far too long to finish on its
-    // own, cancelled on reaching sync round 3.
+    // A job far too long to finish on its own, cancelled on reaching
+    // sync round 3.
     let marathon = service
         .submit_with_token(
             JobRequest::new(
@@ -365,8 +249,7 @@ fn cancellation_mid_round_leaves_the_fleet_reusable() {
                 WorkloadSpec::q_learning_seq_fp32(),
                 cfg(4, 200_000, 1),
                 frozen_dataset(800, 1),
-            )
-            .with_exec_tier(ExecTier::Fast),
+            ),
             CancelToken::at_round(3),
         )
         .expect("admitted");
@@ -430,49 +313,63 @@ fn cancellation_mid_round_leaves_the_fleet_reusable() {
     assert!(full.wait().completed().is_some());
 }
 
-/// Cancelling a batched-tier job works exactly like cancelling a
-/// per-intrinsic one: the `CancelToken` is checked at round boundaries
-/// regardless of how the launch between them executed, so a marathon
-/// batched job stops at its round, reports exactly that work, and
-/// frees its lease.
-#[test]
-fn batched_job_cancellation_mid_round_frees_the_lease() {
-    let service =
-        TrainingService::with_observability(small_fleet(), 1, ServiceTelemetry::enabled());
-    let marathon = service
-        .submit_with_token(
-            JobRequest::new(
-                "batched-marathon",
-                WorkloadSpec::q_learning_seq_fp32(),
-                cfg(4, 200_000, 1),
-                frozen_dataset(800, 1),
-            )
-            .with_exec_tier(ExecTier::Batched),
-            CancelToken::at_round(5),
-        )
-        .expect("admitted");
-    let outcome = marathon.wait();
-    assert!(outcome.is_cancelled(), "expected cancellation: {outcome:?}");
-    assert_eq!(marathon.metrics().launches, 5);
-    assert_eq!(marathon.metrics().sync_rounds, 5);
-    assert_eq!(
-        job_events(&service.service_telemetry().records(), marathon.id()),
-        cancelled_at_round("batched-marathon", 5)
-    );
+/// A long job that fills the fleet: 64 DPUs, far too many episodes to
+/// finish unless cancelled.
+fn fleet_filler(tenant: &str, seed: u32) -> JobRequest {
+    JobRequest::new(
+        tenant,
+        WorkloadSpec::q_learning_seq_fp32(),
+        cfg(64, 200_000, seed),
+        frozen_dataset(800, seed),
+    )
+}
 
-    // The lease is free: a follow-up batched job completes.
-    let follow_up = service
-        .submit(
-            JobRequest::new(
-                "follow-up",
-                WorkloadSpec::q_learning_seq_int32(),
-                cfg(4, 8, 2),
-                frozen_dataset(600, 2),
-            )
-            .with_exec_tier(ExecTier::Batched),
-        )
+/// `JobHandle::cancel` ends a queued job at once: on a one-worker
+/// service busy with a job that fills the fleet, a job queued behind it
+/// is cancelled with no launch while the long job still runs.
+#[test]
+fn cancelling_a_queued_job_ends_it_at_once() {
+    let service = TrainingService::new(small_fleet(), 1);
+    let long = service.submit(fleet_filler("long", 1)).expect("admitted");
+    let queued = service
+        .submit(JobRequest::new(
+            "queued",
+            WorkloadSpec::q_learning_seq_fp32(),
+            cfg(4, 8, 2),
+            frozen_dataset(600, 2),
+        ))
         .expect("admitted");
-    assert!(follow_up.wait().completed().is_some());
+    queued.cancel();
+    assert!(queued.wait().is_cancelled());
+    assert_eq!(queued.metrics().launches, 0);
+    assert_ne!(long.status(), JobStatus::Done);
+    long.cancel();
+    assert!(long.wait().is_cancelled());
+}
+
+/// `JobHandle::cancel` ends a job waiting for ranks: of two fleet-filling
+/// jobs on a two-worker service, the second is cancelled once a worker
+/// has dequeued it, and its `wait` returns `Cancelled` whether it is
+/// stuck behind the first one's lease or took the lease first and is
+/// running.
+#[test]
+fn cancelling_a_job_waiting_for_ranks_ends_it() {
+    let service =
+        TrainingService::with_observability(small_fleet(), 2, ServiceTelemetry::enabled());
+    let first = service.submit(fleet_filler("first", 1)).expect("admitted");
+    let second = service.submit(fleet_filler("second", 2)).expect("admitted");
+    let dequeued = || {
+        service.service_telemetry().records().iter().any(|r| {
+            matches!(r.event, ServiceEvent::WorkerBusy { job, .. } if job == second.id())
+        })
+    };
+    while !dequeued() {
+        std::thread::yield_now();
+    }
+    second.cancel();
+    assert!(second.wait().is_cancelled());
+    first.cancel();
+    assert!(first.wait().is_cancelled());
 }
 
 /// An `at_round` token stops every job it drives at that round, each on
@@ -565,28 +462,27 @@ fn job_engine_is_the_share_of_the_jobs_sharing_the_host() {
     }
 }
 
-/// Execution tiers are a per-tenant choice: a batched-tier job running
-/// next to a reference-tier tenant on the same shared fleet leaves both
-/// bit-identical to their solo runs — the tier changes host wall-clock
-/// only, never a simulated observable, even across tenants.
+/// Every service job runs on the batched tier, and the tier changes
+/// host wall-clock only, never a simulated observable: two tenants
+/// running side by side on the shared fleet each match their solo run
+/// on `job_platform` (the batched tier, a lone job's engine share) and
+/// on the plain fleet platform pinned to the reference tier.
 #[test]
-fn batched_tenant_next_to_reference_tenant_matches_solo_runs() {
+fn side_by_side_tenants_match_their_reference_tier_solo_runs() {
     let service = TrainingService::new(small_fleet(), 2);
     let requests = [
         JobRequest::new(
-            "batched-tenant",
+            "fp32-tenant",
             WorkloadSpec::sarsa_seq_fp32(),
             cfg(4, 8, 1),
             frozen_dataset(800, 1),
-        )
-        .with_exec_tier(ExecTier::Batched),
+        ),
         JobRequest::new(
-            "reference-tenant",
+            "int32-tenant",
             WorkloadSpec::q_learning_seq_int32(),
             cfg(4, 8, 2),
             taxi_dataset(800, 2),
-        )
-        .with_exec_tier(ExecTier::Reference),
+        ),
     ];
     let handles: Vec<_> = requests
         .iter()
@@ -597,32 +493,32 @@ fn batched_tenant_next_to_reference_tenant_matches_solo_runs() {
         let JobOutcome::Completed(service_out) = outcome else {
             panic!("job {} did not complete: {:?}", handle.id(), outcome);
         };
-        // The solo platform carries the same per-job tier override.
-        let platform = service.job_platform(request);
+        let job_platform = service.job_platform(request);
+        assert_eq!(job_platform.cost.arith_tier, ExecTier::Batched);
         assert_eq!(
-            platform.cost.arith_tier,
-            request.exec_tier.expect("tier set"),
-            "job_platform must carry the per-job tier override"
-        );
-        assert_eq!(
-            platform.engine,
+            job_platform.engine,
             small_fleet().engine.within(host_threads(), 1),
             "job_platform must carry a lone job's engine share"
         );
-        let solo_out = PimRunner::with_platform(request.spec, request.cfg, platform)
-            .expect("solo runner")
-            .run(&request.dataset)
-            .expect("solo run");
-        assert_eq!(
-            service_out.q_table, solo_out.q_table,
-            "{}: in-service Q-table diverged from solo run",
-            handle.tenant()
-        );
-        assert_eq!(
-            service_out.breakdown, solo_out.breakdown,
-            "{}: in-service breakdown diverged from solo run",
-            handle.tenant()
-        );
+        let mut reference = small_fleet();
+        reference.dpus = request.cfg.dpus;
+        reference.cost.arith_tier = ExecTier::Reference;
+        for (platform, tag) in [(job_platform, "job platform"), (reference, "reference")] {
+            let solo_out = PimRunner::with_platform(request.spec, request.cfg, platform)
+                .expect("solo runner")
+                .run(&request.dataset)
+                .expect("solo run");
+            assert_eq!(
+                service_out.q_table, solo_out.q_table,
+                "{}: in-service Q-table diverged from the {tag} solo run",
+                handle.tenant()
+            );
+            assert_eq!(
+                service_out.breakdown, solo_out.breakdown,
+                "{}: in-service breakdown diverged from the {tag} solo run",
+                handle.tenant()
+            );
+        }
     }
 }
 
@@ -709,6 +605,25 @@ fn shutdown_drains_and_rejects_new_jobs() {
                 .expect("admitted")
         })
         .collect();
+    // A job asking for no DPUs, or for more than the whole fleet has,
+    // is rejected outright.
+    for dpus in [0, 65] {
+        let err = service
+            .submit(JobRequest::new(
+                "misfit",
+                WorkloadSpec::q_learning_seq_fp32(),
+                cfg(dpus, 4, 6),
+                frozen_dataset(300, 6),
+            ))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServiceError::TooLarge {
+                requested_dpus: dpus,
+                fleet_dpus: 64
+            }
+        );
+    }
     service.shutdown();
     for h in &handles {
         assert!(h.wait().completed().is_some(), "{} failed", h.tenant());
@@ -800,12 +715,10 @@ fn deterministic_service_stream_is_byte_identical_across_engines() {
             .iter()
             .map(|r| service.submit(r.clone()).expect("admission"))
             .collect();
-        // One tenant is cancelled mid-round: wait until it has launched
-        // (so its admission is deterministic), then cancel. How many
-        // rounds it completed first is a race the projection drops.
-        let cancelled = service.submit(marathon.clone()).expect("admission");
-        wait_for_first_launch(&cancelled);
-        cancelled.cancel();
+        // One tenant is cancelled mid-round, on reaching sync round 1.
+        let cancelled = service
+            .submit_with_token(marathon.clone(), CancelToken::at_round(1))
+            .expect("admission");
         assert!(cancelled.wait().is_cancelled());
         for handle in &handles {
             assert!(
