@@ -1,5 +1,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::disallowed_types, reason = "host tooling; its output is not a simulated observable")]
 
 //! `swiftrl-analysis` — a rustc-tidy-style static analyzer for the SwiftRL
 //! workspace, enforcing the *charged-intrinsics contract* that the whole
@@ -17,10 +19,9 @@
 //! Run it with:
 //!
 //! ```text
-//! cargo run -p swiftrl-analysis                    # lint, baseline-gated
+//! cargo run -p swiftrl-analysis                    # lint the workspace
 //! cargo run -p swiftrl-analysis -- --explain K001  # rule docs + example
 //! cargo run -p swiftrl-analysis -- --json findings.json --sarif out.sarif
-//! cargo run -p swiftrl-analysis -- --write-baseline
 //! ```
 //!
 //! Rules: **K001** no host floats in kernel-reachable code, **K002** no
@@ -33,9 +34,10 @@
 //! their capacities and never overlap, **K011** no batched-tier access
 //! (`batch::`, `BatchContext`, `run_batched`) from kernel-reachable code —
 //! the fused sweep is host-side and kernels may only advertise it via
-//! `Kernel::batch`, **D001–D003** host-side determinism
-//! (no hashed iteration, ambient time/entropy, or `std::env` in scoped
-//! library code), **W001** no `unwrap`/`expect` in library code.
+//! `Kernel::batch`. Every finding is an error. The host-side hygiene rules
+//! (no hashed containers, ambient time or environment reads in library
+//! code; no `unwrap`/`expect` outside tests) are clippy's job, configured
+//! in the workspace `clippy.toml` and on each library crate root.
 
 pub mod budget;
 pub mod callgraph;
@@ -50,7 +52,7 @@ use std::path::{Path, PathBuf};
 
 use parse::{SourceFile, Workspace};
 
-pub use report::{baseline_path, findings_json, sarif_json, severity_of, Baseline, Severity};
+pub use report::{findings_json, sarif_json};
 pub use rules::{check_charge_coverage, check_file, rule_info, Finding, RuleInfo, RULES};
 
 /// Result of analyzing a workspace tree.

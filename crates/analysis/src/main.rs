@@ -1,34 +1,32 @@
 //! CLI for the SwiftRL kernel-discipline analyzer.
 //!
 //! ```text
-//! cargo run -p swiftrl-analysis                 # lint the workspace, baseline-gated
+//! cargo run -p swiftrl-analysis                 # lint the workspace
 //! cargo run -p swiftrl-analysis -- --list       # list all rules
 //! cargo run -p swiftrl-analysis -- --explain K003
 //! cargo run -p swiftrl-analysis -- --fix-hints  # findings with fix suggestions
 //! cargo run -p swiftrl-analysis -- --root PATH  # lint a different tree
 //! cargo run -p swiftrl-analysis -- --json [PATH] --sarif PATH
-//! cargo run -p swiftrl-analysis -- --write-baseline
 //! ```
 //!
-//! Exit codes: **0** clean (no findings, or every finding covered by the
-//! baseline), **1** new findings, **2** usage or I/O error.
-//!
-//! A checked-in `analysis-baseline.json` at the workspace root is applied
-//! automatically (opt out with `--no-baseline`, point elsewhere with
-//! `--baseline PATH`); CI therefore fails only on *new* findings.
+//! Exit codes: **0** clean, **1** findings, **2** usage or I/O error.
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "CLI entry point: reads its arguments and working directory"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use swiftrl_analysis::{
-    analyze_workspace, baseline_path, find_workspace_root, findings_json, rule_info, sarif_json,
-    severity_of, Baseline, RULES,
+    analyze_workspace, find_workspace_root, findings_json, rule_info, sarif_json, RULES,
 };
 
 fn usage() -> &'static str {
     "usage: swiftrl-analysis [--root PATH] [--fix-hints] [--list] [--explain RULE]\n\
-     \x20                       [--json [PATH]] [--sarif PATH]\n\
-     \x20                       [--baseline PATH] [--no-baseline] [--write-baseline]"
+     \x20                       [--json [PATH]] [--sarif PATH]"
 }
 
 fn main() -> ExitCode {
@@ -36,9 +34,6 @@ fn main() -> ExitCode {
     let mut fix_hints = false;
     let mut json_out: Option<Option<PathBuf>> = None; // None=off, Some(None)=stdout
     let mut sarif_out: Option<PathBuf> = None;
-    let mut baseline_file: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -55,10 +50,9 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 println!(
-                    "{} — {} [{}]\nscope: {}\n\n{}\n\nexample:\n{}\n\nfix: {}",
+                    "{} — {}\nscope: {}\n\n{}\n\nexample:\n{}\n\nfix: {}",
                     info.id,
                     info.title,
-                    info.severity.as_str(),
                     info.scope,
                     info.explain,
                     info.example,
@@ -68,7 +62,7 @@ fn main() -> ExitCode {
             }
             "--list" => {
                 for r in RULES {
-                    println!("{} [{}] — {}", r.id, r.severity.as_str(), r.title);
+                    println!("{} — {}", r.id, r.title);
                 }
                 return ExitCode::SUCCESS;
             }
@@ -99,15 +93,6 @@ fn main() -> ExitCode {
                 };
                 sarif_out = Some(PathBuf::from(p));
             }
-            "--baseline" => {
-                let Some(p) = args.next() else {
-                    eprintln!("--baseline needs a path\n{}", usage());
-                    return ExitCode::from(2);
-                };
-                baseline_file = Some(PathBuf::from(p));
-            }
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
             "--help" | "-h" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -147,56 +132,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let default_baseline = baseline_path(&root);
-    let baseline_file = baseline_file.or_else(|| default_baseline.is_file().then_some(default_baseline));
-
-    if write_baseline {
-        let target = baseline_file.unwrap_or_else(|| baseline_path(&root));
-        let baseline = Baseline::from_findings(&analysis.findings);
-        if let Err(e) = std::fs::write(&target, baseline.render()) {
-            eprintln!("cannot write baseline {}: {e}", target.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "swiftrl-analysis: wrote {} baseline entr(ies) to {}",
-            analysis.findings.len(),
-            target.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if no_baseline {
-        Baseline::default()
-    } else if let Some(path) = &baseline_file {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("invalid baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Baseline::default()
-    };
-
-    let (new_findings, baselined) = baseline.partition(&analysis.findings);
-
     if let Some(path) = &sarif_out {
-        let doc = sarif_json(&new_findings);
+        let doc = sarif_json(&analysis.findings);
         if let Err(e) = std::fs::write(path, doc.render_pretty()) {
             eprintln!("cannot write SARIF {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
     if let Some(dest) = &json_out {
-        let doc = findings_json(analysis.files_scanned, &new_findings, baselined);
+        let doc = findings_json(analysis.files_scanned, &analysis.findings);
         match dest {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, doc.render_pretty()) {
@@ -211,8 +155,8 @@ fn main() -> ExitCode {
     // Human-readable findings go to stdout unless it is carrying the JSON
     // document.
     if !matches!(json_out, Some(None)) {
-        for f in &new_findings {
-            println!("{} [{}]", f, severity_of(f.rule).as_str());
+        for f in &analysis.findings {
+            println!("{f}");
             if fix_hints {
                 if let Some(info) = rule_info(f.rule) {
                     println!("    hint: {}", info.fix_hint);
@@ -221,12 +165,11 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "swiftrl-analysis: {} files scanned, {} new finding(s), {} baselined",
+        "swiftrl-analysis: {} files scanned, {} finding(s)",
         analysis.files_scanned,
-        new_findings.len(),
-        baselined
+        analysis.findings.len()
     );
-    if new_findings.is_empty() {
+    if analysis.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -2,8 +2,8 @@
 //!
 //! This is deliberately *not* a Rust parser: it recognizes exactly the item
 //! shapes the workspace analyzer needs — `impl` / `trait` blocks, `fn`
-//! definitions with their parameter types and bodies, `struct` field types,
-//! and `#[cfg(test)]` gating — and extracts, per function, the outgoing
+//! definitions with their parameter types and bodies, and `struct` field
+//! types — and extracts, per function, the outgoing
 //! call sites with a best-effort receiver type. Everything borrows from the
 //! source buffer; the [`crate::callgraph`] module resolves the calls into a
 //! workspace-wide graph.
@@ -71,8 +71,6 @@ pub struct FnDef<'s> {
     pub sig: (usize, usize),
     /// Brace-inclusive token range of the body, if the fn has one.
     pub body: Option<(usize, usize)>,
-    /// True if the definition sits under `#[cfg(test)]`.
-    pub is_test: bool,
     /// True if some parameter's type mentions `DpuContext`.
     pub takes_ctx: bool,
     /// Outgoing call sites extracted from the body.
@@ -108,8 +106,6 @@ pub struct FileIndex<'s> {
     pub fns: Vec<FnDef<'s>>,
     /// Every struct definition found.
     pub structs: Vec<StructDef<'s>>,
-    /// Per-token `#[cfg(test)]` mask.
-    pub test_mask: Vec<bool>,
 }
 
 /// A source file handed to the parser (owned by the caller).
@@ -136,52 +132,6 @@ impl<'s> Workspace<'s> {
                 .collect(),
         }
     }
-}
-
-/// Computes which token indexes sit inside `#[cfg(test)]`-gated items.
-/// (`cfg(not(test))` gates production code and is never masked.)
-pub fn cfg_test_mask(tokens: &[Token<'_>]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0usize;
-    while i + 3 < tokens.len() {
-        if tokens[i].is_punct('#')
-            && tokens[i + 1].is_punct('[')
-            && tokens[i + 2].is_ident("cfg")
-            && tokens[i + 3].is_punct('(')
-        {
-            let close_paren = matching_delim(tokens, i + 3, '(', ')');
-            let attr = &tokens[i + 3..close_paren.min(tokens.len())];
-            let gated_on_test =
-                attr.iter().any(|t| t.is_ident("test")) && !attr.iter().any(|t| t.is_ident("not"));
-            let attr_end = close_paren + 1; // the `]`
-            if gated_on_test && attr_end < tokens.len() {
-                // Skip the gated item: to the first `{` (then its match) or
-                // a `;`, whichever comes first.
-                let mut j = attr_end + 1;
-                while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
-                    j += 1;
-                }
-                let item_end = if j < tokens.len() && tokens[j].is_punct('{') {
-                    matching_brace(tokens, j)
-                } else {
-                    j
-                };
-                for m in mask
-                    .iter_mut()
-                    .take(item_end.saturating_add(1).min(tokens.len()))
-                    .skip(i)
-                {
-                    *m = true;
-                }
-                i = item_end + 1;
-                continue;
-            }
-            i = attr_end + 1;
-            continue;
-        }
-        i += 1;
-    }
-    mask
 }
 
 /// An `impl`/`trait` block: brace range plus the owner / trait names.
@@ -574,7 +524,6 @@ fn struct_defs<'s>(tokens: &[Token<'s>]) -> Vec<StructDef<'s>> {
 /// Parses one file into its index.
 pub fn parse_file<'s>(rel: &'s Path, src: &'s str) -> FileIndex<'s> {
     let tokens = tokenize(src);
-    let test_mask = cfg_test_mask(&tokens);
     let structs = struct_defs(&tokens);
     let blocks = owner_blocks(&tokens);
 
@@ -640,14 +589,13 @@ pub fn parse_file<'s>(rel: &'s Path, src: &'s str) -> FileIndex<'s> {
             trait_name,
             sig: (p, body.map_or(b, |(open, _)| open)),
             body,
-            is_test: test_mask.get(i).copied().unwrap_or(false),
             takes_ctx,
             calls,
         });
         i = body.map_or(b + 1, |(_, end)| end + 1);
     }
 
-    FileIndex { rel, tokens, fns, structs, test_mask }
+    FileIndex { rel, tokens, fns, structs }
 }
 
 #[cfg(test)]
@@ -709,18 +657,6 @@ mod tests {
         assert_eq!(call("charge_alu").recv, Recv::Typed("DpuContext"));
         assert_eq!(call("chain").recv, Recv::Unknown);
         assert_eq!(call("opaque").recv, Recv::Free);
-    }
-
-    #[test]
-    fn cfg_test_functions_are_marked() {
-        let src = r#"
-            fn lib_fn() {}
-            #[cfg(test)]
-            mod tests { fn helper() {} }
-        "#;
-        let idx = parse(src);
-        assert!(!idx.fns.iter().find(|f| f.name == "lib_fn").unwrap().is_test);
-        assert!(idx.fns.iter().find(|f| f.name == "helper").unwrap().is_test);
     }
 
     #[test]

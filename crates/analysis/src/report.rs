@@ -1,79 +1,37 @@
-//! Machine-readable findings: severities, the `swiftrl-findings-v1` JSON
-//! schema, SARIF 2.1.0 export, and the checked-in baseline file.
+//! Machine-readable findings: the `swiftrl-findings-v2` JSON schema and
+//! SARIF 2.1.0 export. Every rule is an error, so neither document carries
+//! a per-finding severity of its own beyond SARIF's required `level`.
 //!
 //! All serialization goes through the shared hand-rolled
 //! [`swiftrl_telemetry::json`] layer (the telemetry crate sits at the
 //! bottom of the dependency graph and is itself dependency-free, so this
 //! keeps the analyzer's zero-external-dependency policy intact).
-//!
-//! The baseline matches findings by `(rule, file, message)` — deliberately
-//! line-number-free, so unrelated edits above a baselined finding do not
-//! make it reappear as "new".
 
-use std::path::Path;
-
-use swiftrl_telemetry::json::{parse, Json};
+use swiftrl_telemetry::json::Json;
 
 use crate::rules::{Finding, RULES};
-
-/// Finding severity, surfaced in `--json` / SARIF output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Kernel-discipline violations: the cycle model is wrong if these ship.
-    Error,
-    /// Hygiene / determinism advisories (D-series, W001).
-    Warning,
-}
-
-impl Severity {
-    /// The SARIF / JSON level string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
-
-/// Severity of a rule by ID: K-rules are errors, D-rules and W-rules are
-/// warnings.
-pub fn severity_of(rule: &str) -> Severity {
-    if rule.starts_with('K') {
-        Severity::Error
-    } else {
-        Severity::Warning
-    }
-}
 
 fn finding_json(f: &Finding) -> Json {
     Json::obj([
         ("rule", Json::str(f.rule)),
-        ("level", Json::str(severity_of(f.rule).as_str())),
         ("file", Json::str(f.file.display().to_string())),
         ("line", Json::UInt(u64::from(f.line))),
         ("message", Json::str(f.message.clone())),
     ])
 }
 
-/// Renders an analysis as the `swiftrl-findings-v1` document.
-///
-/// `baselined` counts findings suppressed by the baseline; `findings`
-/// should already be the *new* (non-baselined) set.
-pub fn findings_json(files_scanned: usize, findings: &[&Finding], baselined: usize) -> Json {
+/// Renders an analysis as the `swiftrl-findings-v2` document.
+pub fn findings_json(files_scanned: usize, findings: &[Finding]) -> Json {
     Json::obj([
-        ("schema", Json::str("swiftrl-findings-v1")),
+        ("schema", Json::str("swiftrl-findings-v2")),
         ("files_scanned", Json::UInt(files_scanned as u64)),
-        ("baselined", Json::UInt(baselined as u64)),
-        (
-            "findings",
-            Json::Arr(findings.iter().map(|f| finding_json(f)).collect()),
-        ),
+        ("findings", Json::Arr(findings.iter().map(finding_json).collect())),
     ])
 }
 
 /// Renders an analysis as a SARIF 2.1.0 document (one run, one driver,
-/// every registered rule described, one result per new finding).
-pub fn sarif_json(findings: &[&Finding]) -> Json {
+/// every registered rule described, one `error` result per finding).
+pub fn sarif_json(findings: &[Finding]) -> Json {
     let rules = Json::Arr(
         RULES
             .iter()
@@ -91,10 +49,7 @@ pub fn sarif_json(findings: &[&Finding]) -> Json {
                     ("help", Json::obj([("text", Json::str(r.fix_hint))])),
                     (
                         "defaultConfiguration",
-                        Json::obj([(
-                            "level",
-                            Json::str(severity_of(r.id).as_str()),
-                        )]),
+                        Json::obj([("level", Json::str("error"))]),
                     ),
                 ])
             })
@@ -106,7 +61,7 @@ pub fn sarif_json(findings: &[&Finding]) -> Json {
             .map(|f| {
                 Json::obj([
                     ("ruleId", Json::str(f.rule)),
-                    ("level", Json::str(severity_of(f.rule).as_str())),
+                    ("level", Json::str("error")),
                     ("message", Json::obj([("text", Json::str(f.message.clone()))])),
                     (
                         "locations",
@@ -163,126 +118,11 @@ pub fn sarif_json(findings: &[&Finding]) -> Json {
     ])
 }
 
-/// One baseline entry; matches findings by `(rule, file, message)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Rule ID.
-    pub rule: String,
-    /// Repo-relative file path (forward slashes).
-    pub file: String,
-    /// Exact finding message.
-    pub message: String,
-}
-
-/// The checked-in allowlist: CI fails only on findings *not* in here.
-#[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    /// Accepted findings.
-    pub entries: Vec<BaselineEntry>,
-}
-
-impl Baseline {
-    /// Parses a `swiftrl-analysis-baseline-v1` document.
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = parse(text).map_err(|e| format!("invalid baseline JSON: {e}"))?;
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or_default();
-        if schema != "swiftrl-analysis-baseline-v1" {
-            return Err(format!(
-                "unexpected baseline schema `{schema}` (want swiftrl-analysis-baseline-v1)"
-            ));
-        }
-        let mut entries = Vec::new();
-        for e in doc
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or("baseline has no `entries` array")?
-        {
-            let field = |k: &str| -> Result<String, String> {
-                e.get(k)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("baseline entry missing string field `{k}`"))
-            };
-            entries.push(BaselineEntry {
-                rule: field("rule")?,
-                file: field("file")?,
-                message: field("message")?,
-            });
-        }
-        Ok(Baseline { entries })
-    }
-
-    /// Builds a baseline accepting exactly the given findings.
-    pub fn from_findings(findings: &[Finding]) -> Baseline {
-        let mut entries: Vec<BaselineEntry> = findings
-            .iter()
-            .map(|f| BaselineEntry {
-                rule: f.rule.to_string(),
-                file: f.file.display().to_string(),
-                message: f.message.clone(),
-            })
-            .collect();
-        entries.sort_by(|a, b| (&a.file, &a.rule, &a.message).cmp(&(&b.file, &b.rule, &b.message)));
-        entries.dedup();
-        Baseline { entries }
-    }
-
-    /// Renders the baseline document (pretty, trailing newline — stable for
-    /// check-in).
-    pub fn render(&self) -> String {
-        Json::obj([
-            ("schema", Json::str("swiftrl-analysis-baseline-v1")),
-            (
-                "entries",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("rule", Json::str(e.rule.clone())),
-                                ("file", Json::str(e.file.clone())),
-                                ("message", Json::str(e.message.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .render_pretty()
-    }
-
-    /// True if the finding is covered by some entry.
-    pub fn covers(&self, f: &Finding) -> bool {
-        let file = f.file.display().to_string();
-        self.entries
-            .iter()
-            .any(|e| e.rule == f.rule && e.file == file && e.message == f.message)
-    }
-
-    /// Splits findings into `(new, baselined_count)`.
-    pub fn partition<'a>(&self, findings: &'a [Finding]) -> (Vec<&'a Finding>, usize) {
-        let mut fresh = Vec::new();
-        let mut suppressed = 0usize;
-        for f in findings {
-            if self.covers(f) {
-                suppressed += 1;
-            } else {
-                fresh.push(f);
-            }
-        }
-        (fresh, suppressed)
-    }
-}
-
-/// Default baseline path under a workspace root.
-pub fn baseline_path(root: &Path) -> std::path::PathBuf {
-    root.join("analysis-baseline.json")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use swiftrl_telemetry::json::parse;
 
     fn finding(rule: &'static str, file: &str, line: u32, msg: &str) -> Finding {
         Finding {
@@ -294,34 +134,26 @@ mod tests {
     }
 
     #[test]
-    fn severities_split_kernel_vs_advisory() {
-        assert_eq!(severity_of("K001"), Severity::Error);
-        assert_eq!(severity_of("K010"), Severity::Error);
-        assert_eq!(severity_of("D002"), Severity::Warning);
-        assert_eq!(severity_of("W001"), Severity::Warning);
-    }
-
-    #[test]
     fn findings_json_round_trips_through_the_shared_parser() {
         let f1 = finding("K001", "crates/core/src/kernels.rs", 4, "host float");
-        let f2 = finding("D002", "crates/core/src/runner.rs", 16, "Instant");
-        let doc = findings_json(93, &[&f1, &f2], 1);
+        let f2 = finding("K005", "crates/core/src/kernels.rs", 16, "thread in kernel");
+        let doc = findings_json(93, &[f1, f2]);
         let text = doc.render();
         let back = parse(&text).expect("round trip");
-        assert_eq!(back.get("schema").and_then(Json::as_str), Some("swiftrl-findings-v1"));
+        assert_eq!(back.get("schema").and_then(Json::as_str), Some("swiftrl-findings-v2"));
         assert_eq!(back.get("files_scanned").and_then(Json::as_u64), Some(93));
-        assert_eq!(back.get("baselined").and_then(Json::as_u64), Some(1));
+        assert!(back.get("baselined").is_none());
         let arr = back.get("findings").and_then(Json::as_array).unwrap();
         assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("level").and_then(Json::as_str), Some("error"));
-        assert_eq!(arr[1].get("level").and_then(Json::as_str), Some("warning"));
+        assert_eq!(arr[1].get("rule").and_then(Json::as_str), Some("K005"));
         assert_eq!(arr[1].get("line").and_then(Json::as_u64), Some(16));
+        assert!(arr[1].get("level").is_none());
     }
 
     #[test]
     fn sarif_document_has_tool_rules_and_results() {
         let f = finding("K005", "crates/core/src/kernels.rs", 9, "thread in kernel");
-        let doc = sarif_json(&[&f]);
+        let doc = sarif_json(&[f]);
         let text = doc.render();
         let back = parse(&text).expect("round trip");
         assert_eq!(back.get("version").and_then(Json::as_str), Some("2.1.0"));
@@ -333,6 +165,7 @@ mod tests {
         let results = runs[0].get("results").and_then(Json::as_array).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].get("ruleId").and_then(Json::as_str), Some("K005"));
+        assert_eq!(results[0].get("level").and_then(Json::as_str), Some("error"));
         let line = results[0]
             .get("locations")
             .and_then(Json::as_array)
@@ -341,30 +174,5 @@ mod tests {
             .and_then(|r| r.get("startLine"))
             .and_then(Json::as_u64);
         assert_eq!(line, Some(9));
-    }
-
-    #[test]
-    fn baseline_round_trips_and_partitions() {
-        let known = finding("D002", "crates/core/src/runner.rs", 16, "ambient `Instant`");
-        let fresh = finding("K001", "crates/core/src/kernels.rs", 4, "host float");
-        let base = Baseline::from_findings(std::slice::from_ref(&known));
-        let text = base.render();
-        let back = Baseline::parse(&text).expect("parse rendered baseline");
-        assert_eq!(back.entries, base.entries);
-
-        // Same finding on a different line is still covered (line-free match).
-        let moved = finding("D002", "crates/core/src/runner.rs", 99, "ambient `Instant`");
-        let all = vec![known, moved, fresh];
-        let (new, suppressed) = back.partition(&all);
-        assert_eq!(suppressed, 2);
-        assert_eq!(new.len(), 1);
-        assert_eq!(new[0].rule, "K001");
-    }
-
-    #[test]
-    fn baseline_rejects_wrong_schema_and_garbage() {
-        assert!(Baseline::parse("{]").is_err());
-        assert!(Baseline::parse(r#"{"schema":"other-v1","entries":[]}"#).is_err());
-        assert!(Baseline::parse(r#"{"schema":"swiftrl-analysis-baseline-v1"}"#).is_err());
     }
 }

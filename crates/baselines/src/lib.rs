@@ -17,6 +17,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::disallowed_types, reason = "the CPU baselines measure host wall-clock time by design")]
 
 pub mod cpu_exec;
 pub mod cpu_model;

@@ -13,6 +13,12 @@
 //! cargo run --release -p swiftrl-bench --bin fig7_cpu_gpu_pim
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "benchmark binary: parses its own CLI and environment"
+)]
+
 use std::collections::HashMap;
 use swiftrl_baselines::cpu_model::{CpuModel, CpuVersion};
 use swiftrl_baselines::gpu_model::GpuModel;

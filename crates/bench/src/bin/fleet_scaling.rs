@@ -15,6 +15,12 @@
 //! cargo run --release -p swiftrl-bench --bin fleet_scaling -- --quick
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "benchmark binary: wall-clock timing is the measurement"
+)]
+
 use std::time::Instant;
 use swiftrl_bench::scaling::FLEET_DPU_COUNTS;
 use swiftrl_bench::write_json_artifact;

@@ -29,6 +29,12 @@
 //! snapshot and a Prometheus text exposition (`.prom` sibling of the
 //! metrics path) are derived.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "benchmark binary: wall-clock timing is the measurement"
+)]
+
 use std::time::Instant;
 use swiftrl_bench::{write_json_artifact, write_trace_artifact};
 use swiftrl_core::config::{RunConfig, WorkloadSpec};

@@ -15,6 +15,12 @@
 //! cargo run --release -p swiftrl-bench --bin sim_throughput -- --quick
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "benchmark binary: wall-clock timing is the measurement"
+)]
+
 use std::time::Instant;
 use swiftrl_bench::write_json_artifact;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};

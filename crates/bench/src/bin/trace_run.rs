@@ -15,6 +15,12 @@
 //! cargo run --release -p swiftrl-bench --bin trace_run -- --variant INT32 --out-dir traces
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "benchmark binary: parses its own CLI and environment"
+)]
+
 use std::path::PathBuf;
 use swiftrl_bench::{fmt_secs, print_table, write_json_artifact, write_trace_artifact};
 use swiftrl_core::config::{RunConfig, WorkloadSpec};

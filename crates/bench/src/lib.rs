@@ -11,6 +11,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "measurement harness: wall-clock timing and CLI/env parsing are its job"
+)]
 
 pub mod scaling;
 

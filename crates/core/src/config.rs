@@ -26,7 +26,7 @@ impl Algorithm {
 }
 
 /// Numeric representation of the kernel's arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DataType {
     /// 32-bit IEEE floating point, emulated by the runtime library.
     Fp32,
@@ -260,7 +260,7 @@ mod tests {
     fn twelve_paper_variants_with_unique_names() {
         let v = WorkloadSpec::paper_variants();
         assert_eq!(v.len(), 12);
-        let names: std::collections::HashSet<_> = v.iter().map(|w| w.name()).collect();
+        let names: std::collections::BTreeSet<_> = v.iter().map(|w| w.name()).collect();
         assert_eq!(names.len(), 12);
         assert!(names.contains("Q-learner-SEQ-FP32"));
         assert!(names.contains("SARSA-RAN-INT32"));

@@ -61,10 +61,6 @@ const DONE_BIT: u32 = 1 << 31;
 pub struct SwiftRlKernel {
     spec: WorkloadSpec,
     tasklets: usize,
-    /// Batch-eligibility flag: when true (the default) the kernel offers
-    /// its fused whole-launch form to the executor under
-    /// [`ExecTier::Batched`](swiftrl_pim::config::ExecTier::Batched).
-    batching: bool,
 }
 
 impl SwiftRlKernel {
@@ -95,19 +91,7 @@ impl SwiftRlKernel {
             tasklets <= MAX_TASKLETS,
             "a DPU has {MAX_TASKLETS} hardware threads, got {tasklets}"
         );
-        Self {
-            spec,
-            tasklets,
-            batching: true,
-        }
-    }
-
-    /// Sets the batch-eligibility flag. Disabling it forces per-intrinsic
-    /// interpretation even under the batched execution tier — useful for
-    /// differential testing and for pinning the per-op charge stream.
-    pub fn with_batching(mut self, enabled: bool) -> Self {
-        self.batching = enabled;
-        self
+        Self { spec, tasklets }
     }
 
     /// The workload variant this kernel implements.
@@ -135,12 +119,10 @@ impl Kernel for SwiftRlKernel {
         body.run(ctx)
     }
 
+    /// Offers the fused whole-launch form to the executor under
+    /// [`ExecTier::Batched`](swiftrl_pim::config::ExecTier::Batched).
     fn batch(&self) -> Option<&dyn BatchKernel> {
-        if self.batching {
-            Some(self)
-        } else {
-            None
-        }
+        Some(self)
     }
 }
 
@@ -1574,7 +1556,7 @@ mod tests {
     fn fp32_kernel_costs_several_times_int32_kernel() {
         // The paper's headline INT32-vs-FP32 result at kernel granularity.
         let data = tiny_transitions();
-        let mut cycles = std::collections::HashMap::new();
+        let mut cycles = std::collections::BTreeMap::new();
         for spec in [
             WorkloadSpec::q_learning_seq_fp32(),
             WorkloadSpec::q_learning_seq_int32(),

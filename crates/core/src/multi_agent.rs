@@ -100,16 +100,14 @@ pub fn train_multi_agent(
     // Retrieval: per-agent Q-tables; no aggregation ("the aggregation
     // step would be unnecessary in this setting").
     let before = set.stats().pim_to_cpu_seconds;
-    let blobs = set.gather(Q_TABLE_OFFSET, q_bytes)?;
-    breakdown.pim_cpu_s = set.stats().pim_to_cpu_seconds - before;
-
-    let q_tables = blobs
-        .iter()
-        .map(|b| match spec.dtype {
+    let mut q_tables = Vec::with_capacity(set.ndpus());
+    set.gather_with(Q_TABLE_OFFSET, q_bytes, None, |b| {
+        q_tables.push(match spec.dtype {
             DataType::Fp32 => QTable::from_bytes(ns, na, b),
             DataType::Int32 => FixedQTable::from_bytes(ns, na, scale, b).to_float(),
-        })
-        .collect();
+        });
+    })?;
+    breakdown.pim_cpu_s = set.stats().pim_to_cpu_seconds - before;
 
     Ok(MultiAgentOutcome {
         q_tables,

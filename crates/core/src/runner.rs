@@ -20,6 +20,7 @@ use crate::layout::{encode_chunk, KernelHeader, HEADER_BYTES, Q_TABLE_OFFSET};
 use crate::partition::partition_even;
 use crate::resilience::{ResilienceConfig, ResilienceStats};
 use std::ops::Range;
+#[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
 use std::time::Instant;
 use swiftrl_baselines::specs::MachineSpec;
 use swiftrl_env::{ExperienceDataset, Transition};
@@ -309,6 +310,7 @@ impl PimRunner {
             let sync_cpu_before = set.stats().cpu_to_pim_seconds;
             let sync_pim_before = set.stats().pim_to_cpu_seconds;
 
+            #[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
             let launch_started = Instant::now();
             let dead = self.launch_with_retry(set, &kernel, &alive, ndpus, &mut res)?;
             host_kernel_s += launch_started.elapsed().as_secs_f64();

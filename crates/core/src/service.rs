@@ -430,12 +430,14 @@ struct Shared {
 /// projection never reads it. Everything else on a [`ServiceEvent`]
 /// is logical-clock data (job id, round, rank id) or a simulated
 /// quantity.
+#[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
 struct Observer {
     sink: ServiceTelemetry,
     started: std::time::Instant,
 }
 
 impl Observer {
+    #[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
     fn new(sink: ServiceTelemetry) -> Self {
         Self {
             sink,

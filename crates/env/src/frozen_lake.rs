@@ -297,7 +297,7 @@ mod tests {
         let mut r = rng();
         // From state 9 (interior-ish), intend RIGHT: slip set is
         // up (5), right (10), down (13).
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..3_000 {
             env.reset(&mut r);
             env.state = State(9);

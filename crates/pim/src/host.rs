@@ -678,39 +678,9 @@ impl DpuSet {
         Ok(())
     }
 
-    /// [`Self::gather_with`] over the whole set, one fresh buffer per DPU.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any MRAM read is out of range.
-    pub fn gather(&mut self, mram_offset: usize, len: usize) -> Result<Vec<Vec<u8>>, PimError> {
-        let mut out = Vec::with_capacity(self.dpus.len());
-        self.gather_with(mram_offset, len, None, |bytes| out.push(bytes.to_vec()))?;
-        Ok(out)
-    }
-
-    /// [`Self::gather`] restricted to the DPUs in `indices` (strictly
-    /// increasing); buffers are returned in index order. Used by
-    /// resilient hosts to collect Q-tables from the healthy subset only.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an invalid index list or an out-of-range MRAM read.
-    pub fn gather_subset(
-        &mut self,
-        mram_offset: usize,
-        len: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<u8>>, PimError> {
-        let mut out = Vec::with_capacity(indices.len());
-        self.gather_with(mram_offset, len, Some(indices), |bytes| {
-            out.push(bytes.to_vec());
-        })?;
-        Ok(out)
-    }
-
-    /// [`Self::gather`] into the caller-owned flat buffer `out`: DPU `i`'s
-    /// chunk lands at `out[i * len .. (i + 1) * len]`.
+    /// [`Self::gather_with`] over the whole set into the caller-owned
+    /// flat buffer `out`: DPU `i`'s chunk lands at
+    /// `out[i * len .. (i + 1) * len]`.
     ///
     /// # Errors
     ///
@@ -722,45 +692,15 @@ impl DpuSet {
         len: usize,
         out: &mut [u8],
     ) -> Result<(), PimError> {
-        self.gather_packed("gather_into", mram_offset, len, None, out)
-    }
-
-    /// [`Self::gather_subset`] into the caller-owned flat buffer `out`,
-    /// packed in index order with stride `len`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `out.len() != len * indices.len()`, on an invalid index
-    /// list, or on an out-of-range MRAM read.
-    pub fn gather_subset_into(
-        &mut self,
-        mram_offset: usize,
-        len: usize,
-        indices: &[usize],
-        out: &mut [u8],
-    ) -> Result<(), PimError> {
-        self.gather_packed("gather_subset_into", mram_offset, len, Some(indices), out)
-    }
-
-    /// [`Self::gather_with`] packing each DPU's bytes into `out` with
-    /// stride `len`; `name` labels the size error.
-    fn gather_packed(
-        &mut self,
-        name: &str,
-        mram_offset: usize,
-        len: usize,
-        indices: Option<&[usize]>,
-        out: &mut [u8],
-    ) -> Result<(), PimError> {
-        let expected = len * indices.map_or(self.dpus.len(), <[usize]>::len);
+        let expected = len * self.dpus.len();
         if out.len() != expected {
             return Err(PimError::BadArgument(format!(
-                "{name} expects a {expected}-byte buffer, got {}",
+                "gather_into expects a {expected}-byte buffer, got {}",
                 out.len()
             )));
         }
         let mut at = 0;
-        self.gather_with(mram_offset, len, indices, |bytes| {
+        self.gather_with(mram_offset, len, None, |bytes| {
             out[at..at + len].copy_from_slice(bytes);
             at += len;
         })
@@ -840,24 +780,9 @@ impl DpuSet {
         kernel: &dyn Kernel,
         indices: &[usize],
     ) -> Result<&LaunchStats, PimError> {
-        self.launch_subset_async(kernel, indices)?;
-        Ok(self.sync())
-    }
-
-    /// [`Self::launch_subset`] without closing the launch window; pair
-    /// with [`Self::sync`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on an invalid index list; otherwise as
-    /// [`Self::launch_async`].
-    pub fn launch_subset_async(
-        &mut self,
-        kernel: &dyn Kernel,
-        indices: &[usize],
-    ) -> Result<(), PimError> {
         self.check_indices(indices)?;
-        self.launch_on(kernel, Some(indices))
+        self.launch_on(kernel, Some(indices))?;
+        Ok(self.sync())
     }
 
     /// Shared launch core. `indices: None` launches the full set (the
@@ -1014,6 +939,18 @@ mod tests {
     use super::*;
     use crate::kernel::DpuContext;
 
+    /// One owned buffer per addressed DPU, in visit order.
+    fn gathered(
+        set: &mut DpuSet,
+        mram_offset: usize,
+        len: usize,
+        indices: Option<&[usize]>,
+    ) -> Result<Vec<Vec<u8>>, PimError> {
+        let mut out = Vec::new();
+        set.gather_with(mram_offset, len, indices, |bytes| out.push(bytes.to_vec()))?;
+        Ok(out)
+    }
+
     fn tiny_system() -> PimSystem {
         PimSystem::new(
             PimConfig::builder()
@@ -1050,7 +987,7 @@ mod tests {
         let mut set = sys.alloc(4).unwrap();
         let parts: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
         set.scatter(0, &parts).unwrap();
-        let back = set.gather(0, 16).unwrap();
+        let back = gathered(&mut set, 0, 16, None).unwrap();
         assert_eq!(back, parts);
         assert_eq!(set.stats().cpu_to_pim_bytes, 64);
         assert_eq!(set.stats().pim_to_cpu_bytes, 64);
@@ -1303,8 +1240,12 @@ mod tests {
             Err(PimError::BadDpu { .. })
         ));
         assert!(matches!(
-            set.gather_subset(0, 8, &[2, 2]),
+            gathered(&mut set, 0, 8, Some(&[2, 2])),
             Err(PimError::BadArgument(_))
+        ));
+        assert!(matches!(
+            gathered(&mut set, 0, 8, Some(&[0, 7])),
+            Err(PimError::BadDpu { .. })
         ));
         assert!(matches!(
             set.broadcast_subset(0, &[0u8; 8], &[9]),
@@ -1317,7 +1258,7 @@ mod tests {
         let mut sys = tiny_system();
         let mut set = sys.alloc(4).unwrap();
         set.broadcast_subset(0, &[5u8; 8], &[0, 2]).unwrap();
-        let picked = set.gather_subset(0, 8, &[0, 2]).unwrap();
+        let picked = gathered(&mut set, 0, 8, Some(&[0, 2])).unwrap();
         assert_eq!(picked, vec![vec![5u8; 8], vec![5u8; 8]]);
         // DPUs 1 and 3 were not addressed.
         assert_eq!(set.copy_from(1, 0, 8).unwrap(), vec![0u8; 8]);
@@ -1365,12 +1306,12 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_matches_gather() {
+    fn gather_into_matches_gather_with() {
         let mut sys = tiny_system();
         let mut set = sys.alloc(4).unwrap();
         let parts: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i + 1; 16]).collect();
         set.scatter(0, &parts).unwrap();
-        let nested = set.gather(0, 16).unwrap();
+        let nested = gathered(&mut set, 0, 16, None).unwrap();
         let mut flat = vec![0u8; 16 * 4];
         set.gather_into(0, 16, &mut flat).unwrap();
         for (i, part) in nested.iter().enumerate() {
@@ -1391,23 +1332,15 @@ mod tests {
     }
 
     #[test]
-    fn gather_subset_into_matches_gather_subset() {
+    fn subset_gather_visits_in_index_order() {
         let mut sys = tiny_system();
         let mut set = sys.alloc(4).unwrap();
         let parts: Vec<Vec<u8>> = (0..4u8).map(|i| vec![10 * (i + 1); 8]).collect();
         set.scatter(0, &parts).unwrap();
-        let nested = set.gather_subset(0, 8, &[1, 3]).unwrap();
-        let mut flat = vec![0u8; 8 * 2];
-        set.gather_subset_into(0, 8, &[1, 3], &mut flat).unwrap();
-        assert_eq!(&flat[..8], nested[0].as_slice());
-        assert_eq!(&flat[8..], nested[1].as_slice());
+        let picked = gathered(&mut set, 0, 8, Some(&[1, 3])).unwrap();
+        assert_eq!(picked, vec![parts[1].clone(), parts[3].clone()]);
         assert!(matches!(
-            set.gather_subset_into(0, 8, &[3, 1], &mut flat),
-            Err(PimError::BadArgument(_))
-        ));
-        let mut short = vec![0u8; 8];
-        assert!(matches!(
-            set.gather_subset_into(0, 8, &[1, 3], &mut short),
+            gathered(&mut set, 0, 8, Some(&[3, 1])),
             Err(PimError::BadArgument(_))
         ));
     }
@@ -1424,19 +1357,23 @@ mod tests {
         let straddle = crate::memory::BANK_SEGMENT_BYTES - 4;
         set.copy_to(5, straddle, &[0xAB; 8]).unwrap();
         for (offset, subset) in [(0, None), (straddle, None), (0, Some(&[1, 63, 64][..]))] {
-            let n = subset.map_or(128, <[usize]>::len);
-            let mut flat = vec![0u8; 8 * n];
-            match subset {
-                None => set.gather_into(offset, 8, &mut flat).unwrap(),
-                Some(ix) => set.gather_subset_into(offset, 8, ix, &mut flat).unwrap(),
+            let ix: Vec<usize> = subset.map_or_else(|| (0..128).collect(), <[usize]>::to_vec);
+            let mut want = Vec::new();
+            for &i in &ix {
+                want.extend(set.copy_from(i, offset, 8).unwrap());
             }
-            let into = *set.ledger().records().last().unwrap();
             let mut seen = Vec::new();
             set.gather_with(offset, 8, subset, |b| seen.extend_from_slice(b))
                 .unwrap();
-            assert_eq!(*set.ledger().records().last().unwrap(), into);
-            assert_eq!(seen, flat);
-            assert_eq!(into.ranks, 2);
+            let rec = *set.ledger().records().last().unwrap();
+            assert_eq!(seen, want);
+            assert_eq!((rec.bytes, rec.dpus, rec.ranks), (8 * ix.len() as u64, ix.len(), 2));
+            if subset.is_none() {
+                let mut flat = vec![0u8; 8 * 128];
+                set.gather_into(offset, 8, &mut flat).unwrap();
+                assert_eq!(*set.ledger().records().last().unwrap(), rec);
+                assert_eq!(flat, seen);
+            }
         }
         assert!(matches!(
             set.gather_with(0, 8, Some(&[3, 2]), |_| {}),
@@ -1499,18 +1436,17 @@ mod tests {
         assert_eq!(rec.ranks, 2);
         assert!((rec.seconds - t.broadcast_seconds(64, 2, 2)).abs() < 1e-15);
         // A subset confined to one rank is charged one rank.
-        set.gather_subset(0, 8, &[1, 2, 63]).unwrap();
+        gathered(&mut set, 0, 8, Some(&[1, 2, 63])).unwrap();
         let rec = *set.ledger().records().last().unwrap();
         assert_eq!(rec.ranks, 1);
         assert!((rec.seconds - t.scatter_gather_seconds(8 * 3, 1)).abs() < 1e-15);
         // Full-set operations keep the dense count: 128 DPUs, 2 ranks.
-        set.gather(0, 8).unwrap();
+        gathered(&mut set, 0, 8, None).unwrap();
         let rec = *set.ledger().records().last().unwrap();
         assert_eq!(rec.ranks, 2);
         assert!((rec.seconds - t.scatter_gather_seconds(8 * 128, 2)).abs() < 1e-15);
-        // The zero-allocation variant charges identically.
-        let mut flat = vec![0u8; 8 * 2];
-        set.gather_subset_into(0, 8, &[0, 64], &mut flat).unwrap();
+        // A two-DPU subset straddling both ranks is charged both.
+        gathered(&mut set, 0, 8, Some(&[0, 64])).unwrap();
         let rec = *set.ledger().records().last().unwrap();
         assert_eq!(rec.ranks, 2);
     }

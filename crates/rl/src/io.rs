@@ -146,6 +146,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "a scratch file for the round trip")]
     fn file_round_trip() {
         let q = sample();
         let path = std::env::temp_dir().join("swiftrl_qtable_test.qtbl");

@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! `swiftrl-telemetry` — deterministic, engine-invariant observability
 //! for the SwiftRL PIM simulator (DESIGN.md §11).

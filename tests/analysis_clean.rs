@@ -1,14 +1,18 @@
-//! The kernel-discipline analyzer must be self-clean: zero non-baselined
-//! findings on the workspace's own sources — the same gate
-//! `cargo run -p swiftrl-analysis` enforces from the command line — plus
-//! fixture pins for every rule family and a fuzz harness for the lexer.
+//! The kernel-discipline analyzer must be self-clean: zero findings on the
+//! workspace's own sources — the same gate `cargo run -p swiftrl-analysis`
+//! enforces from the command line — plus fixture pins for the rule
+//! families, a pin on the host-hygiene policy that clippy enforces, and a
+//! fuzz harness for the lexer.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use swiftrl::env::rng::{for_each_case, Rng, SplitMix64};
-use swiftrl_analysis::{
-    analyze_workspace, check_file, find_workspace_root, scanner, Baseline, Finding,
-};
+use swiftrl_analysis::{analyze_workspace, check_file, find_workspace_root, scanner};
+
+fn repo_root() -> PathBuf {
+    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root with Cargo.toml")
+}
 
 fn rules_of(file: &str, src: &str) -> Vec<&'static str> {
     let mut r: Vec<&'static str> = check_file(Path::new(file), src)
@@ -21,47 +25,81 @@ fn rules_of(file: &str, src: &str) -> Vec<&'static str> {
 
 #[test]
 fn workspace_has_no_new_kernel_discipline_findings() {
-    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root with Cargo.toml");
-    let analysis = analyze_workspace(&root).expect("workspace scan");
+    let analysis = analyze_workspace(&repo_root()).expect("workspace scan");
     assert!(
         analysis.files_scanned > 50,
         "suspiciously small scan: {} files",
         analysis.files_scanned
     );
-    let baseline_text = std::fs::read_to_string(root.join("analysis-baseline.json"))
-        .expect("checked-in analysis-baseline.json");
-    let baseline = Baseline::parse(&baseline_text).expect("valid baseline");
-    let (new_findings, baselined) = baseline.partition(&analysis.findings);
-    let rendered: Vec<String> = new_findings.iter().map(|f| f.to_string()).collect();
+    let rendered: Vec<String> = analysis.findings.iter().map(|f| f.to_string()).collect();
     assert!(
-        new_findings.is_empty(),
-        "non-baselined kernel-discipline violations:\n{}",
+        analysis.findings.is_empty(),
+        "kernel-discipline violations:\n{}",
         rendered.join("\n")
     );
-    // The baseline is a short, curated allowlist (wall-clock measurement
-    // in the runner, the service observer's marked non-deterministic
-    // section) — if it quietly grows, someone is hiding findings.
-    assert!(baselined <= 6, "baseline covers {baselined} findings");
 }
 
+/// The body of a top-level `key = [ ... ]` array in a TOML file.
+fn toml_array<'a>(text: &'a str, key: &str) -> &'a str {
+    let start = text
+        .lines()
+        .position(|l| l.trim_start().starts_with(key) && l.contains('='))
+        .unwrap_or_else(|| panic!("clippy.toml has no `{key}` list"));
+    let from: usize = text.lines().take(start).map(|l| l.len() + 1).sum();
+    let rest = &text[from..];
+    let end = rest.find("\n]").unwrap_or_else(|| panic!("`{key}` list is not closed"));
+    &rest[..end]
+}
+
+/// The host-hygiene rules live in clippy, which tier-1 does not run, so
+/// this pins the policy itself: the root `clippy.toml` disallows hashed
+/// containers, ambient time and the `std::env` reads, and every library
+/// crate root warns on `unwrap`/`expect`. Deleting any of it fails here.
 #[test]
-fn baseline_entries_all_still_match_a_finding() {
-    // Stale baseline entries (the code they sanctioned is gone) must be
-    // pruned, or the allowlist rots into a blanket suppression.
-    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root with Cargo.toml");
-    let analysis = analyze_workspace(&root).expect("workspace scan");
-    let baseline_text = std::fs::read_to_string(root.join("analysis-baseline.json"))
-        .expect("checked-in analysis-baseline.json");
-    let baseline = Baseline::parse(&baseline_text).expect("valid baseline");
-    let fresh = Baseline::from_findings(&analysis.findings);
-    assert_eq!(
-        baseline.render(),
-        fresh.render(),
-        "analysis-baseline.json is stale; regenerate with \
-         `cargo run -p swiftrl-analysis -- --write-baseline`"
-    );
+fn clippy_policy_carries_the_host_hygiene_rules() {
+    let root = repo_root();
+    let config = std::fs::read_to_string(root.join("clippy.toml")).expect("root clippy.toml");
+    let types = toml_array(&config, "disallowed-types");
+    for ty in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant",
+        "std::time::SystemTime",
+    ] {
+        assert!(types.contains(&format!("\"{ty}\"")), "disallowed-types lacks {ty}");
+    }
+    let methods = toml_array(&config, "disallowed-methods");
+    for f in [
+        "var", "var_os", "vars", "vars_os", "args", "args_os", "current_dir", "current_exe",
+        "temp_dir", "home_dir",
+    ] {
+        assert!(
+            methods.contains(&format!("\"std::env::{f}\"")),
+            "disallowed-methods lacks std::env::{f}"
+        );
+    }
+
+    let mut libs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .filter_map(|e| e.ok().map(|e| e.path().join("src/lib.rs")))
+        .filter(|p| p.is_file())
+        .collect();
+    libs.sort();
+    assert!(libs.len() >= 8, "expected every library crate, found {libs:?}");
+    for lib in libs {
+        let src = std::fs::read_to_string(&lib).expect("read lib.rs");
+        let warned: Vec<&str> = src
+            .match_indices("#![warn(")
+            .filter_map(|(at, _)| src[at..].find(")]").map(|end| &src[at..at + end]))
+            .collect();
+        for lint in ["clippy::unwrap_used", "clippy::expect_used"] {
+            assert!(
+                warned.iter().any(|attr| attr.contains(lint)),
+                "{} does not warn on {lint}",
+                lib.display()
+            );
+        }
+    }
 }
 
 /// K008 fixture: a kernel that emits telemetry is flagged; the identical
@@ -141,72 +179,6 @@ fn k011_fixture_flags_kernel_side_batch_access() {
     assert_eq!(k011[0].line, 4, "{k011:?}");
 }
 
-/// D001: hashed collections in determinism-scoped library code (violating
-/// and clean variants).
-#[test]
-fn d001_fixture() {
-    let bad = r#"
-        use std::collections::HashMap;
-        pub fn merge(parts: &[u64]) -> HashMap<usize, u64> { HashMap::new() }
-    "#;
-    let findings = check_file(Path::new("crates/telemetry/src/metrics.rs"), bad);
-    assert!(
-        findings.iter().any(|f| f.rule == "D001"),
-        "{findings:?}"
-    );
-
-    let clean = r#"
-        use std::collections::BTreeMap;
-        pub fn merge(parts: &[u64]) -> BTreeMap<usize, u64> { BTreeMap::new() }
-    "#;
-    assert!(rules_of("crates/telemetry/src/metrics.rs", clean).is_empty());
-    // Same source is fine outside the determinism scope.
-    assert!(rules_of("crates/analysis/src/report.rs", bad).is_empty());
-}
-
-/// D002: ambient time/entropy in determinism-scoped library code
-/// (violating and clean variants).
-#[test]
-fn d002_fixture() {
-    let bad = r#"
-        pub fn seed() -> u64 {
-            let t = std::time::Instant::now();
-            thread_rng().next_u64()
-        }
-    "#;
-    let findings = check_file(Path::new("crates/env/src/collect.rs"), bad);
-    let d002: Vec<_> = findings.iter().filter(|f| f.rule == "D002").collect();
-    assert_eq!(d002.len(), 2, "{findings:?}"); // Instant + thread_rng
-
-    let clean = r#"
-        pub fn seed(base: u64, dpu: u64) -> u64 { splitmix64(base ^ dpu) }
-        fn splitmix64(x: u64) -> u64 { x.wrapping_mul(0x9E37_79B9_7F4A_7C15) }
-    "#;
-    assert!(rules_of("crates/env/src/collect.rs", clean).is_empty());
-    // The CPU baselines measure wall-clock by design — out of scope.
-    assert!(rules_of("crates/baselines/src/cpu_exec.rs", bad).is_empty());
-}
-
-/// D003: `std::env` reads in library code (violating and clean variants).
-#[test]
-fn d003_fixture() {
-    let bad = r#"
-        pub fn dpus() -> usize {
-            std::env::var("SWIFTRL_DPUS").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
-        }
-    "#;
-    let findings = check_file(Path::new("crates/rl/src/train.rs"), bad);
-    assert!(findings.iter().any(|f| f.rule == "D003"), "{findings:?}");
-
-    // Binaries and the bench CLI parse the environment at the edge.
-    assert!(!rules_of("crates/bench/src/bin/sweep.rs", bad).contains(&"D003"));
-    assert!(!rules_of("crates/rl/src/main.rs", bad).contains(&"D003"));
-    let clean = r#"
-        pub fn dpus(cfg: &RunConfig) -> usize { cfg.dpus }
-    "#;
-    assert!(rules_of("crates/rl/src/train.rs", clean).is_empty());
-}
-
 /// K009: WRAM region constants beyond capacity or overlapping (violating
 /// and clean variants).
 #[test]
@@ -254,25 +226,6 @@ fn k010_fixture() {
         pub const MRAM_Q_TABLE_BYTES: usize = 12_000;
     "#;
     assert!(rules_of("crates/core/src/layout.rs", clean).is_empty());
-}
-
-/// W001 scoping: hard in library code, allowed in `#[cfg(test)]` modules,
-/// `tests/`, benches, and binaries — the contract that let the ad-hoc
-/// clippy suppressions be deleted.
-#[test]
-fn w001_scope_fixture() {
-    let src = r#"
-        pub fn lib(v: Option<u32>) -> u32 { v.unwrap() }
-        #[cfg(test)]
-        mod tests {
-            fn t(v: Option<u32>) -> u32 { v.unwrap() }
-        }
-    "#;
-    let lib_findings: Vec<Finding> = check_file(Path::new("crates/rl/src/qtable.rs"), src);
-    let w001: Vec<_> = lib_findings.iter().filter(|f| f.rule == "W001").collect();
-    assert_eq!(w001.len(), 1, "{lib_findings:?}"); // library unwrap only
-    assert!(rules_of("tests/engine_determinism.rs", src).is_empty());
-    assert!(rules_of("crates/bench/benches/fig7.rs", src).is_empty());
 }
 
 /// Cases per property.
