@@ -1285,11 +1285,10 @@ impl BatchKernel for SwiftRlKernel {
 
         // ---- committed: the fused sweep cannot fail past this point.
         // It updates the Q-table where it lies when the image sits in one
-        // materialized bank segment that no copy-on-write clone shares.
-        // Otherwise (the table crosses a segment boundary, or its segment
-        // is shared) it sweeps a staged copy that `Bank::write` puts
-        // back, which materializes and un-shares segments exactly as the
-        // interpreter's WRAM write-back does.
+        // materialized bank segment. A table that crosses a segment
+        // boundary is swept on a staged copy that `Bank::write` puts
+        // back, which materializes segments exactly as the interpreter's
+        // WRAM write-back does.
         let (bank, cost, counters) = ctx.split_mut();
         match bank.slice_mut(Q_TABLE_OFFSET, q_dma_bytes) {
             Some(image) => self.sweep(cost, counters, &hdr, &mut LeWords(image), &records),

@@ -24,11 +24,13 @@
 //!   [`FleetArena::stats`]. Spare-list buffers belong to no arena and
 //!   are counted by none.
 //!
-//! Accounting is deterministic across execution engines. During a launch
-//! banks are never shared and nothing is released, so the live byte
-//! count only grows — concurrent workers race only on the *order* of
+//! Every segment is uniquely owned by the one bank slot that acquired
+//! it, and goes back to the arena only when that bank drops.
+//! Accounting is therefore deterministic across execution engines:
+//! during a launch nothing is released, so the live byte count only
+//! grows — concurrent workers race only on the *order* of
 //! `fetch_add`s, never on the final total or the peak. Releases (bank
-//! drop, copy-on-write replacement) happen host-side between launches.
+//! drop) happen host-side between launches.
 //!
 //! The allocation routine is reachable from kernel code through the
 //! `DpuContext` DMA intrinsics, so its tokens must satisfy the analyzer's
@@ -49,13 +51,11 @@ pub const BANK_SEGMENT_BYTES: usize = 64 * 1024;
 const SPARE_LIMIT_BYTES: usize = 256 << 20;
 
 /// A segment buffer handed out by the arena: empty when acquired, grown
-/// by its bank up to the segment length. Shared (`Arc`) so banks can be
-/// cloned copy-on-write; uniquely owned for the entire duration of a
-/// launch.
-pub(crate) type SegmentArc = Arc<Vec<u8>>;
+/// by its bank up to the segment length, and owned by that bank alone
+/// until it is released.
+pub(crate) type Segment = Vec<u8>;
 
-type Buf = Vec<u8>;
-type BufList = Vec<Buf>;
+type BufList = Vec<Segment>;
 
 /// Length-0 buffers left over by dropped arenas, and their total
 /// capacity.
@@ -104,7 +104,7 @@ struct ArenaInner {
     pool: Mutex<BufList>,
     /// Empty prototype buffer cloned by the kernel-reachable allocation
     /// path (see the module docs on token discipline).
-    proto: Buf,
+    proto: Segment,
     bank_bytes: AtomicU64,
     bank_peak: AtomicU64,
     footprint: AtomicU64,
@@ -163,10 +163,11 @@ impl FleetArena {
         }
     }
 
-    /// Obtains an empty buffer for a segment of `seg_len` bytes and
-    /// charges the whole segment as live bank bytes: from this arena's
-    /// pool, else from the spare list, else freshly allocated.
-    fn obtain(&self, seg_len: usize) -> Buf {
+    /// Hands out an empty buffer for a segment of `seg_len` bytes — from
+    /// this arena's pool, else from the spare list, else freshly
+    /// allocated — and charges the whole segment as live bank bytes. The
+    /// bank grows the buffer with zeros as it writes.
+    pub(crate) fn acquire(&self, seg_len: usize) -> Segment {
         let len = seg_len as u64;
         let pooled = if seg_len == BANK_SEGMENT_BYTES {
             lock(&self.inner.pool).pop()
@@ -193,28 +194,8 @@ impl FleetArena {
         buf
     }
 
-    /// Hands out an empty buffer for a segment of `seg_len` bytes; the
-    /// bank grows it with zeros as it writes.
-    pub(crate) fn acquire(&self, seg_len: usize) -> SegmentArc {
-        Arc::new(self.obtain(seg_len))
-    }
-
-    /// Hands out a buffer for a segment of `seg_len` bytes holding a
-    /// copy of `src`, another segment's written bytes (the
-    /// copy-on-write path).
-    pub(crate) fn acquire_copy(&self, src: &[u8], seg_len: usize) -> SegmentArc {
-        let mut buf = self.obtain(seg_len);
-        buf.extend_from_slice(src);
-        Arc::new(buf)
-    }
-
-    /// Returns a segment of `seg_len` bytes to the arena. Only the
-    /// *last* holder actually releases it; a still-shared segment stays
-    /// charged to the clone that keeps it alive.
-    pub(crate) fn release(&self, segment: SegmentArc, seg_len: usize) {
-        let Ok(mut buf) = Arc::try_unwrap(segment) else {
-            return;
-        };
+    /// Returns a segment of `seg_len` bytes to the arena.
+    pub(crate) fn release(&self, mut buf: Segment, seg_len: usize) {
         let len = seg_len as u64;
         self.inner.bank_bytes.fetch_sub(len, Ordering::Relaxed);
         if seg_len == BANK_SEGMENT_BYTES {
@@ -243,12 +224,6 @@ mod tests {
 
     const SEG: u64 = BANK_SEGMENT_BYTES as u64;
 
-    /// Writes `len` bytes of `byte` into a uniquely held segment, the way
-    /// its bank grows it.
-    fn fill(seg: &mut SegmentArc, len: usize, byte: u8) {
-        Arc::get_mut(seg).expect("unique").resize(len, byte);
-    }
-
     #[test]
     fn acquire_charges_a_whole_segment_for_an_empty_buffer() {
         let arena = FleetArena::new();
@@ -258,7 +233,7 @@ mod tests {
         assert_eq!(s.bank_bytes, SEG);
         assert_eq!(s.arena_bytes, SEG);
         // Growing the buffer does not change the accounting.
-        fill(&mut seg, 100, 0xAB);
+        seg.resize(100, 0xAB);
         assert_eq!(arena.stats(), s);
         arena.release(seg, BANK_SEGMENT_BYTES);
         let s = arena.stats();
@@ -271,7 +246,7 @@ mod tests {
     fn released_full_segments_come_back_empty_from_the_pool() {
         let arena = FleetArena::new();
         let mut seg = arena.acquire(BANK_SEGMENT_BYTES);
-        fill(&mut seg, 4096, 0xFF);
+        seg.resize(4096, 0xFF);
         arena.release(seg, BANK_SEGMENT_BYTES);
         // Re-acquiring reuses the pooled buffer (its capacity survives)
         // without growing the footprint, and none of its old bytes show.
@@ -288,7 +263,7 @@ mod tests {
     fn sub_size_segments_are_freed_not_pooled() {
         let arena = FleetArena::new();
         let mut seg = arena.acquire(100);
-        fill(&mut seg, 10, 1);
+        seg.resize(10, 1);
         assert_eq!(arena.stats().bank_bytes, 100);
         arena.release(seg, 100);
         let s = arena.stats();
@@ -298,35 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_segment_released_only_by_last_holder() {
-        let arena = FleetArena::new();
-        let a = arena.acquire(BANK_SEGMENT_BYTES);
-        let b = Arc::clone(&a);
-        arena.release(a, BANK_SEGMENT_BYTES);
-        // Still shared: nothing released.
-        assert_eq!(arena.stats().bank_bytes, SEG);
-        arena.release(b, BANK_SEGMENT_BYTES);
-        assert_eq!(arena.stats().bank_bytes, 0);
-    }
-
-    #[test]
-    fn copy_acquire_copies_written_bytes_and_charges_the_segment() {
-        let arena = FleetArena::new();
-        let a = arena.acquire(64);
-        let b = arena.acquire_copy(&[7u8; 32], 64);
-        assert_eq!(&b[..], &[7u8; 32]);
-        assert_eq!(arena.stats().bank_peak_bytes, 128);
-        arena.release(a, 64);
-        arena.release(b, 64);
-        assert_eq!(arena.stats().bank_bytes, 0);
-        assert_eq!(arena.stats().bank_peak_bytes, 128);
-    }
-
-    #[test]
     fn a_dropped_arenas_buffers_serve_a_new_arena_empty() {
         let first = FleetArena::new();
         let mut seg = first.acquire(BANK_SEGMENT_BYTES);
-        fill(&mut seg, BANK_SEGMENT_BYTES, 0xFF);
+        seg.resize(BANK_SEGMENT_BYTES, 0xFF);
         first.release(seg, BANK_SEGMENT_BYTES);
         drop(first);
         // The new arena starts its own accounting from zero and charges a

@@ -143,10 +143,9 @@ impl ExecutionEngine {
             return items.iter_mut().map(run).collect();
         }
 
-        // Pre-filled sentinel slots; every slot is overwritten because the
-        // result chunks are split with the same grain as the item chunks.
-        let mut results: Vec<Result<u64, KernelError>> =
-            vec![Err(KernelError::Fault("engine: DPU not executed".into())); n];
+        // Empty slots; every slot is filled because the result chunks are
+        // split with the same grain as the item chunks.
+        let mut results: Vec<Option<Result<u64, KernelError>>> = vec![None; n];
         let grain = n.div_ceil(workers * 8);
         // Each chunk index is handed out once, so every lock is taken once,
         // by the chunk's only claimant, and never contended.
@@ -170,7 +169,7 @@ impl ExecutionEngine {
                                 &mut *chunk.lock().unwrap_or_else(PoisonError::into_inner),
                             );
                             for (item, slot) in item_chunk.iter_mut().zip(out_chunk) {
-                                *slot = run(item);
+                                *slot = Some(run(item));
                             }
                         }
                     })
@@ -187,6 +186,11 @@ impl ExecutionEngine {
             std::panic::resume_unwind(payload);
         }
         results
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| Err(KernelError::Fault("engine: DPU not executed".into())))
+            })
+            .collect()
     }
 }
 
@@ -199,7 +203,7 @@ pub fn host_threads() -> usize {
 
 /// One unit of work: a chunk of DPUs (or DPU refs) paired with the result
 /// slots it writes.
-type ChunkTask<'a, T> = (&'a mut [T], &'a mut [Result<u64, KernelError>]);
+type ChunkTask<'a, T> = (&'a mut [T], &'a mut [Option<Result<u64, KernelError>>]);
 
 #[cfg(test)]
 mod tests {

@@ -19,8 +19,10 @@
 //! * unwritten bytes — in an unmaterialized segment or past a buffer's
 //!   end — read as zero.
 //!
-//! Cloning a bank is cheap — segments are shared and copied on write —
-//! and the arena accounts every materialized segment at its full
+//! Each bank owns its segments outright, so a write is a plain store
+//! into the segment's buffer, and an MRAM↔WRAM copy whose two ranges
+//! each lie inside the written bytes of one segment is a single slice
+//! copy. The arena accounts every materialized segment at its full
 //! length, so fleet-wide memory ceilings are queryable at any quiescent
 //! point and do not depend on how far into a segment a run wrote.
 //!
@@ -30,9 +32,8 @@
 //! arena (see its module docs).
 
 use std::fmt;
-use std::sync::Arc;
 
-use crate::arena::{FleetArena, SegmentArc};
+use crate::arena::{FleetArena, Segment};
 pub use crate::arena::BANK_SEGMENT_BYTES;
 
 /// Error raised by out-of-range or misaligned memory accesses.
@@ -110,11 +111,12 @@ impl std::error::Error for MemoryError {}
 
 /// A lazily-segmented byte bank with a hard capacity.
 ///
-/// Cloning shares the materialized segments copy-on-write.
-#[derive(Debug, Clone)]
+/// The bank uniquely owns its materialized segments and returns them to
+/// its arena when it drops.
+#[derive(Debug)]
 pub struct Bank {
     /// Slot per segment up to the highest one materialized so far.
-    segments: Vec<Option<SegmentArc>>,
+    segments: Vec<Option<Segment>>,
     capacity: usize,
     kind: MemoryKind,
     arena: FleetArena,
@@ -159,45 +161,35 @@ impl Bank {
     }
 
     /// The materialized segment `index`, if any.
-    fn segment(&self, index: usize) -> Option<&SegmentArc> {
+    fn segment(&self, index: usize) -> Option<&Segment> {
         self.segments.get(index)?.as_ref()
     }
 
-    /// Materializes (and, if shared with a clone, un-shares) segment
-    /// `index` and grows its buffer with zeros to at least `end` bytes,
-    /// returning the buffer's bytes.
+    /// Materializes segment `index` and grows its buffer with zeros to
+    /// at least `end` bytes, returning the buffer's bytes.
     fn segment_mut(&mut self, index: usize, end: usize) -> &mut [u8] {
         let len = self.seg_len(index);
         if self.segments.len() <= index {
             self.segments.resize(index + 1, None);
         }
         let arena = &self.arena;
-        let slot = &mut self.segments[index];
-        let unique = match slot {
-            Some(seg) => Arc::get_mut(seg).is_some(),
-            None => false,
-        };
-        if !unique {
-            let fresh = match slot.take() {
-                // Copy-on-write: the segment is shared with a clone.
-                Some(shared) => {
-                    let copy = arena.acquire_copy(&shared, len);
-                    arena.release(shared, len);
-                    copy
-                }
-                None => arena.acquire(len),
-            };
-            *slot = Some(fresh);
+        let buf = self.segments[index].get_or_insert_with(|| arena.acquire(len));
+        if buf.len() < end {
+            buf.resize(end, 0);
         }
-        match slot.as_mut().and_then(Arc::get_mut) {
-            Some(buf) => {
-                if buf.len() < end {
-                    buf.resize(end, 0);
-                }
-                buf
-            }
-            None => &mut [],
-        }
+        buf
+    }
+
+    /// The written bytes `offset..offset + len`, borrowed for writing in
+    /// place. `Some` only when the range lies inside the written bytes of
+    /// one materialized segment, so nothing grows or materializes.
+    #[inline]
+    fn written_mut(&mut self, offset: usize, len: usize) -> Option<&mut [u8]> {
+        let within = offset % BANK_SEGMENT_BYTES;
+        self.segments
+            .get_mut(offset / BANK_SEGMENT_BYTES)?
+            .as_mut()?
+            .get_mut(within..within.checked_add(len)?)
     }
 
     fn check(&self, offset: usize, len: usize) -> Result<usize, MemoryError> {
@@ -273,9 +265,7 @@ impl Bank {
     /// [`Self::slice`] for writing in place. Unlike `slice`, a range past
     /// the segment's written length is grown with zeros first. `None`
     /// when the range spans a segment boundary, touches an
-    /// unmaterialized segment or leaves the bank, and when the segment
-    /// is shared copy-on-write with a clone of this bank, so a write
-    /// through the slice can never reach the clone.
+    /// unmaterialized segment or leaves the bank.
     pub fn slice_mut(&mut self, offset: usize, len: usize) -> Option<&mut [u8]> {
         let index = offset / BANK_SEGMENT_BYTES;
         let within = offset % BANK_SEGMENT_BYTES;
@@ -283,11 +273,7 @@ impl Bank {
         if self.segment(index).is_none() || end > self.seg_len(index) {
             return None;
         }
-        let buf = Arc::get_mut(self.segments[index].as_mut()?)?;
-        if buf.len() < end {
-            buf.resize(end, 0);
-        }
-        buf.get_mut(within..end)
+        self.segment_mut(index, end).get_mut(within..end)
     }
 
     /// Reads a little-endian `u32` at `offset`.
@@ -330,15 +316,10 @@ impl Bank {
     #[inline]
     pub fn write_u32(&mut self, offset: usize, value: u32) -> Result<(), MemoryError> {
         // Hot path: the word sits inside the written bytes of one
-        // already-materialized, unshared segment — store in place.
-        let within = offset % BANK_SEGMENT_BYTES;
-        if let Some(Some(seg)) = self.segments.get_mut(offset / BANK_SEGMENT_BYTES) {
-            if let Some(slot) = Arc::get_mut(seg)
-                .and_then(|buf| buf.get_mut(within..within.wrapping_add(4)))
-            {
-                slot.copy_from_slice(&value.to_le_bytes());
-                return Ok(());
-            }
+        // materialized segment — store in place.
+        if let Some(slot) = self.written_mut(offset, 4) {
+            slot.copy_from_slice(&value.to_le_bytes());
+            return Ok(());
         }
         self.write_u32_slow(offset, value)
     }
@@ -366,7 +347,7 @@ impl Drop for Bank {
 /// from `within` on; bytes past the segment's written length read as
 /// zero.
 #[inline]
-fn read_segment(seg: Option<&SegmentArc>, within: usize, dst: &mut [u8]) {
+fn read_segment(seg: Option<&Segment>, within: usize, dst: &mut [u8]) {
     match seg.and_then(|seg| seg.get(within..within + dst.len())) {
         Some(bytes) => dst.copy_from_slice(bytes),
         None => read_zero_extended(seg, within, dst),
@@ -375,7 +356,7 @@ fn read_segment(seg: Option<&SegmentArc>, within: usize, dst: &mut [u8]) {
 
 /// [`read_segment`] for a range that reaches past the written bytes.
 #[cold]
-fn read_zero_extended(seg: Option<&SegmentArc>, within: usize, dst: &mut [u8]) {
+fn read_zero_extended(seg: Option<&Segment>, within: usize, dst: &mut [u8]) {
     let written = seg.and_then(|seg| seg.get(within..)).unwrap_or_default();
     let n = written.len().min(dst.len());
     dst[..n].copy_from_slice(&written[..n]);
@@ -383,7 +364,7 @@ fn read_zero_extended(seg: Option<&SegmentArc>, within: usize, dst: &mut [u8]) {
 }
 
 /// The per-DPU memory pair.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DpuMemory {
     /// The DRAM bank (host-visible, kernel-visible via DMA only).
     pub mram: Bank,
@@ -449,8 +430,13 @@ impl DpuMemory {
 /// zero. Copying zeroes into a destination segment that was never
 /// materialized leaves it unmaterialized — the bytes read back as zero
 /// either way, so only the allocation counters can tell the difference.
-/// Which segments materialize or un-share depends only on which source
-/// segments are materialized, never on how far they were written.
+/// Which segments materialize depends only on which source segments are
+/// materialized, never on how far they were written.
+///
+/// When each range lies inside the written bytes of one materialized
+/// segment (every per-record DMA of a staged replay chunk), the copy is
+/// a single slice copy that grows and materializes nothing, exactly like
+/// the general loop on those ranges.
 fn copy_between(
     src: &Bank,
     dst: &mut Bank,
@@ -460,6 +446,10 @@ fn copy_between(
 ) -> Result<(), MemoryError> {
     src.check(src_offset, len)?;
     dst.check(dst_offset, len)?;
+    if let (Some(from), Some(to)) = (src.slice(src_offset, len), dst.written_mut(dst_offset, len)) {
+        to.copy_from_slice(from);
+        return Ok(());
+    }
     let mut done = 0;
     while done < len {
         let s_at = src_offset + done;
@@ -532,30 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn cloned_banks_copy_on_write() {
-        let arena = FleetArena::new();
-        let mut a = Bank::with_arena(4 * BANK_SEGMENT_BYTES, MemoryKind::Mram, arena.clone());
-        a.write_u32(16, 0xAAAA_AAAA).unwrap();
-        let seg = BANK_SEGMENT_BYTES as u64;
-        assert_eq!(arena.stats().bank_bytes, seg);
-
-        // The clone shares the segment: no new bytes.
-        let b = a.clone();
-        assert_eq!(arena.stats().bank_bytes, seg);
-        // Writing un-shares it.
-        a.write_u32(16, 0xBBBB_BBBB).unwrap();
-        assert_eq!(arena.stats().bank_bytes, 2 * seg);
-        assert_eq!(a.read_u32(16).unwrap(), 0xBBBB_BBBB);
-        assert_eq!(b.read_u32(16).unwrap(), 0xAAAA_AAAA);
-
-        drop(b);
-        assert_eq!(arena.stats().bank_bytes, seg);
-        drop(a);
-        assert_eq!(arena.stats().bank_bytes, 0);
-    }
-
-    #[test]
-    fn slices_borrow_one_materialized_segment_and_mut_only_unshared() {
+    fn slices_borrow_one_materialized_segment() {
         let mut bank = Bank::new(2 * BANK_SEGMENT_BYTES, MemoryKind::Mram);
         assert!(bank.slice(8, 4).is_none(), "unmaterialized");
         bank.write(8, &[1, 2, 3, 4]).unwrap();
@@ -565,11 +532,8 @@ mod tests {
         bank.write(BANK_SEGMENT_BYTES, &[5]).unwrap();
         assert!(bank.slice(BANK_SEGMENT_BYTES - 2, 4).is_none(), "spans a boundary");
         assert!(bank.slice(2 * BANK_SEGMENT_BYTES - 1, 2).is_none(), "leaves the bank");
-        let clone = bank.clone();
-        assert!(bank.slice(8, 4).is_some(), "a shared segment can be read");
-        assert!(bank.slice_mut(8, 4).is_none(), "but not written in place");
-        drop(clone);
-        assert!(bank.slice_mut(8, 4).is_some());
+        assert!(bank.slice_mut(BANK_SEGMENT_BYTES - 2, 4).is_none(), "spans a boundary");
+        assert!(bank.slice_mut(2 * BANK_SEGMENT_BYTES - 1, 2).is_none(), "leaves the bank");
     }
 
     #[test]
@@ -705,28 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_writing_past_the_shared_length_leaves_the_original() {
-        let mut a = Bank::new(2 * BANK_SEGMENT_BYTES, MemoryKind::Mram);
-        a.write(0, &[1u8; 4]).unwrap();
-        let mut b = a.clone();
-        assert!(b.slice_mut(0, 8).is_none(), "shared: no in-place growth");
-        b.write(100, &[2u8; 4]).unwrap();
-        b.write_u32(200, 0x0303_0303).unwrap();
-        let mut buf = [0xAAu8; 4];
-        a.read(100, &mut buf).unwrap();
-        assert_eq!(buf, [0; 4]);
-        assert_eq!(a.read_u32(200).unwrap(), 0);
-        assert!(a.slice(0, 5).is_none(), "the original kept its length");
-        b.read(0, &mut buf).unwrap();
-        assert_eq!(buf, [1; 4]);
-        b.read(100, &mut buf).unwrap();
-        assert_eq!(buf, [2; 4]);
-        // And the other way round.
-        a.write(300, &[4u8; 4]).unwrap();
-        assert_eq!(b.read_u32(300).unwrap(), 0);
-    }
-
-    #[test]
     fn accounting_counts_whole_segments_not_written_bytes() {
         let arena = FleetArena::new();
         let seg = BANK_SEGMENT_BYTES as u64;
@@ -743,18 +685,12 @@ mod tests {
         bank.write(BANK_SEGMENT_BYTES - 4, &[1; 4]).unwrap();
         bank.slice_mut(3 * BANK_SEGMENT_BYTES, 100).unwrap().fill(7);
         assert_eq!(arena.stats(), before);
-        // A copy-on-write un-share charges a whole segment again.
-        let clone = bank.clone();
-        bank.write(1, &[2]).unwrap();
-        assert_eq!(arena.stats().bank_bytes, 2 * seg + 100);
-        assert_eq!(clone.allocated_bytes(), BANK_SEGMENT_BYTES + 100);
-        drop(clone);
         drop(bank);
         let after = arena.stats();
         assert_eq!(after.bank_bytes, 0);
-        assert_eq!(after.bank_peak_bytes, 2 * seg + 100);
-        // Two full segments pooled; the tail went back to the allocator.
-        assert_eq!(after.arena_bytes, 2 * seg);
+        assert_eq!(after.bank_peak_bytes, seg + 100);
+        // The full segment pooled; the tail went back to the allocator.
+        assert_eq!(after.arena_bytes, seg);
     }
 
     #[test]

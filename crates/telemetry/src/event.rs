@@ -210,9 +210,9 @@ pub enum Event {
     /// bank bytes the lazily-materialized banks actually held (current
     /// and peak) and the footprint of the segment arena backing them.
     /// Emitted host-side at the end of a run; engine-invariant because
-    /// launches only ever *allocate* segments (copy-on-write releases
-    /// happen on the single-threaded host paths), so the peak is a
-    /// monotone function of the touched working set.
+    /// launches only ever *allocate* segments (a segment is released
+    /// only when its bank drops, on the single-threaded host paths), so
+    /// the peak is a monotone function of the touched working set.
     MemoryCeilings {
         /// Bank bytes currently materialized across the fleet.
         bank_bytes: u64,

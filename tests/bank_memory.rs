@@ -2,7 +2,9 @@
 //! only as long as their written bytes and are recycled across fleets
 //! through a process-wide spare list. Neither may show through — a
 //! recycled buffer never leaks a previous fleet's bytes — and the
-//! accounting still counts whole segments.
+//! accounting still counts whole segments. The MRAM↔WRAM copies, with
+//! their one-segment fast path, behave exactly like a staged read and
+//! write.
 
 use swiftrl::core::config::{RunConfig, WorkloadSpec};
 use swiftrl::core::runner::{PimRunner, RunOutcome};
@@ -10,7 +12,8 @@ use swiftrl::env::collect::collect_random;
 use swiftrl::env::taxi::Taxi;
 use swiftrl::pim::config::{ExecTier, PimConfig};
 use swiftrl::pim::host::PimSystem;
-use swiftrl::pim::memory::BANK_SEGMENT_BYTES;
+use swiftrl::pim::memory::{Bank, DpuMemory, MemoryError, BANK_SEGMENT_BYTES};
+use swiftrl::pim::{FleetArena, MemoryStats};
 use std::sync::{Mutex, MutexGuard};
 
 const SEG: usize = BANK_SEGMENT_BYTES;
@@ -119,4 +122,257 @@ fn paper_scale_runs_account_whole_segments_every_time() {
     assert_eq!(first.memory.arena_peak_bytes, whole);
     assert_eq!(first.memory, second.memory);
     assert_eq!(first.q_table.to_bytes(), second.q_table.to_bytes());
+}
+
+/// MRAM of two full segments plus a sub-granule tail; WRAM of one.
+const MRAM_BYTES: usize = 2 * SEG + 4096;
+const WRAM_BYTES: usize = SEG;
+
+/// Which way a copy runs.
+#[derive(Clone, Copy, Debug)]
+enum Direction {
+    MramToWram,
+    WramToMram,
+}
+
+/// Everything a copy may change, MRAM then WRAM.
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    bytes: [Vec<u8>; 2],
+    /// Each segment's written length (`None`: unmaterialized).
+    written: [Vec<Option<usize>>; 2],
+    allocated: [usize; 2],
+    stats: MemoryStats,
+}
+
+fn written_lens(bank: &Bank) -> Vec<Option<usize>> {
+    (0..bank.capacity().div_ceil(SEG))
+        .map(|index| {
+            let start = index * SEG;
+            bank.slice(start, 0)?;
+            // `slice` lends only written bytes: find the longest prefix.
+            let (mut lo, mut hi) = (0, SEG.min(bank.capacity() - start));
+            while lo < hi {
+                let mid = (lo + hi).div_ceil(2);
+                if bank.slice(start, mid).is_some() {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            Some(lo)
+        })
+        .collect()
+}
+
+fn fingerprint(memory: &DpuMemory, arena: &FleetArena) -> Fingerprint {
+    let bytes = |bank: &Bank| {
+        let mut all = vec![0u8; bank.capacity()];
+        bank.read(0, &mut all).unwrap();
+        all
+    };
+    Fingerprint {
+        bytes: [bytes(&memory.mram), bytes(&memory.wram)],
+        written: [written_lens(&memory.mram), written_lens(&memory.wram)],
+        allocated: [memory.mram.allocated_bytes(), memory.wram.allocated_bytes()],
+        stats: arena.stats(),
+    }
+}
+
+fn is_materialized(bank: &Bank, at: usize) -> bool {
+    bank.slice(at - at % SEG, 0).is_some()
+}
+
+/// The copy's specification: read the source range into a zeroed
+/// buffer, check the destination range, then write the buffer piece by
+/// piece, skipping every piece whose source and destination segments
+/// are both unmaterialized (zeros copied there would read back as zeros
+/// anyway, so they materialize nothing).
+fn staged_copy(
+    src: &Bank,
+    dst: &mut Bank,
+    src_offset: usize,
+    dst_offset: usize,
+    len: usize,
+) -> Result<(), MemoryError> {
+    let mut staged = vec![0u8; len];
+    src.read(src_offset, &mut staged)?;
+    dst.read(dst_offset, &mut vec![0u8; len])?;
+    let mut done = 0;
+    while done < len {
+        let (s, d) = (src_offset + done, dst_offset + done);
+        let n = (SEG - s % SEG).min(SEG - d % SEG).min(len - done);
+        if is_materialized(src, s) || is_materialized(dst, d) {
+            dst.write(d, &staged[done..done + n])?;
+        }
+        done += n;
+    }
+    Ok(())
+}
+
+/// Runs one copy through `DpuMemory`, or (`staged`) through its
+/// specification.
+fn copy(
+    memory: &mut DpuMemory,
+    direction: Direction,
+    mram_offset: usize,
+    wram_offset: usize,
+    len: usize,
+    staged: bool,
+) -> Result<(), MemoryError> {
+    match (direction, staged) {
+        (Direction::MramToWram, false) => memory.copy_mram_to_wram(mram_offset, wram_offset, len),
+        (Direction::WramToMram, false) => memory.copy_wram_to_mram(wram_offset, mram_offset, len),
+        (Direction::MramToWram, true) => staged_copy(
+            &memory.mram,
+            &mut memory.wram,
+            mram_offset,
+            wram_offset,
+            len,
+        ),
+        (Direction::WramToMram, true) => staged_copy(
+            &memory.wram,
+            &mut memory.mram,
+            wram_offset,
+            mram_offset,
+            len,
+        ),
+    }
+}
+
+/// Writes `fill(i)` into `bank[i]` from the start of the segment holding
+/// `start` up to `end` (clamped to the bank), or nothing for `None`.
+fn prepare(bank: &mut Bank, start: usize, end: Option<usize>, fill: impl Fn(usize) -> u8) {
+    if let Some(end) = end {
+        let from = start - start % SEG;
+        let bytes: Vec<u8> = (from..end.min(bank.capacity())).map(fill).collect();
+        bank.write(from, &bytes).unwrap();
+    }
+}
+
+/// Both copy directions match their staged specification bit for bit,
+/// written length for written length and counter for counter, whichever
+/// of them take the one-segment fast path: over sources and
+/// destinations that are unmaterialized or written short of, into, up
+/// to or past the range, ranges inside one segment, across a 64 KiB
+/// boundary and into the sub-granule tail, and empty ranges.
+#[test]
+fn dma_copies_match_a_staged_read_then_write() {
+    let _spares = spare_list();
+    // (MRAM offset, WRAM offset, length)
+    let ranges = [
+        (64, 128, 16),
+        (SEG - 8, 256, 32),
+        (2 * SEG - 8, SEG - 40, 32),
+        (128, 64, 0),
+    ];
+    let mut fast = 0;
+    for direction in [Direction::MramToWram, Direction::WramToMram] {
+        for (mram_offset, wram_offset, len) in ranges {
+            let (src_start, dst_start) = match direction {
+                Direction::MramToWram => (mram_offset, wram_offset),
+                Direction::WramToMram => (wram_offset, mram_offset),
+            };
+            // Written ends: none, short of the range, into it, up to its
+            // end, past it.
+            let ends = |start: usize| {
+                let end = start + len;
+                [
+                    None,
+                    Some(start - 8),
+                    Some(start + len / 2),
+                    Some(end),
+                    Some(end + 40),
+                ]
+            };
+            for src_end in ends(src_start) {
+                for dst_end in ends(dst_start) {
+                    let twins = [false, true].map(|staged| {
+                        let arena = FleetArena::new();
+                        let mut memory = DpuMemory::with_arena(MRAM_BYTES, WRAM_BYTES, &arena);
+                        let (src, dst) = match direction {
+                            Direction::MramToWram => (&mut memory.mram, &mut memory.wram),
+                            Direction::WramToMram => (&mut memory.wram, &mut memory.mram),
+                        };
+                        prepare(src, src_start, src_end, |i| (i % 251) as u8 + 1);
+                        prepare(dst, dst_start, dst_end, |_| 0xEE);
+                        copy(
+                            &mut memory,
+                            direction,
+                            mram_offset,
+                            wram_offset,
+                            len,
+                            staged,
+                        )
+                        .unwrap();
+                        fingerprint(&memory, &arena)
+                    });
+                    let at = format!(
+                        "{direction:?} {mram_offset}/{wram_offset}/{len}, \
+                         src {src_end:?}, dst {dst_end:?}"
+                    );
+                    assert_eq!(twins[0], twins[1], "{at}: the copy diverged");
+                    // Inside the written bytes of one segment.
+                    let fits = |start: usize, end: Option<usize>| {
+                        let within = start / SEG == (start + len) / SEG;
+                        within && end.is_some_and(|end| start + len <= end)
+                    };
+                    if len > 0 && fits(src_start, src_end) && fits(dst_start, dst_end) {
+                        fast += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(fast > 0, "no case took the one-segment fast path");
+}
+
+/// A copy with either range out of bounds returns the same error as its
+/// specification and moves no byte and no counter, whether or not the
+/// in-range side holds written bytes.
+#[test]
+fn out_of_range_dma_copies_change_nothing() {
+    let _spares = spare_list();
+    // (MRAM offset, WRAM offset, length)
+    let ranges = [
+        (MRAM_BYTES - 8, 0, 16),
+        (0, WRAM_BYTES - 8, 16),
+        (MRAM_BYTES, WRAM_BYTES, 8),
+        (usize::MAX - 4, 0, 8),
+        (0, usize::MAX - 4, 8),
+    ];
+    for direction in [Direction::MramToWram, Direction::WramToMram] {
+        for (mram_offset, wram_offset, len) in ranges {
+            for written in [false, true] {
+                let errors = [false, true].map(|staged| {
+                    let arena = FleetArena::new();
+                    let mut memory = DpuMemory::with_arena(MRAM_BYTES, WRAM_BYTES, &arena);
+                    if written {
+                        memory.mram.write(0, &[7u8; 100]).unwrap();
+                        memory.mram.write(2 * SEG - 16, &[8u8; 32]).unwrap();
+                        memory.wram.write(0, &[9u8; 100]).unwrap();
+                    }
+                    let before = fingerprint(&memory, &arena);
+                    let error = copy(
+                        &mut memory,
+                        direction,
+                        mram_offset,
+                        wram_offset,
+                        len,
+                        staged,
+                    );
+                    let at = format!("{direction:?} {mram_offset}/{wram_offset}/{len}, {written}");
+                    assert_eq!(
+                        fingerprint(&memory, &arena),
+                        before,
+                        "{at}: a failed copy wrote"
+                    );
+                    (error, at)
+                });
+                let at = &errors[0].1;
+                assert!(errors[0].0.is_err(), "{at}: out of range but accepted");
+                assert_eq!(errors[0].0, errors[1].0, "{at}: errors differ");
+            }
+        }
+    }
 }

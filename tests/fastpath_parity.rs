@@ -658,54 +658,6 @@ fn batched_launch_stats_identical_at_host_level() {
     }
 }
 
-/// A bank segment shared copy-on-write with a clone cannot be swept in
-/// place: the batched launch stages the Q-table, matches Reference bit
-/// for bit and cycle for cycle, and leaves the clone's bytes unchanged.
-#[test]
-fn batched_sweep_of_a_shared_bank_leaves_its_clone_unchanged() {
-    use swiftrl::core::kernels::SwiftRlKernel;
-    use swiftrl::pim::dpu::Dpu;
-    use swiftrl::pim::memory::{Bank, DpuMemory};
-    use swiftrl::pim::{BatchContext, BatchKernel};
-
-    let data = dataset();
-    let reference = PimConfig::builder().exec_tier(ExecTier::Reference).build();
-    let batched = PimConfig::builder().exec_tier(ExecTier::Batched).build();
-    for spec in WorkloadSpec::paper_variants() {
-        let (header, records) = staged_image(spec, &data, 0);
-        let end = header.transitions_offset();
-        let stage = |bank: &mut Bank| {
-            bank.write(0, &header.to_bytes()).unwrap();
-            bank.write(end, &records).unwrap();
-        };
-        let image = |bank: &Bank| {
-            let mut bytes = vec![0u8; end];
-            bank.read(0, &mut bytes).unwrap();
-            bytes
-        };
-        let kernel = SwiftRlKernel::with_tasklets(spec, 3);
-
-        let mut dpu = Dpu::new(0, &reference);
-        stage(dpu.mram_mut());
-        let cycles = dpu.execute(&kernel, &reference).unwrap();
-
-        let mut memory = DpuMemory::new(batched.mram_bytes, batched.wram_bytes);
-        stage(&mut memory.mram);
-        let clone = memory.clone();
-        let before = image(&clone.mram);
-        let tasklets = kernel.tasklets();
-        let mut ctx = BatchContext::new(0, tasklets, &mut memory, &batched.cost);
-        assert!(kernel.run_batched(&mut ctx).unwrap(), "{spec}: the sweep declined");
-        let (counter, batched_cycles) = ctx.finish(batched.cost.tasklet_issue_interval(tasklets));
-
-        assert_eq!(batched_cycles, cycles, "{spec}: cycles diverged");
-        assert_eq!(&counter, dpu.last_counter(), "{spec}: counters diverged");
-        assert_eq!(image(&memory.mram), image(dpu.mram()), "{spec}: MRAM diverged");
-        assert_ne!(image(&memory.mram), before, "{spec}: the launch trained nothing");
-        assert_eq!(image(&clone.mram), before, "{spec}: the clone changed");
-    }
-}
-
 /// Identity holds under an active fault plan: bitflips and stragglers
 /// force the touched (dpu, launch) pairs back onto the per-intrinsic
 /// path, transient aborts ride the retry loop, and the run remains
