@@ -735,13 +735,13 @@ impl<'a, const TALLY: bool> Em<'a, TALLY> {
     }
 
     #[inline]
-    fn div_wide(&mut self, n: i64, d: i32) -> i64 {
+    fn div_wide(&mut self, n: i64, d: &fastpath::Reciprocal) -> i64 {
         if TALLY {
-            self.int_slots += fastpath::idiv64_tally(n, d);
+            self.int_slots += fastpath::idiv64_tally(n, d.divisor());
         } else {
             self.n_div64 += 1;
         }
-        fastpath::idiv64(n, d)
+        d.idiv64(n)
     }
 
     /// LCG advance: one mul32-class emulated multiply + one native add,
@@ -819,7 +819,8 @@ struct FusedParams {
     alpha: u32,
     gamma: u32,
     epsilon_threshold: u32,
-    scale: i32,
+    /// The launch-constant fixed-point scale, as a reciprocal.
+    scale: fastpath::Reciprocal,
 }
 
 impl FusedParams {
@@ -947,7 +948,7 @@ impl FusedParams {
     #[inline]
     fn fixed_mul<const TALLY: bool>(&self, em: &mut Em<'_, TALLY>, a: i32, b: i32) -> i32 {
         let wide = em.mul_wide(a, b);
-        em.div_wide(wide, self.scale) as i32
+        em.div_wide(wide, &self.scale) as i32
     }
 
     fn q_update_int32<const TALLY: bool>(
@@ -1082,7 +1083,9 @@ impl SwiftRlKernel {
             alpha: hdr.alpha,
             gamma: hdr.gamma,
             epsilon_threshold: hdr.epsilon_threshold,
-            scale: hdr.scale as i32,
+            // The preflight declines an INT32 launch with scale 0, and
+            // FP32 never descales, so 1 only stands in for an unused scale.
+            scale: fastpath::Reciprocal::new(hdr.scale.max(1) as i32),
         };
         // DMA cycle costs, hoisted per transfer length.
         let c_hdr = cost.dma_cycles(HEADER_BYTES);

@@ -6,6 +6,14 @@
 //! aggregation. It reports the trained Q-table and a
 //! [`TimeBreakdown`] with the same four categories as Figures 5–6.
 //!
+//! A clean run (no fault plan, sanitizer off, no retry or degrade
+//! policy, a non-empty chunk on every DPU, and INT32 or a one-worker
+//! engine) takes each sync round as one engine pass,
+//! [`DpuSet::sync_round`]: every DPU receives its deliveries, runs its
+//! sweep and has its Q-table folded while the table is still in cache.
+//! Every other run keeps the stepwise host-call loop. Both produce the
+//! same bits, events and accounting (`tests/sync_round.rs`).
+//!
 //! The runner is execution-tier agnostic: it stages headers and replay
 //! chunks the same way under every [`ExecTier`](swiftrl_pim::config::ExecTier),
 //! and [`SwiftRlKernel`] advertises its fused batched implementation via
@@ -19,14 +27,16 @@ use crate::kernels::SwiftRlKernel;
 use crate::layout::{encode_chunk, KernelHeader, HEADER_BYTES, Q_TABLE_OFFSET};
 use crate::partition::partition_even;
 use crate::resilience::{ResilienceConfig, ResilienceStats};
+use crate::service::CancelToken;
 use std::ops::Range;
 #[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
 use std::time::Instant;
 use swiftrl_baselines::specs::MachineSpec;
 use swiftrl_env::{ExperienceDataset, Transition};
 use swiftrl_pim::config::PimConfig;
-use swiftrl_pim::host::{check_alloc, DpuSet, PimError, PimSystem};
+use swiftrl_pim::host::{check_alloc, Delivery, DpuSet, PimError, PimSystem};
 use swiftrl_pim::report::SanitizerReport;
+use swiftrl_pim::stats::SystemStats;
 use swiftrl_rl::qtable::{FixedQTable, FixedQTableSum, QTable, QTableSum};
 use swiftrl_telemetry::{Event, Telemetry};
 
@@ -61,8 +71,9 @@ pub struct RunOutcome {
     pub resilience: ResilienceStats,
     /// Host wall-clock seconds this process spent inside DPU kernel
     /// launches — the simulator's own compute cost, not a modelled
-    /// quantity. Machine- and tier-dependent; excluded from every
-    /// determinism comparison.
+    /// quantity. On the fused sync round a launch is the whole per-DPU
+    /// pass: deliveries, kernel and fold. Machine- and tier-dependent;
+    /// excluded from every determinism comparison.
     pub host_kernel_s: f64,
     /// Fleet-wide bank-memory accounting at the end of the run: how
     /// many bank bytes the lazily-materialized banks actually held
@@ -201,7 +212,7 @@ impl PimRunner {
         &self,
         set: &mut DpuSet,
         dataset: &ExperienceDataset,
-        cancel: Option<&crate::service::CancelToken>,
+        cancel: Option<&CancelToken>,
     ) -> Result<RunOutcome, PimError> {
         let rounds = self.cfg.comm_rounds()?;
         let ndpus = set.ndpus();
@@ -211,187 +222,35 @@ impl PimRunner {
                 self.cfg.dpus
             )));
         }
-        let ns = dataset.num_states();
-        let na = dataset.num_actions();
-        let q_bytes = ns * na * 4;
-        let scale = self.cfg.scale();
-
-        let mut breakdown = TimeBreakdown::default();
-        let mut res = ResilienceStats::default();
-        let mut host_kernel_s = 0.0_f64;
+        let mut tally = RunTally::default();
 
         // ---- Phase 1: CPU→PIM program + dataset + header + Q-table load ----
+        // The round loops deliver the staging.
         set.reset_stats();
         set.load_program();
-        let ranges = partition_even(dataset.len(), ndpus);
-        let headers: Vec<KernelHeader> = ranges
-            .iter()
-            .enumerate()
-            .map(|(dpu, range)| {
-                KernelHeader::for_chunk(
-                    self.spec,
-                    &self.cfg,
-                    dataset,
-                    dpu,
-                    range.len(),
-                    self.cfg.tau,
-                )
-            })
-            .collect();
-
-        let header_parts: Vec<Vec<u8>> = headers.iter().map(|h| h.to_bytes()).collect();
-        set.scatter(0, &header_parts)?;
-
-        // Zero-initialized Q-tables need no transfer (fresh MRAM reads as
-        // zero); an arbitrary initial value is broadcast to every DPU.
-        let initial_q_bytes: Vec<u8> = if self.cfg.initial_q != 0.0 {
-            let init = match self.spec.dtype {
-                DataType::Fp32 => QTable::filled(ns, na, self.cfg.initial_q).to_bytes(),
-                DataType::Int32 => FixedQTable::filled(
-                    ns,
-                    na,
-                    scale,
-                    scale.to_fixed(self.cfg.initial_q),
-                )
-                .to_bytes(),
-            };
-            set.broadcast(Q_TABLE_OFFSET, &init)?;
-            init
-        } else {
-            vec![0u8; q_bytes]
-        };
-        let trans_offset = headers[0].transitions_offset();
-        let chunk_parts: Vec<Vec<u8>> = ranges
-            .iter()
-            .map(|r| encode_chunk(self.spec, &self.cfg, dataset, r.clone()))
-            .collect();
-        set.scatter(trans_offset, &chunk_parts)?;
-        breakdown.cpu_pim_s = set.stats().cpu_to_pim_seconds;
-        breakdown.program_load_s = set.stats().program_load_seconds;
+        let stage = self.stage(dataset, ndpus);
+        let q_bytes = stage.q_bytes();
 
         // ---- Phase 2+3: kernel rounds with τ-periodic synchronization ----
-        //
-        // The resilient form of the plain `for round in 0..rounds` loop:
-        // `alive` tracks the DPUs still in the run, `assignments`/`counts`
-        // which dataset ranges each holds (for degrade remapping), and
-        // `checkpoint` the most recent host-side Q-table snapshot. While
-        // every DPU is alive the loop takes exactly the same full-set
-        // launch/gather/broadcast path as before, so fault-free runs are
-        // bit-identical to the non-resilient driver.
         let kernel = SwiftRlKernel::with_tasklets(self.spec, self.cfg.tasklets);
-        let mut alive: Vec<usize> = (0..ndpus).collect();
-        let mut assignments: Vec<Vec<Range<usize>>> =
-            ranges.iter().map(|r| vec![r.clone()]).collect();
-        let mut counts: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        // The checkpoint is never absent: before `checkpoint_every`
-        // first fires (or when it is 0), the snapshot is the *initial*
-        // Q-table at round 0, so a degradation in the first window rolls
-        // survivors back to a from-scratch replay instead of keeping the
-        // partially-updated tables the dead DPU contributed to. The
-        // implicit round-0 snapshot is not counted in
-        // `ResilienceStats::checkpoints`/`checkpoint_bytes` (those count
-        // explicit periodic checkpoints only).
-        let mut checkpoint: Option<(u32, Vec<u8>)> = Some((0, initial_q_bytes));
-        // Every sync round folds the gathered tables into this DPU-order
-        // sum as they arrive; after the last round it holds the final
-        // tables.
-        let mut sum = match self.spec.dtype {
-            DataType::Fp32 => RoundSum::Fp32(QTableSum::new(ns, na)),
-            DataType::Int32 => RoundSum::Int32(FixedQTableSum::new(ns, na, scale)),
+        let (sum, live) = if self.fuses(set, &stage) {
+            let sum = self.fused_rounds(set, cancel, &stage, &kernel, &mut tally)?;
+            (sum, ndpus)
+        } else {
+            let mut sum = self.new_sum(&stage);
+            let live =
+                self.stepwise_rounds(set, dataset, cancel, &stage, &kernel, &mut sum, &mut tally)?;
+            (sum, live)
         };
-        let mut round: u32 = 0;
-        while round < rounds {
-            if cancel.is_some_and(|token| token.stops_at(round)) {
-                return Err(PimError::Cancelled);
-            }
-            // The kernel advances its own episode window in MRAM, so no
-            // header re-arm is needed between rounds.
-            let kernel_before = set.stats().kernel_seconds;
-            let sync_cpu_before = set.stats().cpu_to_pim_seconds;
-            let sync_pim_before = set.stats().pim_to_cpu_seconds;
-
-            #[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
-            let launch_started = Instant::now();
-            let dead = self.launch_with_retry(set, &kernel, &alive, ndpus, &mut res)?;
-            host_kernel_s += launch_started.elapsed().as_secs_f64();
-            let rollback = if dead.is_empty() {
-                None
-            } else {
-                self.degrade(
-                    set,
-                    dataset,
-                    &mut alive,
-                    &mut assignments,
-                    &mut counts,
-                    &dead,
-                    checkpoint.as_ref(),
-                    trans_offset,
-                    &mut res,
-                )?
-            };
-
-            let is_last = rollback.is_none() && round + 1 == rounds;
-            if rollback.is_none() {
-                // Gather local Q-tables (survivors only once degraded),
-                // folding each into the round's sum.
-                let live = alive.len();
-                let subset = (live < ndpus).then_some(alive.as_slice());
-                sum.clear();
-                set.gather_with(Q_TABLE_OFFSET, q_bytes, subset, |table| sum.add_bytes(table))?;
-
-                if !is_last {
-                    // Host-side aggregation + broadcast of the average.
-                    let avg = sum.mean_bytes();
-                    let agg_s = self.aggregate_seconds(live, q_bytes);
-                    breakdown.inter_pim_s += agg_s;
-                    self.platform.telemetry.emit(|| Event::HostAggregate {
-                        tables: live,
-                        bytes: q_bytes as u64,
-                        seconds: agg_s,
-                    });
-                    if alive.len() == ndpus {
-                        set.broadcast(Q_TABLE_OFFSET, &avg)?;
-                    } else {
-                        set.broadcast_subset(Q_TABLE_OFFSET, &avg, &alive)?;
-                    }
-                    let every = self.resilience.checkpoint_every;
-                    if every > 0 && (round + 1).is_multiple_of(every) {
-                        res.checkpoints += 1;
-                        res.checkpoint_bytes += avg.len() as u64;
-                        checkpoint = Some((round + 1, avg));
-                    }
-                }
-            }
-
-            let kernel_delta = set.stats().kernel_seconds - kernel_before;
-            breakdown.pim_kernel_s += kernel_delta;
-            let sync_cpu = set.stats().cpu_to_pim_seconds - sync_cpu_before;
-            let sync_pim = set.stats().pim_to_cpu_seconds - sync_pim_before;
-            if is_last {
-                // The final gather is the PIM→CPU retrieval phase.
-                breakdown.pim_cpu_s += sync_pim;
-                breakdown.inter_pim_s += sync_cpu;
-            } else {
-                // Repair traffic (rollback broadcast, chunk remapping)
-                // rides the same host-mediated path as synchronization.
-                breakdown.inter_pim_s += sync_cpu + sync_pim;
-            }
-
-            if rollback.is_none() {
-                self.platform.telemetry.emit(|| Event::SyncRound {
-                    round,
-                    live_dpus: alive.len(),
-                });
-            }
-            round = match rollback {
-                Some(ck_round) => ck_round,
-                None => round + 1,
-            };
-        }
+        let RunTally {
+            mut breakdown,
+            mut res,
+            host_kernel_s,
+        } = tally;
 
         // ---- Phase 4: final aggregation on the host ----
         let q_table = sum.mean_table();
-        let final_agg_s = self.aggregate_seconds(alive.len(), q_bytes);
+        let final_agg_s = self.aggregate_seconds(live, q_bytes);
         breakdown.pim_cpu_s += final_agg_s;
         self.platform.telemetry.emit(|| Event::HostAggregate {
             tables: sum.tables(),
@@ -423,6 +282,327 @@ impl PimRunner {
             host_kernel_s,
             memory,
         })
+    }
+
+    /// Phase 1's host-side staging: every DPU's kernel header and
+    /// encoded replay chunk, and the initial Q-table image when it is
+    /// not all zeros.
+    fn stage(&self, dataset: &ExperienceDataset, ndpus: usize) -> Staging {
+        let ranges = partition_even(dataset.len(), ndpus);
+        let headers: Vec<KernelHeader> = ranges
+            .iter()
+            .enumerate()
+            .map(|(dpu, range)| {
+                KernelHeader::for_chunk(
+                    self.spec,
+                    &self.cfg,
+                    dataset,
+                    dpu,
+                    range.len(),
+                    self.cfg.tau,
+                )
+            })
+            .collect();
+        let header_parts = headers.iter().map(|h| h.to_bytes()).collect();
+
+        // Zero-initialized Q-tables need no transfer (fresh MRAM reads as
+        // zero); an arbitrary initial value is broadcast to every DPU.
+        let (ns, na) = (dataset.num_states(), dataset.num_actions());
+        let scale = self.cfg.scale();
+        let initial_q = (self.cfg.initial_q != 0.0).then(|| match self.spec.dtype {
+            DataType::Fp32 => QTable::filled(ns, na, self.cfg.initial_q).to_bytes(),
+            DataType::Int32 => {
+                FixedQTable::filled(ns, na, scale, scale.to_fixed(self.cfg.initial_q)).to_bytes()
+            }
+        });
+        let chunk_parts = ranges
+            .iter()
+            .map(|r| encode_chunk(self.spec, &self.cfg, dataset, r.clone()))
+            .collect();
+        Staging {
+            ns,
+            na,
+            trans_offset: headers[0].transitions_offset(),
+            ranges,
+            header_parts,
+            initial_q,
+            chunk_parts,
+        }
+    }
+
+    /// Whether this run on `set` may take [`Self::fused_rounds`]. The
+    /// fused round needs a set whose fault plan and sanitizer never
+    /// act, a policy that never retries or degrades, and a non-empty
+    /// chunk on every DPU. An FP32 run also needs one engine worker: its
+    /// DPU-order sum depends on the order of the tables, so it cannot be
+    /// split between workers.
+    fn fuses(&self, set: &DpuSet, stage: &Staging) -> bool {
+        let config = set.config();
+        config.faults.is_none()
+            && !config.sanitize.enabled()
+            && self.resilience.max_retries == 0
+            && !self.resilience.degrade
+            && stage.chunk_parts.iter().all(|part| !part.is_empty())
+            && (self.spec.dtype == DataType::Int32 || config.engine.workers_for(set.ndpus()) == 1)
+    }
+
+    /// An empty sync-round sum of `stage`'s tables in the run's data
+    /// type.
+    fn new_sum(&self, stage: &Staging) -> RoundSum {
+        let (ns, na) = (stage.ns, stage.na);
+        match self.spec.dtype {
+            DataType::Fp32 => RoundSum::Fp32(QTableSum::new(ns, na)),
+            DataType::Int32 => RoundSum::Int32(FixedQTableSum::new(ns, na, self.cfg.scale())),
+        }
+    }
+
+    /// Phases 1–3 as one [`DpuSet::sync_round`] per round: round 0
+    /// delivers the staging, every later round the previous round's
+    /// average, and each DPU's table is folded into its engine worker's
+    /// sum right after its sweep. Round `r − 1` is closed (breakdown
+    /// deltas, `SyncRound` event) and round `r`'s cancellation checked
+    /// once round `r`'s deliveries are recorded, which is where the
+    /// stepwise loop does both, so every f64 sum, every event and every
+    /// bank byte come out as [`Self::stepwise_rounds`] leaves them.
+    /// Returns the last round's sum.
+    fn fused_rounds(
+        &self,
+        set: &mut DpuSet,
+        cancel: Option<&CancelToken>,
+        stage: &Staging,
+        kernel: &SwiftRlKernel,
+        tally: &mut RunTally,
+    ) -> Result<RoundSum, PimError> {
+        let rounds = self.cfg.comm_rounds()?;
+        let ndpus = set.ndpus();
+        let q_bytes = stage.q_bytes();
+        // One sum per engine worker, allocated once per run.
+        let workers = set.config().engine.workers_for(ndpus);
+        let mut sums: Vec<RoundSum> = (0..workers).map(|_| self.new_sum(stage)).collect();
+        let mut avg = Vec::new();
+        // The clocks of the round in flight; `None` while phase 1 is open.
+        let mut open: Option<RoundStart> = None;
+        for round in 0..rounds {
+            let staging;
+            let deliveries: &[Delivery<'_>] = if round == 0 {
+                staging = stage.deliveries();
+                &staging
+            } else {
+                &[Delivery::Broadcast {
+                    offset: Q_TABLE_OFFSET,
+                    data: &avg,
+                }]
+            };
+            sums.iter_mut().for_each(RoundSum::clear);
+            let mut started = None;
+            let on_delivered = |stats: &SystemStats| {
+                match open.take() {
+                    None => {
+                        tally.breakdown.cpu_pim_s = stats.cpu_to_pim_seconds;
+                        tally.breakdown.program_load_s = stats.program_load_seconds;
+                    }
+                    Some(previous) => {
+                        previous.close(stats, false, &mut tally.breakdown);
+                        self.platform.telemetry.emit(|| Event::SyncRound {
+                            round: round - 1,
+                            live_dpus: ndpus,
+                        });
+                    }
+                }
+                if cancel.is_some_and(|token| token.stops_at(round)) {
+                    return false;
+                }
+                open = Some(RoundStart::at(stats));
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "host wall time; never a simulated observable"
+                )]
+                let now = Instant::now();
+                started = Some(now);
+                true
+            };
+            let launched = set.sync_round(
+                deliveries,
+                kernel,
+                Q_TABLE_OFFSET,
+                q_bytes,
+                on_delivered,
+                &mut sums,
+                RoundSum::add_bytes,
+            )?;
+            if !launched {
+                return Err(PimError::Cancelled);
+            }
+            if let Some(started) = started {
+                tally.host_kernel_s += started.elapsed().as_secs_f64();
+            }
+            if let Some((total, rest)) = sums.split_first_mut() {
+                rest.iter().for_each(|part| total.merge(part));
+                if round + 1 < rounds {
+                    avg = self.average(total, ndpus, q_bytes, &mut tally.breakdown);
+                    if self.checkpoint_due(round) {
+                        tally.res.checkpoints += 1;
+                        tally.res.checkpoint_bytes += avg.len() as u64;
+                    }
+                }
+            }
+        }
+        if let Some(last) = open {
+            last.close(set.stats(), true, &mut tally.breakdown);
+            self.platform.telemetry.emit(|| Event::SyncRound {
+                round: rounds - 1,
+                live_dpus: ndpus,
+            });
+        }
+        // Worker 0's sum holds the whole last round.
+        Ok(sums.swap_remove(0))
+    }
+
+    /// Phases 1–3 one host call at a time: the staging transfers, then
+    /// per round a launch (with retries), a gather folded into `sum`, and
+    /// the average's broadcast. This is the resilient loop: `alive`
+    /// tracks the DPUs still in the run, `assignments`/`counts` which
+    /// dataset ranges each holds (for degrade remapping), and
+    /// `checkpoint` the most recent host-side Q-table snapshot. Returns
+    /// the number of DPUs still alive; after the last round `sum` holds
+    /// their final tables.
+    #[allow(clippy::too_many_arguments)]
+    fn stepwise_rounds(
+        &self,
+        set: &mut DpuSet,
+        dataset: &ExperienceDataset,
+        cancel: Option<&CancelToken>,
+        stage: &Staging,
+        kernel: &SwiftRlKernel,
+        sum: &mut RoundSum,
+        tally: &mut RunTally,
+    ) -> Result<usize, PimError> {
+        let rounds = self.cfg.comm_rounds()?;
+        let ndpus = set.ndpus();
+        let q_bytes = stage.q_bytes();
+        for delivery in stage.deliveries() {
+            match delivery {
+                Delivery::Scatter { offset, parts } => set.scatter(offset, parts)?,
+                Delivery::Broadcast { offset, data } => set.broadcast(offset, data)?,
+            }
+        }
+        let RunTally {
+            breakdown,
+            res,
+            host_kernel_s,
+        } = tally;
+        breakdown.cpu_pim_s = set.stats().cpu_to_pim_seconds;
+        breakdown.program_load_s = set.stats().program_load_seconds;
+
+        let mut alive: Vec<usize> = (0..ndpus).collect();
+        let mut assignments: Vec<Vec<Range<usize>>> =
+            stage.ranges.iter().map(|r| vec![r.clone()]).collect();
+        let mut counts: Vec<usize> = stage.ranges.iter().map(|r| r.len()).collect();
+        // The checkpoint is never absent: before `checkpoint_every`
+        // first fires (or when it is 0), the snapshot is the *initial*
+        // Q-table at round 0, so a degradation in the first window rolls
+        // survivors back to a from-scratch replay instead of keeping the
+        // partially-updated tables the dead DPU contributed to. The
+        // implicit round-0 snapshot is not counted in
+        // `ResilienceStats::checkpoints`/`checkpoint_bytes` (those count
+        // explicit periodic checkpoints only).
+        let initial_q = stage.initial_q.clone().unwrap_or_else(|| vec![0u8; q_bytes]);
+        let mut checkpoint: Option<(u32, Vec<u8>)> = Some((0, initial_q));
+        let mut round: u32 = 0;
+        while round < rounds {
+            if cancel.is_some_and(|token| token.stops_at(round)) {
+                return Err(PimError::Cancelled);
+            }
+            // The kernel advances its own episode window in MRAM, so no
+            // header re-arm is needed between rounds.
+            let start = RoundStart::at(set.stats());
+
+            #[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
+            let launch_started = Instant::now();
+            let dead = self.launch_with_retry(set, kernel, &alive, ndpus, res)?;
+            *host_kernel_s += launch_started.elapsed().as_secs_f64();
+            let rollback = if dead.is_empty() {
+                None
+            } else {
+                self.degrade(
+                    set,
+                    dataset,
+                    &mut alive,
+                    &mut assignments,
+                    &mut counts,
+                    &dead,
+                    checkpoint.as_ref(),
+                    stage.trans_offset,
+                    res,
+                )?
+            };
+
+            let is_last = rollback.is_none() && round + 1 == rounds;
+            if rollback.is_none() {
+                // Gather local Q-tables (survivors only once degraded),
+                // folding each into the round's sum.
+                let live = alive.len();
+                let subset = (live < ndpus).then_some(alive.as_slice());
+                sum.clear();
+                set.gather_with(Q_TABLE_OFFSET, q_bytes, subset, |table| sum.add_bytes(table))?;
+
+                if !is_last {
+                    // Host-side aggregation + broadcast of the average.
+                    let avg = self.average(sum, live, q_bytes, breakdown);
+                    if alive.len() == ndpus {
+                        set.broadcast(Q_TABLE_OFFSET, &avg)?;
+                    } else {
+                        set.broadcast_subset(Q_TABLE_OFFSET, &avg, &alive)?;
+                    }
+                    if self.checkpoint_due(round) {
+                        res.checkpoints += 1;
+                        res.checkpoint_bytes += avg.len() as u64;
+                        checkpoint = Some((round + 1, avg));
+                    }
+                }
+            }
+
+            start.close(set.stats(), is_last, breakdown);
+            if rollback.is_none() {
+                self.platform.telemetry.emit(|| Event::SyncRound {
+                    round,
+                    live_dpus: alive.len(),
+                });
+            }
+            round = match rollback {
+                Some(ck_round) => ck_round,
+                None => round + 1,
+            };
+        }
+        Ok(alive.len())
+    }
+
+    /// The host-side average of one non-final round's `sum` over `live`
+    /// tables, in its MRAM layout and ready to broadcast. Charges the
+    /// modelled aggregation time to synchronization.
+    fn average(
+        &self,
+        sum: &RoundSum,
+        live: usize,
+        q_bytes: usize,
+        breakdown: &mut TimeBreakdown,
+    ) -> Vec<u8> {
+        let avg = sum.mean_bytes();
+        let agg_s = self.aggregate_seconds(live, q_bytes);
+        breakdown.inter_pim_s += agg_s;
+        self.platform.telemetry.emit(|| Event::HostAggregate {
+            tables: live,
+            bytes: q_bytes as u64,
+            seconds: agg_s,
+        });
+        avg
+    }
+
+    /// Whether the average broadcast after `round` is a periodic
+    /// checkpoint.
+    fn checkpoint_due(&self, round: u32) -> bool {
+        let every = self.resilience.checkpoint_every;
+        every > 0 && (round + 1).is_multiple_of(every)
     }
 
     /// Launches one round on `alive`, retrying the faulted subset up to
@@ -590,13 +770,105 @@ impl PimRunner {
     }
 }
 
-/// One sync round's DPU-order Q-table sum, in the run's data type.
+/// Phase 1's staging, shared by both round loops.
+struct Staging {
+    /// Q-table shape.
+    ns: usize,
+    na: usize,
+    /// Each DPU's dataset range.
+    ranges: Vec<Range<usize>>,
+    header_parts: Vec<Vec<u8>>,
+    /// The initial Q-table image, when it is not all zeros.
+    initial_q: Option<Vec<u8>>,
+    chunk_parts: Vec<Vec<u8>>,
+    /// MRAM offset of the replay chunks.
+    trans_offset: usize,
+}
+
+impl Staging {
+    /// Bytes of one Q-table.
+    fn q_bytes(&self) -> usize {
+        self.ns * self.na * 4
+    }
+
+    /// The staging transfers in order: headers, the initial Q-table if
+    /// any, replay chunks.
+    fn deliveries(&self) -> Vec<Delivery<'_>> {
+        let mut out = vec![Delivery::Scatter {
+            offset: 0,
+            parts: &self.header_parts,
+        }];
+        if let Some(init) = &self.initial_q {
+            out.push(Delivery::Broadcast {
+                offset: Q_TABLE_OFFSET,
+                data: init,
+            });
+        }
+        out.push(Delivery::Scatter {
+            offset: self.trans_offset,
+            parts: &self.chunk_parts,
+        });
+        out
+    }
+}
+
+/// What a run accumulates besides its Q-table.
+#[derive(Default)]
+struct RunTally {
+    breakdown: TimeBreakdown,
+    res: ResilienceStats,
+    host_kernel_s: f64,
+}
+
+/// The simulated clocks at the start of a sync round.
+struct RoundStart {
+    kernel: f64,
+    cpu_to_pim: f64,
+    pim_to_cpu: f64,
+}
+
+impl RoundStart {
+    fn at(stats: &SystemStats) -> Self {
+        Self {
+            kernel: stats.kernel_seconds,
+            cpu_to_pim: stats.cpu_to_pim_seconds,
+            pim_to_cpu: stats.pim_to_cpu_seconds,
+        }
+    }
+
+    /// Charges the round's kernel and transfer time up to `stats`.
+    fn close(&self, stats: &SystemStats, is_last: bool, breakdown: &mut TimeBreakdown) {
+        breakdown.pim_kernel_s += stats.kernel_seconds - self.kernel;
+        let sync_cpu = stats.cpu_to_pim_seconds - self.cpu_to_pim;
+        let sync_pim = stats.pim_to_cpu_seconds - self.pim_to_cpu;
+        if is_last {
+            // The final gather is the PIM→CPU retrieval phase.
+            breakdown.pim_cpu_s += sync_pim;
+            breakdown.inter_pim_s += sync_cpu;
+        } else {
+            // Repair traffic (rollback broadcast, chunk remapping)
+            // rides the same host-mediated path as synchronization.
+            breakdown.inter_pim_s += sync_cpu + sync_pim;
+        }
+    }
+}
+
+/// One sync round's Q-table sum, in the run's data type.
 enum RoundSum {
     Fp32(QTableSum),
     Int32(FixedQTableSum),
 }
 
 impl RoundSum {
+    /// Adds the tables of `other`, another worker's part of the round.
+    /// Only exact INT32 sums are ever split between workers.
+    fn merge(&mut self, other: &RoundSum) {
+        match (self, other) {
+            (Self::Int32(sum), Self::Int32(part)) => sum.merge(part),
+            _ => unreachable!("an FP32 round is folded by one worker"),
+        }
+    }
+
     fn add_bytes(&mut self, table: &[u8]) {
         match self {
             Self::Fp32(sum) => sum.add_bytes(table),
@@ -750,6 +1022,41 @@ mod tests {
             })
         );
         assert_eq!(build(8), Ok(()));
+    }
+
+    #[test]
+    fn clean_runs_fuse_and_every_other_run_stays_stepwise() {
+        use swiftrl_pim::faults::FaultPlan;
+        use swiftrl_pim::sanitize::SanitizeLevel;
+        use swiftrl_pim::ExecutionEngine;
+        let d = dataset();
+        let (int32, fp32) = (WorkloadSpec::q_learning_seq_int32(), WorkloadSpec::q_learning_seq_fp32());
+        let platform = |engine| PimConfig::builder().dpus(4_096).engine(engine).build();
+        let fuses = |spec, dpus, platform: PimConfig, resilience| {
+            let runner = PimRunner::with_platform(spec, quick_cfg(dpus), platform.clone())
+                .unwrap()
+                .with_resilience(resilience);
+            let set = PimSystem::new(platform).alloc(dpus).unwrap();
+            runner.fuses(&set, &runner.stage(&d, dpus))
+        };
+        let none = ResilienceConfig::none();
+        let (serial, two) = (ExecutionEngine::Serial, ExecutionEngine::Threaded { workers: 2 });
+        let one = ExecutionEngine::Threaded { workers: 1 };
+        assert!(fuses(int32, 8, platform(serial), none));
+        assert!(fuses(int32, 8, platform(two), none));
+        assert!(fuses(fp32, 8, platform(serial), none));
+        assert!(fuses(fp32, 8, platform(one), none));
+        assert!(fuses(fp32, 1, platform(two), none), "one DPU runs one worker");
+        assert!(!fuses(fp32, 8, platform(two), none), "FP32 sums depend on order");
+        assert!(fuses(int32, 8, platform(two), none.with_checkpoint_every(1)));
+        assert!(!fuses(int32, 8, platform(two), none.with_max_retries(1)));
+        assert!(!fuses(int32, 8, platform(two), none.with_degrade(true)));
+        assert!(!fuses(int32, 3_000, platform(two), none), "empty chunks");
+        let inert = FaultPlan::seeded(1).with_stragglers(1.0, 1.0);
+        let faulty = PimConfig::builder().dpus(8).faults(inert).build();
+        assert!(!fuses(int32, 8, faulty, none));
+        let sanitized = PimConfig::builder().dpus(8).sanitize(SanitizeLevel::Memory).build();
+        assert!(!fuses(int32, 8, sanitized, none));
     }
 
     #[test]

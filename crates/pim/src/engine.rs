@@ -21,7 +21,9 @@
 //! slice is cut into small chunks (several per worker, so a slow chunk
 //! does not leave the other workers idle at paper scale), workers claim
 //! chunks through one shared atomic cursor, and every chunk carries its
-//! own result slots — scheduling order never reaches the output.
+//! own result slots — scheduling order never reaches the output. The
+//! one place it shows is which DPUs share a worker's accumulator slot,
+//! so only folds whose result does not depend on order use slots.
 //!
 //! Wall-clock is the only observable difference between engines. The
 //! guarantee is orthogonal to the execution *tier*
@@ -106,7 +108,8 @@ impl ExecutionEngine {
         dpus: &mut [Dpu],
         kernel: &dyn Kernel,
     ) -> Vec<Result<u64, KernelError>> {
-        self.execute_chunks(dpus, |dpu| dpu.execute(kernel, config))
+        let mut slots = vec![(); self.workers_for(dpus.len())];
+        self.execute_chunks(&mut slots, dpus, |(), dpu| dpu.execute(kernel, config))
     }
 
     /// Executes `kernel` on an arbitrary selection of DPUs (given as
@@ -121,26 +124,42 @@ impl ExecutionEngine {
         dpus: &mut [&mut Dpu],
         kernel: &dyn Kernel,
     ) -> Vec<Result<u64, KernelError>> {
-        self.execute_chunks(dpus, |dpu| dpu.execute(kernel, config))
+        let mut slots = vec![(); self.workers_for(dpus.len())];
+        self.execute_chunks(&mut slots, dpus, |(), dpu| dpu.execute(kernel, config))
     }
 
     /// Shared scheduling core: runs `run` over every item of `items`
     /// (each item is one DPU's worth of work) and returns the results in
-    /// item order. `Serial` (or a single worker or item) runs inline on
-    /// the calling thread. Otherwise the items are cut into chunks of
-    /// `n.div_ceil(workers * 8)`, each paired with its own result slots;
-    /// workers claim chunk indices from an atomic cursor until none are
-    /// left. A worker's panic (a kernel bug) is re-raised on the caller
-    /// with its original payload.
-    fn execute_chunks<T: Send>(
+    /// item order.
+    ///
+    /// `slots` are per-worker accumulators: every call of `run` gets the
+    /// slot of the worker running it, so a worker can fold each item's
+    /// output while it is still in cache. At most `slots.len()` workers
+    /// run. `Serial` (or a single worker or item) runs inline on the
+    /// calling thread with slot 0. Otherwise the items are cut into
+    /// chunks of `n.div_ceil(workers * 8)`, each paired with its own
+    /// result slots; workers claim chunk indices from an atomic cursor
+    /// until none are left, so which items share a slot depends on the
+    /// schedule — only order-free folds belong in a slot. A worker's
+    /// panic (a kernel bug) is re-raised on the caller with its original
+    /// payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is empty and `items` is not.
+    pub(crate) fn execute_chunks<A: Send, T: Send>(
         &self,
+        slots: &mut [A],
         items: &mut [T],
-        run: impl Fn(&mut T) -> Result<u64, KernelError> + Sync,
+        run: impl Fn(&mut A, &mut T) -> Result<u64, KernelError> + Sync,
     ) -> Vec<Result<u64, KernelError>> {
         let n = items.len();
-        let workers = self.workers_for(n);
+        let workers = self.workers_for(n).min(slots.len());
         if workers <= 1 || n <= 1 {
-            return items.iter_mut().map(run).collect();
+            return items
+                .iter_mut()
+                .map(|item| run(&mut slots[0], item))
+                .collect();
         }
 
         // Empty slots; every slot is filled because the result chunks are
@@ -156,9 +175,11 @@ impl ExecutionEngine {
             .collect();
         let cursor = AtomicUsize::new(0);
         let panicked = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
+            let handles: Vec<_> = slots[..workers]
+                .iter_mut()
+                .map(|slot| {
+                    let (chunks, cursor, run) = (&chunks, &cursor, &run);
+                    scope.spawn(move || {
                         // `Relaxed`: the cursor only hands out indices; the
                         // chunk's data is published through its mutex.
                         let claim = || chunks.get(cursor.fetch_add(1, Ordering::Relaxed));
@@ -168,8 +189,8 @@ impl ExecutionEngine {
                             let (item_chunk, out_chunk) = std::mem::take(
                                 &mut *chunk.lock().unwrap_or_else(PoisonError::into_inner),
                             );
-                            for (item, slot) in item_chunk.iter_mut().zip(out_chunk) {
-                                *slot = Some(run(item));
+                            for (item, out) in item_chunk.iter_mut().zip(out_chunk) {
+                                *out = Some(run(slot, item));
                             }
                         }
                     })
@@ -336,6 +357,80 @@ mod tests {
             assert_eq!(s.mram().read_u32(0).ok(), t.mram().read_u32(0).ok());
             assert_eq!(s.last_counter(), t.last_counter());
         }
+    }
+
+    /// Runs `execute_chunks` over `n` items with `slots` slots, each
+    /// slot recording the items it saw; returns the per-slot lists.
+    fn slot_visits(engine: ExecutionEngine, n: usize, slots: usize) -> Vec<Vec<usize>> {
+        let mut items: Vec<usize> = (0..n).collect();
+        let mut seen = vec![Vec::new(); slots];
+        let results = engine.execute_chunks(&mut seen, &mut items, |slot, item| {
+            slot.push(*item);
+            Ok(*item as u64)
+        });
+        let want: Vec<Result<u64, KernelError>> = (0..n as u64).map(Ok).collect();
+        assert_eq!(results, want, "{engine:?}: results out of item order");
+        seen
+    }
+
+    #[test]
+    fn every_item_runs_once_in_exactly_one_slot() {
+        for engine in [
+            ExecutionEngine::Serial,
+            ExecutionEngine::Threaded { workers: 1 },
+            ExecutionEngine::Threaded { workers: 2 },
+            ExecutionEngine::Threaded { workers: 3 },
+            ExecutionEngine::Threaded { workers: 8 },
+        ] {
+            for n in [0, 1, 2, 7, 37, 100] {
+                let width = engine.workers_for(n);
+                let seen = slot_visits(engine, n, width);
+                let mut all: Vec<usize> = seen.concat();
+                all.sort_unstable();
+                assert_eq!(all, (0..n).collect::<Vec<_>>(), "{engine:?}, {n} items");
+                // Within a slot, items arrive in ascending chunk order.
+                for slot in &seen {
+                    assert!(slot.windows(2).all(|w| w[0] < w[1]), "{engine:?}: {slot:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serial_uses_only_slot_zero_and_threaded_at_most_its_width() {
+        let seen = slot_visits(ExecutionEngine::Serial, 50, 4);
+        assert_eq!(seen[0].len(), 50);
+        assert!(seen[1..].iter().all(Vec::is_empty));
+        // A single item runs inline as well.
+        let seen = slot_visits(ExecutionEngine::Threaded { workers: 4 }, 1, 4);
+        assert_eq!(seen[0], vec![0]);
+        for workers in [2, 3] {
+            let engine = ExecutionEngine::Threaded { workers };
+            // Spare slots beyond the width stay untouched.
+            let seen = slot_visits(engine, 64, workers + 2);
+            assert!(seen[workers..].iter().all(Vec::is_empty), "{engine:?}");
+            // Fewer slots than the width cap the workers.
+            let seen = slot_visits(engine, 64, 1);
+            assert_eq!(seen[0].len(), 64, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_slot_run_reaches_the_caller_with_its_own_payload() {
+        let engine = ExecutionEngine::Threaded { workers: 3 };
+        let mut items: Vec<usize> = (0..40).collect();
+        let mut slots = vec![0u64; 3];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.execute_chunks(&mut slots, &mut items, |sum, item| {
+                if *item == 29 {
+                    panic!("fold bug on item 29");
+                }
+                *sum += *item as u64;
+                Ok(0)
+            })
+        }))
+        .expect_err("the panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"fold bug on item 29"));
     }
 
     struct PanicKernel;

@@ -195,6 +195,60 @@ pub fn idiv64(n: i64, d: i32) -> i64 {
     }
 }
 
+/// [`idiv64`] by one fixed divisor, without a hardware divide: an exact
+/// reciprocal (Granlund–Montgomery) computed once, then one `u128`
+/// multiply and a shift per quotient. Exact for every numerator of
+/// magnitude below 2^63, which covers every product of two `i32`s
+/// (at most 2^62 in magnitude): the fixed-point descale of the batched
+/// sweep, whose divisor is constant for a whole launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reciprocal {
+    divisor: i32,
+    multiplier: u64,
+    shift: u32,
+}
+
+impl Reciprocal {
+    /// The reciprocal of `divisor`: with d = |divisor| and ℓ = ⌈log₂ d⌉,
+    /// the multiplier is m = ⌈2^(63+ℓ) / d⌉. It fits in a `u64` because
+    /// d > 2^(ℓ−1), and m·d − 2^(63+ℓ) < d ≤ 2^ℓ makes
+    /// ⌊n·m / 2^(63+ℓ)⌋ = ⌊n / d⌋ for every n < 2^63.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `divisor == 0`.
+    pub fn new(divisor: i32) -> Self {
+        assert!(divisor != 0, "division by zero in emulated udiv64");
+        let d = divisor.unsigned_abs();
+        let shift = 63 + d.next_power_of_two().trailing_zeros();
+        let multiplier = (1u128 << shift).div_ceil(u128::from(d)) as u64;
+        Self {
+            divisor,
+            multiplier,
+            shift,
+        }
+    }
+
+    /// The divisor.
+    pub fn divisor(&self) -> i32 {
+        self.divisor
+    }
+
+    /// Value of [`idiv64`]`(n, self.divisor())` for `|n| < 2^63`, with
+    /// the same sign reconstruction.
+    #[inline]
+    pub fn idiv64(&self, n: i64) -> i64 {
+        let un = n.unsigned_abs();
+        debug_assert!(un < 1 << 63, "numerator {n} outside the exact range");
+        let uq = ((u128::from(un) * u128::from(self.multiplier)) >> self.shift) as u64;
+        if (n < 0) ^ (self.divisor < 0) {
+            -(uq as i64)
+        } else {
+            uq as i64
+        }
+    }
+}
+
 /// Tally of [`crate::emul::idiv64`]: sign prologue plus the unsigned divide.
 ///
 /// # Panics

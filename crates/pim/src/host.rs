@@ -14,7 +14,7 @@
 use crate::config::PimConfig;
 use crate::dpu::Dpu;
 use crate::kernel::{Kernel, KernelError};
-use crate::memory::MemoryError;
+use crate::memory::{Bank, MemoryError};
 use crate::report::SanitizerReport;
 use crate::sanitize::{FindingKind, SanitizeLevel, SanitizerFinding};
 use crate::stats::{LaunchStats, SystemStats};
@@ -189,6 +189,36 @@ impl PimSystem {
     }
 }
 
+/// One host→DPU transfer of a [`DpuSet::sync_round`]. It is recorded
+/// exactly as the stepwise call it stands for.
+#[derive(Debug, Clone, Copy)]
+pub enum Delivery<'a> {
+    /// [`DpuSet::scatter`]: part `i` goes to DPU `i` at `offset`.
+    Scatter {
+        /// MRAM offset on every DPU.
+        offset: usize,
+        /// One non-empty part per DPU.
+        parts: &'a [Vec<u8>],
+    },
+    /// [`DpuSet::broadcast`]: `data` goes to every DPU at `offset`.
+    Broadcast {
+        /// MRAM offset on every DPU.
+        offset: usize,
+        /// The payload.
+        data: &'a [u8],
+    },
+}
+
+impl<'a> Delivery<'a> {
+    /// Where DPU `dpu` receives this delivery, and its bytes.
+    fn payload(&self, dpu: usize) -> (usize, &'a [u8]) {
+        match *self {
+            Delivery::Scatter { offset, parts } => (offset, &parts[dpu]),
+            Delivery::Broadcast { offset, data } => (offset, data),
+        }
+    }
+}
+
 /// A set of allocated DPUs operated on collectively, like a UPMEM
 /// `dpu_set_t`.
 #[derive(Debug)]
@@ -313,6 +343,15 @@ impl DpuSet {
             });
         }
         Ok(())
+    }
+
+    /// The range check the set's banks (all of one capacity) apply to a
+    /// host access of `len` bytes at `offset`.
+    fn check_mram(&self, offset: usize, len: usize) -> Result<(), MemoryError> {
+        match self.dpus.first() {
+            Some(dpu) => dpu.mram().check(offset, len).map(drop),
+            None => Ok(()),
+        }
     }
 
     fn ranks(&self) -> usize {
@@ -481,6 +520,36 @@ impl DpuSet {
         });
     }
 
+    /// Charges a scatter of `total` bytes addressed to `dpus` DPUs in
+    /// `ranks` ranks; a scatter that addresses no rank takes no time.
+    fn charge_scatter(&mut self, total: u64, dpus: usize, ranks: usize) {
+        let seconds = if ranks == 0 {
+            0.0
+        } else {
+            self.config
+                .transfer
+                .scatter_gather_seconds(total as usize, ranks)
+        };
+        self.record_xfer(TransferKind::Scatter, total, dpus, ranks, seconds);
+    }
+
+    /// Charges a broadcast of `len` bytes to `dpus` DPUs in `ranks` ranks.
+    fn charge_broadcast(&mut self, len: usize, dpus: usize, ranks: usize) {
+        let seconds = self.config.transfer.broadcast_seconds(len, dpus, ranks);
+        self.record_xfer(TransferKind::Broadcast, (len * dpus) as u64, dpus, ranks, seconds);
+    }
+
+    /// Charges a gather of `len` bytes from each of `dpus` DPUs in
+    /// `ranks` ranks.
+    fn charge_gather(&mut self, len: usize, dpus: usize, ranks: usize) {
+        let total = (len * dpus) as u64;
+        let seconds = self
+            .config
+            .transfer
+            .scatter_gather_seconds(total as usize, ranks);
+        self.record_xfer(TransferKind::Gather, total, dpus, ranks, seconds);
+    }
+
     // ---- transfers -------------------------------------------------------
 
     /// Copies `data` into one DPU's MRAM at `mram_offset`.
@@ -558,14 +627,7 @@ impl DpuSet {
                 set.deliver(seq, dpu, mram_offset, &parts[dpu])
             })?
         };
-        let seconds = if ranks == 0 {
-            0.0
-        } else {
-            self.config
-                .transfer
-                .scatter_gather_seconds(total as usize, ranks)
-        };
-        self.record_xfer(TransferKind::Scatter, total, addressed.len(), ranks, seconds);
+        self.charge_scatter(total, addressed.len(), ranks);
         Ok(())
     }
 
@@ -581,12 +643,7 @@ impl DpuSet {
         }
         let seq = self.next_transfer_seq();
         let ranks = self.visit_ranks(None, |set, _, dpu| set.deliver(seq, dpu, mram_offset, data))?;
-        let n = self.dpus.len();
-        let seconds = self
-            .config
-            .transfer
-            .broadcast_seconds(data.len(), n, ranks);
-        self.record_xfer(TransferKind::Broadcast, (data.len() * n) as u64, n, ranks, seconds);
+        self.charge_broadcast(data.len(), self.dpus.len(), ranks);
         Ok(())
     }
 
@@ -611,12 +668,7 @@ impl DpuSet {
         let ranks = self.visit_ranks(Some(indices), |set, _, dpu| {
             set.deliver(seq, dpu, mram_offset, data)
         })?;
-        let n = indices.len();
-        let seconds = self
-            .config
-            .transfer
-            .broadcast_seconds(data.len(), n, ranks);
-        self.record_xfer(TransferKind::Broadcast, (data.len() * n) as u64, n, ranks, seconds);
+        self.charge_broadcast(data.len(), indices.len(), ranks);
         Ok(())
     }
 
@@ -658,23 +710,10 @@ impl DpuSet {
         };
         let mut buf = Vec::new();
         let ranks = self.visit_ranks(indices, |set, _, dpu| {
-            let bank = set.dpus[dpu].mram();
-            match bank.slice(mram_offset, len) {
-                Some(bytes) => visit(bytes),
-                None => {
-                    buf.resize(len, 0);
-                    bank.read(mram_offset, &mut buf)?;
-                    visit(&buf);
-                }
-            }
+            lend_or_read(set.dpus[dpu].mram(), mram_offset, len, &mut buf, &mut visit)?;
             Ok(())
         })?;
-        let total = (len * n) as u64;
-        let seconds = self
-            .config
-            .transfer
-            .scatter_gather_seconds(total as usize, ranks);
-        self.record_xfer(TransferKind::Gather, total, n, ranks, seconds);
+        self.charge_gather(len, n, ranks);
         Ok(())
     }
 
@@ -811,6 +850,19 @@ impl DpuSet {
                 self.config.engine.execute_refs(&self.config, &mut refs, kernel)
             }
         };
+        self.finish_launch(results, indices)
+    }
+
+    /// The ordered launch merge shared by [`Self::launch_on`] and
+    /// [`Self::sync_round`]: folds the engine's per-DPU `results` (of the
+    /// full set, or of `indices`) into `last_launch`, the sanitizer
+    /// report, the telemetry stream and the cumulative statistics, and
+    /// returns the lowest-indexed kernel fault.
+    fn finish_launch(
+        &mut self,
+        results: Vec<Result<u64, KernelError>>,
+        indices: Option<&[usize]>,
+    ) -> Result<(), PimError> {
         let launched = indices.map_or(self.dpus.len(), <[usize]>::len);
 
         // Ordered merge: walk the per-DPU results strictly in DPU-index
@@ -932,6 +984,145 @@ impl DpuSet {
         self.kernel_running = false;
         &self.last_launch
     }
+
+    /// One synchronization round as a single engine pass over the DPUs.
+    /// For each DPU the pass writes `deliveries` into its bank, executes
+    /// `kernel`, and folds the DPU's `gather_len` bytes at
+    /// `gather_offset` into its worker's slot of `sums` with `fold`,
+    /// while the bank is still in cache.
+    ///
+    /// Every observable is the one the stepwise calls leave behind: each
+    /// delivery in order through [`Self::scatter`] or [`Self::broadcast`],
+    /// then [`Self::launch`], then [`Self::gather_with`] over the whole
+    /// set. That covers bank bytes, [`SystemStats`], `last_launch`, the
+    /// transfer ledger and sequence, and the telemetry stream. Only
+    /// which DPUs share a slot of `sums` depends on the engine's
+    /// schedule: the slots' combined fold must not depend on the order
+    /// of the DPUs it saw, unless the engine runs one worker.
+    ///
+    /// `on_delivered` sees the statistics once the deliveries are
+    /// recorded and before the launch. When it returns `false` the pass
+    /// only writes the deliveries, exactly as the stepwise calls would
+    /// stop before their launch, and `sync_round` returns `Ok(false)`.
+    ///
+    /// # Errors
+    ///
+    /// Fails, before recording anything, on a set with a fault plan or
+    /// an enabled sanitizer (their decisions follow the stepwise
+    /// schedule), on no accumulator slots, on a scatter whose part count
+    /// differs from the set or whose part is empty, and on an
+    /// out-of-range delivery or gather range. A kernel fault is returned
+    /// as [`Self::launch`] returns it, and then nothing is gathered.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sync_round<A: Send>(
+        &mut self,
+        deliveries: &[Delivery<'_>],
+        kernel: &dyn Kernel,
+        gather_offset: usize,
+        gather_len: usize,
+        on_delivered: impl FnOnce(&SystemStats) -> bool,
+        sums: &mut [A],
+        fold: impl Fn(&mut A, &[u8]) + Sync,
+    ) -> Result<bool, PimError> {
+        let refuse = |what: &str| Err(PimError::BadArgument(format!("sync_round {what}")));
+        if !self.config.faults.is_none() {
+            return refuse("needs a set without a fault plan");
+        }
+        if self.config.sanitize.enabled() {
+            return refuse("needs the sanitizer off");
+        }
+        if sums.is_empty() {
+            return refuse("needs at least one accumulator slot");
+        }
+        let n = self.dpus.len();
+        for delivery in deliveries {
+            match *delivery {
+                Delivery::Scatter { offset, parts } => {
+                    if parts.len() != n {
+                        return refuse(&format!("scatter expects {n} parts, got {}", parts.len()));
+                    }
+                    for part in parts {
+                        if part.is_empty() {
+                            return refuse("scatter parts must be non-empty");
+                        }
+                        self.check_mram(offset, part.len())?;
+                    }
+                }
+                Delivery::Broadcast { offset, data } => self.check_mram(offset, data.len())?,
+            }
+        }
+        self.check_mram(gather_offset, gather_len)?;
+
+        // Every operation addresses the whole set.
+        let ranks = self.ranks();
+        for delivery in deliveries {
+            // No fault plan reads the sequence number here, but it
+            // advances as the stepwise call advances it.
+            self.next_transfer_seq();
+            match *delivery {
+                Delivery::Scatter { parts, .. } => {
+                    let total = parts.iter().map(|p| p.len() as u64).sum();
+                    self.charge_scatter(total, n, ranks);
+                }
+                Delivery::Broadcast { data, .. } => self.charge_broadcast(data.len(), n, ranks),
+            }
+        }
+        let deliver = |dpu: &mut Dpu| {
+            for delivery in deliveries {
+                let (offset, data) = delivery.payload(dpu.id());
+                dpu.mram_mut().write(offset, data)?;
+            }
+            Ok::<(), MemoryError>(())
+        };
+        if !on_delivered(&self.stats) {
+            for dpu in &mut self.dpus {
+                deliver(dpu)?;
+            }
+            return Ok(false);
+        }
+
+        self.load_program();
+        self.kernel_running = true;
+        let config = &self.config;
+        // Each worker also owns a buffer for a table its bank cannot lend
+        // in one piece.
+        let mut slots: Vec<(&mut A, Vec<u8>)> =
+            sums.iter_mut().map(|sum| (sum, Vec::new())).collect();
+        let pass = |(sum, buf): &mut (&mut A, Vec<u8>), dpu: &mut Dpu| {
+            deliver(dpu)?;
+            let cycles = dpu.execute(kernel, config)?;
+            lend_or_read(dpu.mram(), gather_offset, gather_len, buf, |table| fold(sum, table))?;
+            Ok(cycles)
+        };
+        let results = config
+            .engine
+            .execute_chunks(&mut slots, &mut self.dpus, pass);
+        self.finish_launch(results, None)?;
+        self.kernel_running = false;
+        self.charge_gather(gather_len, n, ranks);
+        Ok(true)
+    }
+}
+
+/// Hands `visit` the `len` bytes at `offset` of `bank`: lent straight
+/// from the bank when they lie in one materialized segment, else read
+/// into `buf`, which is reused across calls.
+fn lend_or_read(
+    bank: &Bank,
+    offset: usize,
+    len: usize,
+    buf: &mut Vec<u8>,
+    visit: impl FnOnce(&[u8]),
+) -> Result<(), MemoryError> {
+    match bank.slice(offset, len) {
+        Some(bytes) => visit(bytes),
+        None => {
+            buf.resize(len, 0);
+            bank.read(offset, buf)?;
+            visit(buf);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1497,6 +1688,165 @@ mod tests {
         let reused = sys.memory_stats();
         assert_eq!(reused.bank_bytes, after_first.bank_bytes);
         assert_eq!(reused.arena_peak_bytes, freed.arena_peak_bytes);
+    }
+
+    /// Sums the 8-byte little-endian words a fold sees.
+    fn fold_words(sum: &mut u64, bytes: &[u8]) {
+        let word: [u8; 8] = bytes[..8].try_into().unwrap();
+        *sum += u64::from_le_bytes(word);
+    }
+
+    #[test]
+    fn sync_round_records_what_the_stepwise_calls_record() {
+        let parts: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i + 1; 24]).collect();
+        let data = [7u8; 16];
+        for engine in [
+            crate::engine::ExecutionEngine::Serial,
+            crate::engine::ExecutionEngine::Threaded { workers: 3 },
+        ] {
+            let config = PimConfig::builder()
+                .dpus(8)
+                .dpus_per_rank(2)
+                .mram_bytes(1 << 16)
+                .engine(engine)
+                .build();
+            let mut stepwise = PimSystem::new(config.clone()).alloc(5).unwrap();
+            stepwise.scatter(8, &parts).unwrap();
+            stepwise.broadcast(64, &data).unwrap();
+            stepwise.launch(&IdKernel).unwrap();
+            let mut want = 0u64;
+            stepwise
+                .gather_with(0, 16, None, |b| fold_words(&mut want, b))
+                .unwrap();
+
+            let mut fused = PimSystem::new(config).alloc(5).unwrap();
+            let deliveries = [
+                Delivery::Scatter {
+                    offset: 8,
+                    parts: &parts,
+                },
+                Delivery::Broadcast {
+                    offset: 64,
+                    data: &data,
+                },
+            ];
+            let mut seen_stats = None;
+            let mut sums = vec![0u64; 3];
+            let launched = fused
+                .sync_round(
+                    &deliveries,
+                    &IdKernel,
+                    0,
+                    16,
+                    |stats| {
+                        seen_stats = Some(stats.clone());
+                        true
+                    },
+                    &mut sums,
+                    fold_words,
+                )
+                .unwrap();
+            assert!(launched);
+            assert_eq!(sums.iter().sum::<u64>(), want, "{engine:?}");
+            // The hook saw the deliveries recorded and nothing else.
+            let seen = seen_stats.unwrap();
+            assert_eq!((seen.cpu_to_pim_bytes, seen.launches), (5 * 24 + 5 * 16, 0));
+            assert_eq!(fused.ledger().records(), stepwise.ledger().records(), "{engine:?}");
+            assert_eq!(fused.stats(), stepwise.stats(), "{engine:?}");
+            assert_eq!(fused.last_launch(), stepwise.last_launch(), "{engine:?}");
+            assert_eq!(fused.transfer_seq, stepwise.transfer_seq, "{engine:?}");
+            for dpu in 0..5 {
+                assert_eq!(
+                    fused.copy_from(dpu, 0, 96).unwrap(),
+                    stepwise.copy_from(dpu, 0, 96).unwrap(),
+                    "{engine:?}, DPU {dpu}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stopped_sync_round_only_delivers() {
+        let mut sys = tiny_system();
+        let mut set = sys.alloc(3).unwrap();
+        let mut sums = [0u64];
+        let launched = set
+            .sync_round(
+                &[Delivery::Broadcast {
+                    offset: 32,
+                    data: &[5u8; 8],
+                }],
+                &IdKernel,
+                0,
+                8,
+                |_| false,
+                &mut sums,
+                fold_words,
+            )
+            .unwrap();
+        assert!(!launched);
+        assert_eq!(sums, [0]);
+        assert_eq!(set.stats().launches, 0);
+        assert_eq!(set.ledger().records().len(), 1, "only the broadcast");
+        for dpu in 0..3 {
+            assert_eq!(set.copy_from(dpu, 32, 8).unwrap(), vec![5u8; 8]);
+            assert_eq!(set.copy_from(dpu, 0, 8).unwrap(), vec![0u8; 8], "no kernel ran");
+        }
+    }
+
+    #[test]
+    fn sync_round_refuses_before_recording_anything() {
+        use crate::faults::FaultPlan;
+        let capacity = 1 << 16;
+        let good = vec![vec![1u8; 8]; 2];
+        let mut with_empty = good.clone();
+        with_empty[1].clear();
+        let mut with_long = good.clone();
+        with_long[1] = vec![1u8; 16];
+        let clean = || (None, SanitizeLevel::Off);
+        let scatter = |offset, parts| vec![Delivery::Scatter { offset, parts }];
+        let broadcast = |offset, data| Delivery::Broadcast { offset, data };
+        let inert = FaultPlan::seeded(1).with_stragglers(1.0, 1.0);
+        let cases = [
+            ("fault plan", (Some(inert), SanitizeLevel::Off), vec![], (0, 8)),
+            ("sanitizer", (None, SanitizeLevel::Memory), vec![], (0, 8)),
+            ("no slots", clean(), vec![], (0, 8)),
+            ("part count", clean(), scatter(0, &good[..1]), (0, 8)),
+            ("empty part", clean(), scatter(0, &with_empty), (0, 8)),
+            ("scatter range", clean(), scatter(capacity - 8, &with_long), (0, 8)),
+            ("broadcast range", clean(), vec![broadcast(usize::MAX, &[1])], (0, 8)),
+            ("gather range", clean(), vec![], (capacity - 4, 8)),
+            // A valid delivery ahead of the bad one records nothing either.
+            ("late refusal", clean(), [scatter(0, &good), vec![broadcast(capacity, &[1])]].concat(), (0, 8)),
+        ];
+        for (what, (plan, level), deliveries, (gather_offset, gather_len)) in cases {
+            let mut builder = PimConfig::builder().dpus(4).mram_bytes(capacity);
+            if let Some(plan) = plan {
+                builder = builder.faults(plan);
+            }
+            let mut set = PimSystem::new(builder.build()).alloc(2).unwrap();
+            set.set_sanitize_level(level);
+            set.broadcast(0, &[3u8; 8]).unwrap();
+            let (ledger, stats, seq) = (set.ledger().clone(), set.stats().clone(), set.transfer_seq);
+            let mut sums = vec![0u64; usize::from(what != "no slots")];
+            let result = set.sync_round(
+                &deliveries,
+                &IdKernel,
+                gather_offset,
+                gather_len,
+                |_| panic!("{what}: the hook ran"),
+                &mut sums,
+                fold_words,
+            );
+            assert!(
+                matches!(result, Err(PimError::BadArgument(_) | PimError::Memory(_))),
+                "{what}: {result:?}"
+            );
+            assert_eq!(set.ledger(), &ledger, "{what}");
+            assert_eq!(set.stats(), &stats, "{what}");
+            assert_eq!(set.transfer_seq, seq, "{what}");
+            assert_eq!(set.copy_from(1, 0, 16).unwrap(), [[3u8; 8], [0u8; 8]].concat(), "{what}");
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub use batch::{BatchContext, BatchKernel};
 pub use config::{CostModel, ExecTier, PimConfig};
 pub use engine::ExecutionEngine;
 pub use faults::{FaultPlan, MramRegion};
-pub use host::{DpuSet, PimError, PimSystem};
+pub use host::{Delivery, DpuSet, PimError, PimSystem};
 pub use kernel::{DpuContext, Kernel, KernelError};
 pub use report::SanitizerReport;
 pub use sanitize::{FindingKind, SanitizeLevel, SanitizerFinding};

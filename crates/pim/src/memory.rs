@@ -192,7 +192,9 @@ impl Bank {
             .get_mut(within..within.checked_add(len)?)
     }
 
-    fn check(&self, offset: usize, len: usize) -> Result<usize, MemoryError> {
+    /// The range check of every access: the end of `len` bytes at
+    /// `offset`, or [`MemoryError::OutOfRange`] past the capacity.
+    pub(crate) fn check(&self, offset: usize, len: usize) -> Result<usize, MemoryError> {
         let end = offset.checked_add(len).ok_or(MemoryError::OutOfRange {
             end: usize::MAX,
             capacity: self.capacity,

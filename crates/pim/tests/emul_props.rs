@@ -3,6 +3,7 @@
 use swiftrl_env::rng::{for_each_case, Rng, SplitMix64};
 use swiftrl_pim::cost::OpTally;
 use swiftrl_pim::emul;
+use swiftrl_pim::fastpath::{self, Reciprocal};
 
 /// Cases per property.
 const CASES: u64 = 4096;
@@ -83,6 +84,56 @@ fn idiv64_exact() {
         }
         let mut t = OpTally::new();
         assert_eq!(emul::idiv64(n, d, &mut t), n / d as i64, "{at}");
+    });
+}
+
+/// The batched sweep's division-free descale equals `n / d` for every
+/// divisor an `i32` scale can hold and every numerator the sweep forms
+/// (a product of two `i32`s, so at most 2^62 in magnitude).
+#[test]
+fn reciprocal_descale_matches_division() {
+    let mut divisors = vec![1i64, 2, 3, 10_000, (1 << 31) - 1, 1 << 31];
+    for k in 1..=31 {
+        divisors.extend([(1i64 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    divisors.retain(|&d| d <= 1 << 31);
+    // Both signs; |d| = 2^31 exists only as i32::MIN.
+    let divisors: Vec<i32> = divisors
+        .iter()
+        .flat_map(|&d| [i32::try_from(d).ok(), i32::try_from(-d).ok()])
+        .flatten()
+        .collect();
+    let edges = [
+        0i64,
+        1,
+        -1,
+        1 << 62,
+        -(1 << 62),
+        (1 << 62) - 1,
+        1 - (1 << 62),
+    ];
+    for &d in &divisors {
+        let r = Reciprocal::new(d);
+        assert_eq!(r.divisor(), d);
+        for n in edges {
+            assert_eq!(r.idiv64(n), n / d as i64, "{n} / {d}");
+        }
+    }
+    for_each_case(CASES, |rng, at| {
+        let n = any_i32(rng) as i64 * any_i32(rng) as i64;
+        for &d in &divisors {
+            let r = Reciprocal::new(d);
+            assert_eq!(r.idiv64(n), n / d as i64, "{at}: {n} / {d}");
+            assert_eq!(r.idiv64(n), fastpath::idiv64(n, d), "{at}: {n} / {d}");
+        }
+        let d = any_i32(rng);
+        if d != 0 {
+            assert_eq!(
+                Reciprocal::new(d).idiv64(n),
+                n / d as i64,
+                "{at}: {n} / {d}"
+            );
+        }
     });
 }
 

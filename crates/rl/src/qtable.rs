@@ -414,7 +414,8 @@ impl FixedQTable {
 
 /// [`QTableSum`] for fixed-point tables: sums in `i64`, so no realistic
 /// table count overflows, and [`Self::mean`] truncates each `sum / n`
-/// toward zero back to `i32`.
+/// toward zero back to `i32`. Unlike the FP32 sum it does not depend on
+/// the order of its tables, so partial sums combine with [`Self::merge`].
 #[derive(Debug)]
 pub struct FixedQTableSum {
     num_states: usize,
@@ -475,6 +476,27 @@ impl FixedQTableSum {
             *o += i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as i64;
         }
         self.tables += 1;
+    }
+
+    /// Adds every table `other` holds. Integer sums are exact, so
+    /// partial sums merged in any order equal the sequential adds bit
+    /// for bit; this is what lets engine workers fold disjoint sets of
+    /// tables in parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape or scale differs.
+    pub fn merge(&mut self, other: &FixedQTableSum) {
+        assert_eq!(
+            (other.num_states, other.num_actions),
+            (self.num_states, self.num_actions),
+            "shape mismatch"
+        );
+        assert_eq!(other.scale, self.scale, "scale mismatch");
+        for (o, v) in self.sums.iter_mut().zip(&other.sums) {
+            *o += v;
+        }
+        self.tables += other.tables;
     }
 
     /// The element-wise mean of the tables added so far.
@@ -696,6 +718,45 @@ mod tests {
             sum.clear();
             sum.add_bytes(&int[0]);
             assert_eq!(sum.mean().to_bytes(), int[0]);
+        }
+    }
+
+    #[test]
+    fn fixed_merge_at_every_split_point_equals_the_sequential_adds() {
+        let (ns, na) = (2, 3);
+        let scale = FixedScale::paper();
+        let n = 40;
+        // Full-range values, extremes included, so partial sums cross
+        // the i32 range in both directions.
+        let tables: Vec<Vec<u8>> = (0..n)
+            .map(|t| {
+                (0..ns * na)
+                    .flat_map(|e| match mix((t * ns * na + e) as u64) % 5 {
+                        0 => i32::MIN,
+                        1 => i32::MAX,
+                        _ => mix((t * 97 + e) as u64) as i32,
+                    }
+                    .to_le_bytes())
+                    .collect()
+            })
+            .collect();
+        let fold = |blobs: &[Vec<u8>]| {
+            let mut sum = FixedQTableSum::new(ns, na, scale);
+            blobs.iter().for_each(|b| sum.add_bytes(b));
+            sum
+        };
+        let sequential = fold(&tables);
+        for k in 0..=n {
+            let (head, tail) = tables.split_at(k);
+            let mut front = fold(head);
+            front.merge(&fold(tail));
+            let mut back = fold(tail);
+            back.merge(&fold(head));
+            for merged in [&front, &back] {
+                assert_eq!(merged.sums, sequential.sums, "split at {k}");
+                assert_eq!(merged.tables(), n, "split at {k}");
+                assert_eq!(merged.mean(), sequential.mean(), "split at {k}");
+            }
         }
     }
 
