@@ -6,13 +6,13 @@
 //! aggregation. It reports the trained Q-table and a
 //! [`TimeBreakdown`] with the same four categories as Figures 5–6.
 //!
-//! A clean run (no fault plan, sanitizer off, no retry or degrade
-//! policy, a non-empty chunk on every DPU, and INT32 or a one-worker
-//! engine) takes each sync round as one engine pass,
-//! [`DpuSet::sync_round`]: every DPU receives its deliveries, runs its
-//! sweep and has its Q-table folded while the table is still in cache.
-//! Every other run keeps the stepwise host-call loop. Both produce the
-//! same bits, events and accounting (`tests/sync_round.rs`).
+//! Every sync round is one engine pass, [`DpuSet::sync_round`]: each DPU
+//! of the round receives its deliveries, runs its sweep and has its
+//! Q-table folded while the table is still in cache. The one round loop
+//! around it carries the resilience policy: it relaunches faulted DPUs,
+//! degrades onto survivors and rolls back to checkpoints. It produces
+//! the bits, events and accounting of the equivalent stepwise
+//! [`DpuSet`] calls (`tests/sync_round.rs`).
 //!
 //! The runner is execution-tier agnostic: it stages headers and replay
 //! chunks the same way under every [`ExecTier`](swiftrl_pim::config::ExecTier),
@@ -37,7 +37,7 @@ use swiftrl_pim::config::PimConfig;
 use swiftrl_pim::host::{check_alloc, Delivery, DpuSet, PimError, PimSystem};
 use swiftrl_pim::report::SanitizerReport;
 use swiftrl_pim::stats::SystemStats;
-use swiftrl_rl::qtable::{FixedQTable, FixedQTableSum, QTable, QTableSum};
+use swiftrl_rl::qtable::{FixedQTable, FixedQTableSum, QTable, QTableSum, QTableSumRange};
 use swiftrl_telemetry::{Event, Telemetry};
 
 /// Host DRAM bandwidth assumed for the aggregation (averaging) step, in
@@ -69,11 +69,11 @@ pub struct RunOutcome {
     /// DPUs, checkpoints, rollbacks. All-zero (`is_clean()`) for a
     /// fault-free run.
     pub resilience: ResilienceStats,
-    /// Host wall-clock seconds this process spent inside DPU kernel
-    /// launches — the simulator's own compute cost, not a modelled
-    /// quantity. On the fused sync round a launch is the whole per-DPU
-    /// pass: deliveries, kernel and fold. Machine- and tier-dependent;
-    /// excluded from every determinism comparison.
+    /// Host wall-clock seconds this process spent in the rounds' per-DPU
+    /// passes — deliveries, kernel and fold, including relaunches of
+    /// faulted DPUs and the FP32 range fold — the simulator's own
+    /// compute cost, not a modelled quantity. Machine- and
+    /// tier-dependent; excluded from every determinism comparison.
     pub host_kernel_s: f64,
     /// Fleet-wide bank-memory accounting at the end of the run: how
     /// many bank bytes the lazily-materialized banks actually held
@@ -233,15 +233,7 @@ impl PimRunner {
 
         // ---- Phase 2+3: kernel rounds with τ-periodic synchronization ----
         let kernel = SwiftRlKernel::with_tasklets(self.spec, self.cfg.tasklets);
-        let (sum, live) = if self.fuses(set, &stage) {
-            let sum = self.fused_rounds(set, cancel, &stage, &kernel, &mut tally)?;
-            (sum, ndpus)
-        } else {
-            let mut sum = self.new_sum(&stage);
-            let live =
-                self.stepwise_rounds(set, dataset, cancel, &stage, &kernel, &mut sum, &mut tally)?;
-            (sum, live)
-        };
+        let (sum, live) = self.rounds(set, dataset, cancel, &stage, &kernel, &mut tally)?;
         let RunTally {
             mut breakdown,
             mut res,
@@ -330,89 +322,98 @@ impl PimRunner {
         }
     }
 
-    /// Whether this run on `set` may take [`Self::fused_rounds`]. The
-    /// fused round needs a set whose fault plan and sanitizer never
-    /// act, a policy that never retries or degrades, and a non-empty
-    /// chunk on every DPU. An FP32 run also needs one engine worker: its
-    /// DPU-order sum depends on the order of the tables, so it cannot be
-    /// split between workers.
-    fn fuses(&self, set: &DpuSet, stage: &Staging) -> bool {
-        let config = set.config();
-        config.faults.is_none()
-            && !config.sanitize.enabled()
-            && self.resilience.max_retries == 0
-            && !self.resilience.degrade
-            && stage.chunk_parts.iter().all(|part| !part.is_empty())
-            && (self.spec.dtype == DataType::Int32 || config.engine.workers_for(set.ndpus()) == 1)
-    }
-
-    /// An empty sync-round sum of `stage`'s tables in the run's data
-    /// type.
-    fn new_sum(&self, stage: &Staging) -> RoundSum {
-        let (ns, na) = (stage.ns, stage.na);
-        match self.spec.dtype {
-            DataType::Fp32 => RoundSum::Fp32(QTableSum::new(ns, na)),
-            DataType::Int32 => RoundSum::Int32(FixedQTableSum::new(ns, na, self.cfg.scale())),
-        }
-    }
-
-    /// Phases 1–3 as one [`DpuSet::sync_round`] per round: round 0
-    /// delivers the staging, every later round the previous round's
-    /// average, and each DPU's table is folded into its engine worker's
-    /// sum right after its sweep. Round `r − 1` is closed (breakdown
-    /// deltas, `SyncRound` event) and round `r`'s cancellation checked
-    /// once round `r`'s deliveries are recorded, which is where the
-    /// stepwise loop does both, so every f64 sum, every event and every
-    /// bank byte come out as [`Self::stepwise_rounds`] leaves them.
-    /// Returns the last round's sum.
-    fn fused_rounds(
+    /// Phases 1–3 as one [`DpuSet::sync_round`] per round over the DPUs
+    /// still alive: round 0 delivers the staging, a later round the
+    /// previous round's average (nothing after a rollback, which
+    /// delivered its snapshot itself). Round `r − 1` is closed
+    /// (breakdown deltas, `SyncRound` event) and round `r`'s
+    /// cancellation checked once round `r`'s deliveries are recorded.
+    /// Faulted DPUs are relaunched up to the retry budget; DPUs that
+    /// still fault are dropped, their chunks remapped onto the
+    /// survivors, and the run rolls back to `checkpoint`, the latest
+    /// host-side Q-table snapshot. Returns the last round's sum and the
+    /// number of DPUs still alive.
+    fn rounds(
         &self,
         set: &mut DpuSet,
+        dataset: &ExperienceDataset,
         cancel: Option<&CancelToken>,
         stage: &Staging,
         kernel: &SwiftRlKernel,
         tally: &mut RunTally,
-    ) -> Result<RoundSum, PimError> {
+    ) -> Result<(RoundSums, usize), PimError> {
         let rounds = self.cfg.comm_rounds()?;
         let ndpus = set.ndpus();
         let q_bytes = stage.q_bytes();
-        // One sum per engine worker, allocated once per run.
+        let q_range = Q_TABLE_OFFSET..Q_TABLE_OFFSET + q_bytes;
         let workers = set.config().engine.workers_for(ndpus);
-        let mut sums: Vec<RoundSum> = (0..workers).map(|_| self.new_sum(stage)).collect();
-        let mut avg = Vec::new();
-        // The clocks of the round in flight; `None` while phase 1 is open.
-        let mut open: Option<RoundStart> = None;
-        for round in 0..rounds {
-            let staging;
-            let deliveries: &[Delivery<'_>] = if round == 0 {
-                staging = stage.deliveries();
-                &staging
-            } else {
-                &[Delivery::Broadcast {
-                    offset: Q_TABLE_OFFSET,
-                    data: &avg,
-                }]
+        // An FP32 sum depends on the order of its tables, so only one
+        // worker folds it inside the pass.
+        let fold_in_pass = self.spec.dtype == DataType::Int32 || workers == 1;
+        let mut sums = match self.spec.dtype {
+            DataType::Fp32 => RoundSums::Fp32(
+                (0..workers)
+                    .map(|_| QTableSum::new(stage.ns, stage.na))
+                    .collect(),
+            ),
+            DataType::Int32 => RoundSums::Int32(
+                (0..workers)
+                    .map(|_| FixedQTableSum::new(stage.ns, stage.na, self.cfg.scale()))
+                    .collect(),
+            ),
+        };
+        let staging = stage.deliveries();
+        let mut alive: Vec<usize> = (0..ndpus).collect();
+        let mut assignments: Vec<Vec<Range<usize>>> =
+            stage.ranges.iter().map(|r| vec![r.clone()]).collect();
+        let mut counts: Vec<usize> = stage.ranges.iter().map(|r| r.len()).collect();
+        // Before `checkpoint_every` first fires (or when it is 0), the
+        // snapshot is the *initial* Q-table at round 0, so a degradation
+        // in the first window rolls survivors back to a from-scratch
+        // replay instead of keeping the partially-updated tables the dead
+        // DPU contributed to. The implicit round-0 snapshot is not counted
+        // in `ResilienceStats::checkpoints`/`checkpoint_bytes` (those
+        // count explicit periodic checkpoints only).
+        let initial_q = stage.initial_q.clone().unwrap_or_else(|| vec![0u8; q_bytes]);
+        let mut checkpoint: (u32, Vec<u8>) = (0, initial_q);
+        let mut avg: Option<Vec<u8>> = None;
+        let mut staged = false;
+        // The round in flight and its opening clocks, until it is closed.
+        let mut open: Option<(u32, RoundStart)> = None;
+        let mut round: u32 = 0;
+        while round < rounds {
+            let live = alive.len();
+            let subset = (live < ndpus).then_some(alive.as_slice());
+            let broadcast;
+            let deliveries: &[Delivery<'_>] = match &avg {
+                _ if !staged => &staging,
+                Some(avg) => {
+                    broadcast = [Delivery::Broadcast {
+                        offset: Q_TABLE_OFFSET,
+                        data: avg,
+                    }];
+                    &broadcast
+                }
+                None => &[],
             };
-            sums.iter_mut().for_each(RoundSum::clear);
+            sums.clear();
             let mut started = None;
             let on_delivered = |stats: &SystemStats| {
-                match open.take() {
-                    None => {
-                        tally.breakdown.cpu_pim_s = stats.cpu_to_pim_seconds;
-                        tally.breakdown.program_load_s = stats.program_load_seconds;
-                    }
-                    Some(previous) => {
-                        previous.close(stats, false, &mut tally.breakdown);
-                        self.platform.telemetry.emit(|| Event::SyncRound {
-                            round: round - 1,
-                            live_dpus: ndpus,
-                        });
-                    }
+                if let Some((previous, start)) = open.take() {
+                    start.close(stats, false, &mut tally.breakdown);
+                    self.platform.telemetry.emit(|| Event::SyncRound {
+                        round: previous,
+                        live_dpus: live,
+                    });
+                } else if !staged {
+                    tally.breakdown.cpu_pim_s = stats.cpu_to_pim_seconds;
+                    tally.breakdown.program_load_s = stats.program_load_seconds;
                 }
+                staged = true;
                 if cancel.is_some_and(|token| token.stops_at(round)) {
                     return false;
                 }
-                open = Some(RoundStart::at(stats));
+                open = Some((round, RoundStart::at(stats)));
                 #[expect(
                     clippy::disallowed_types,
                     reason = "host wall time; never a simulated observable"
@@ -421,160 +422,88 @@ impl PimRunner {
                 started = Some(now);
                 true
             };
-            let launched = set.sync_round(
-                deliveries,
-                kernel,
-                Q_TABLE_OFFSET,
-                q_bytes,
-                on_delivered,
-                &mut sums,
-                RoundSum::add_bytes,
-            )?;
-            if !launched {
-                return Err(PimError::Cancelled);
+            let launched = match &mut sums {
+                RoundSums::Int32(parts) => set.sync_round(
+                    deliveries,
+                    kernel,
+                    subset,
+                    q_range.clone(),
+                    on_delivered,
+                    parts,
+                    FixedQTableSum::add_bytes,
+                ),
+                RoundSums::Fp32(parts) => set.sync_round(
+                    deliveries,
+                    kernel,
+                    subset,
+                    q_range.clone(),
+                    on_delivered,
+                    parts,
+                    |sum, table| {
+                        if fold_in_pass {
+                            sum.add_bytes(table);
+                        }
+                    },
+                ),
+            };
+            // The DPUs the pass faulted on, and those that still fault
+            // after every retry.
+            let (faulted, dead) = match launched {
+                Ok(true) => (Vec::new(), Vec::new()),
+                Ok(false) => return Err(PimError::Cancelled),
+                Err(e @ PimError::Kernel { .. }) => {
+                    let faulted = set.last_launch().faulted_dpus.clone();
+                    let dead = self.retry(set, kernel, &faulted, live, e, &mut tally.res)?;
+                    (faulted, dead)
+                }
+                Err(e) => return Err(e),
+            };
+            if dead.is_empty() {
+                sums.gather(set, subset, q_bytes, &faulted, fold_in_pass)?;
             }
             if let Some(started) = started {
                 tally.host_kernel_s += started.elapsed().as_secs_f64();
             }
-            if let Some((total, rest)) = sums.split_first_mut() {
-                rest.iter().for_each(|part| total.merge(part));
-                if round + 1 < rounds {
-                    avg = self.average(total, ndpus, q_bytes, &mut tally.breakdown);
-                    if self.checkpoint_due(round) {
-                        tally.res.checkpoints += 1;
-                        tally.res.checkpoint_bytes += avg.len() as u64;
-                    }
-                }
-            }
-        }
-        if let Some(last) = open {
-            last.close(set.stats(), true, &mut tally.breakdown);
-            self.platform.telemetry.emit(|| Event::SyncRound {
-                round: rounds - 1,
-                live_dpus: ndpus,
-            });
-        }
-        // Worker 0's sum holds the whole last round.
-        Ok(sums.swap_remove(0))
-    }
-
-    /// Phases 1–3 one host call at a time: the staging transfers, then
-    /// per round a launch (with retries), a gather folded into `sum`, and
-    /// the average's broadcast. This is the resilient loop: `alive`
-    /// tracks the DPUs still in the run, `assignments`/`counts` which
-    /// dataset ranges each holds (for degrade remapping), and
-    /// `checkpoint` the most recent host-side Q-table snapshot. Returns
-    /// the number of DPUs still alive; after the last round `sum` holds
-    /// their final tables.
-    #[allow(clippy::too_many_arguments)]
-    fn stepwise_rounds(
-        &self,
-        set: &mut DpuSet,
-        dataset: &ExperienceDataset,
-        cancel: Option<&CancelToken>,
-        stage: &Staging,
-        kernel: &SwiftRlKernel,
-        sum: &mut RoundSum,
-        tally: &mut RunTally,
-    ) -> Result<usize, PimError> {
-        let rounds = self.cfg.comm_rounds()?;
-        let ndpus = set.ndpus();
-        let q_bytes = stage.q_bytes();
-        for delivery in stage.deliveries() {
-            match delivery {
-                Delivery::Scatter { offset, parts } => set.scatter(offset, parts)?,
-                Delivery::Broadcast { offset, data } => set.broadcast(offset, data)?,
-            }
-        }
-        let RunTally {
-            breakdown,
-            res,
-            host_kernel_s,
-        } = tally;
-        breakdown.cpu_pim_s = set.stats().cpu_to_pim_seconds;
-        breakdown.program_load_s = set.stats().program_load_seconds;
-
-        let mut alive: Vec<usize> = (0..ndpus).collect();
-        let mut assignments: Vec<Vec<Range<usize>>> =
-            stage.ranges.iter().map(|r| vec![r.clone()]).collect();
-        let mut counts: Vec<usize> = stage.ranges.iter().map(|r| r.len()).collect();
-        // The checkpoint is never absent: before `checkpoint_every`
-        // first fires (or when it is 0), the snapshot is the *initial*
-        // Q-table at round 0, so a degradation in the first window rolls
-        // survivors back to a from-scratch replay instead of keeping the
-        // partially-updated tables the dead DPU contributed to. The
-        // implicit round-0 snapshot is not counted in
-        // `ResilienceStats::checkpoints`/`checkpoint_bytes` (those count
-        // explicit periodic checkpoints only).
-        let initial_q = stage.initial_q.clone().unwrap_or_else(|| vec![0u8; q_bytes]);
-        let mut checkpoint: Option<(u32, Vec<u8>)> = Some((0, initial_q));
-        let mut round: u32 = 0;
-        while round < rounds {
-            if cancel.is_some_and(|token| token.stops_at(round)) {
-                return Err(PimError::Cancelled);
-            }
-            // The kernel advances its own episode window in MRAM, so no
-            // header re-arm is needed between rounds.
-            let start = RoundStart::at(set.stats());
-
-            #[expect(clippy::disallowed_types, reason = "host wall time; never a simulated observable")]
-            let launch_started = Instant::now();
-            let dead = self.launch_with_retry(set, kernel, &alive, ndpus, res)?;
-            *host_kernel_s += launch_started.elapsed().as_secs_f64();
-            let rollback = if dead.is_empty() {
-                None
-            } else {
-                self.degrade(
+            if !dead.is_empty() {
+                let rollback = self.degrade(
                     set,
                     dataset,
                     &mut alive,
                     &mut assignments,
                     &mut counts,
                     &dead,
-                    checkpoint.as_ref(),
+                    &checkpoint,
                     stage.trans_offset,
-                    res,
-                )?
-            };
-
-            let is_last = rollback.is_none() && round + 1 == rounds;
-            if rollback.is_none() {
-                // Gather local Q-tables (survivors only once degraded),
-                // folding each into the round's sum.
-                let live = alive.len();
-                let subset = (live < ndpus).then_some(alive.as_slice());
-                sum.clear();
-                set.gather_with(Q_TABLE_OFFSET, q_bytes, subset, |table| sum.add_bytes(table))?;
-
-                if !is_last {
-                    // Host-side aggregation + broadcast of the average.
-                    let avg = self.average(sum, live, q_bytes, breakdown);
-                    if alive.len() == ndpus {
-                        set.broadcast(Q_TABLE_OFFSET, &avg)?;
-                    } else {
-                        set.broadcast_subset(Q_TABLE_OFFSET, &avg, &alive)?;
-                    }
-                    if self.checkpoint_due(round) {
-                        res.checkpoints += 1;
-                        res.checkpoint_bytes += avg.len() as u64;
-                        checkpoint = Some((round + 1, avg));
-                    }
+                    &mut tally.res,
+                )?;
+                // The rolled-back round ends here, its repair traffic
+                // charged to synchronization, and emits no `SyncRound`.
+                if let Some((_, start)) = open.take() {
+                    start.close(set.stats(), false, &mut tally.breakdown);
                 }
+                avg = None;
+                round = rollback;
+                continue;
             }
-
-            start.close(set.stats(), is_last, breakdown);
-            if rollback.is_none() {
-                self.platform.telemetry.emit(|| Event::SyncRound {
-                    round,
-                    live_dpus: alive.len(),
-                });
+            if round + 1 < rounds {
+                let next = self.average(&sums, live, q_bytes, &mut tally.breakdown);
+                if self.checkpoint_due(round) {
+                    tally.res.checkpoints += 1;
+                    tally.res.checkpoint_bytes += next.len() as u64;
+                    checkpoint = (round + 1, next.clone());
+                }
+                avg = Some(next);
             }
-            round = match rollback {
-                Some(ck_round) => ck_round,
-                None => round + 1,
-            };
+            round += 1;
         }
-        Ok(alive.len())
+        if let Some((last, start)) = open {
+            start.close(set.stats(), true, &mut tally.breakdown);
+            self.platform.telemetry.emit(|| Event::SyncRound {
+                round: last,
+                live_dpus: alive.len(),
+            });
+        }
+        Ok((sums, alive.len()))
     }
 
     /// The host-side average of one non-final round's `sum` over `live`
@@ -582,7 +511,7 @@ impl PimRunner {
     /// modelled aggregation time to synchronization.
     fn average(
         &self,
-        sum: &RoundSum,
+        sum: &RoundSums,
         live: usize,
         q_bytes: usize,
         breakdown: &mut TimeBreakdown,
@@ -605,32 +534,26 @@ impl PimRunner {
         every > 0 && (round + 1).is_multiple_of(every)
     }
 
-    /// Launches one round on `alive`, retrying the faulted subset up to
-    /// the configured budget. Returns the DPUs still faulting after all
-    /// retries (empty on a clean round) — non-empty only when degrade
-    /// mode may absorb them; otherwise the launch error propagates.
-    fn launch_with_retry(
+    /// Relaunches the DPUs a round's pass `faulted` on, up to the
+    /// configured budget, `first` being the pass's error. Returns the
+    /// DPUs still faulting after all retries (empty when a retry
+    /// succeeds) — non-empty only when degrade mode may absorb them out
+    /// of `live` DPUs; otherwise the last launch error propagates.
+    fn retry(
         &self,
         set: &mut DpuSet,
         kernel: &SwiftRlKernel,
-        alive: &[usize],
-        ndpus: usize,
+        faulted: &[usize],
+        live: usize,
+        first: PimError,
         res: &mut ResilienceStats,
     ) -> Result<Vec<usize>, PimError> {
-        let first = if alive.len() == ndpus {
-            set.launch(kernel).map(|_| ())
-        } else {
-            set.launch_subset(kernel, alive).map(|_| ())
-        };
-        let mut last_err = match first {
-            Ok(()) => return Ok(Vec::new()),
-            Err(e) => e,
-        };
         // Survivors of a faulted launch completed their episode window;
         // only the faulted DPUs are relaunched. An injected fault aborts
         // before any kernel work, so the faulted DPU's MRAM — episode
         // window included — is untouched and the relaunch replays it.
-        let mut pending = set.last_launch().faulted_dpus.clone();
+        let mut pending = faulted.to_vec();
+        let mut last_err = first;
         res.faults_seen += pending.len() as u64;
         for attempt in 1..=self.resilience.max_retries {
             res.retries += 1;
@@ -647,7 +570,7 @@ impl PimRunner {
                 }
             }
         }
-        if self.resilience.degrade && pending.len() < alive.len() {
+        if self.resilience.degrade && pending.len() < live {
             Ok(pending)
         } else {
             Err(last_err)
@@ -657,12 +580,12 @@ impl PimRunner {
     /// Drops `dead` from the run and remaps their dataset chunks onto
     /// the survivors (appended behind each survivor's own records, with
     /// a header patch for the new transition count). The survivors are
-    /// rolled back to the latest checkpoint — Q-table snapshot
-    /// re-broadcast, episode windows re-armed — and the checkpointed
-    /// round index is returned so the caller replays from there. Before
-    /// the first periodic checkpoint fires (or with `checkpoint_every`
-    /// 0) the snapshot is the initial round-0 Q-table, so the replay is
-    /// a from-scratch run on the survivors.
+    /// rolled back to `checkpoint` — Q-table snapshot re-broadcast,
+    /// episode windows re-armed — and the checkpointed round index is
+    /// returned so the caller replays from there. Before the first
+    /// periodic checkpoint fires (or with `checkpoint_every` 0) the
+    /// snapshot is the initial round-0 Q-table, so the replay is a
+    /// from-scratch run on the survivors.
     #[allow(clippy::too_many_arguments)]
     fn degrade(
         &self,
@@ -672,10 +595,10 @@ impl PimRunner {
         assignments: &mut [Vec<Range<usize>>],
         counts: &mut [usize],
         dead: &[usize],
-        checkpoint: Option<&(u32, Vec<u8>)>,
+        checkpoint: &(u32, Vec<u8>),
         trans_offset: usize,
         res: &mut ResilienceStats,
-    ) -> Result<Option<u32>, PimError> {
+    ) -> Result<u32, PimError> {
         alive.retain(|d| !dead.contains(d));
         res.degraded_dpus.extend_from_slice(dead);
         self.platform.telemetry.emit(|| Event::Degradation {
@@ -717,20 +640,15 @@ impl PimRunner {
             }
         }
 
-        // Roll back to the latest checkpoint if one exists: survivors
-        // get the snapshot Q-table and replay from that round, so no
-        // episodes on the orphaned data are lost since the checkpoint.
-        let rollback = match checkpoint {
-            Some((ck_round, snapshot)) => {
-                set.broadcast_subset(Q_TABLE_OFFSET, snapshot, alive)?;
-                res.rollbacks += 1;
-                self.platform.telemetry.emit(|| Event::Rollback {
-                    to_round: *ck_round,
-                });
-                Some(*ck_round)
-            }
-            None => None,
-        };
+        // Roll back to the checkpoint: survivors get the snapshot Q-table
+        // and replay from that round, so no episodes on the orphaned data
+        // are lost since the checkpoint.
+        let (ck_round, snapshot) = checkpoint;
+        set.broadcast_subset(Q_TABLE_OFFSET, snapshot, alive)?;
+        res.rollbacks += 1;
+        self.platform.telemetry.emit(|| Event::Rollback {
+            to_round: *ck_round,
+        });
 
         for (slot, &dpu) in alive.iter().enumerate() {
             let added: usize = pieces[slot].iter().map(|r| r.len()).sum();
@@ -748,20 +666,16 @@ impl PimRunner {
                 assignments[dpu].append(&mut pieces[slot]);
                 counts[dpu] += added;
             }
-            if added > 0 || rollback.is_some() {
-                // Read-modify-write the header so the kernel-advanced
-                // episode window survives a pure chunk-count patch.
-                let raw = set.copy_from(dpu, 0, HEADER_BYTES)?;
-                let mut header = KernelHeader::from_bytes(&raw)
-                    .map_err(|e| PimError::BadArgument(e.to_string()))?;
-                header.n_transitions = counts[dpu] as u32;
-                if let Some(ck_round) = rollback {
-                    header.episode_base = ck_round * self.cfg.tau;
-                }
-                set.copy_to(dpu, 0, &header.to_bytes())?;
-            }
+            // Read-modify-write the header: new transition count, episode
+            // window re-armed at the checkpoint.
+            let raw = set.copy_from(dpu, 0, HEADER_BYTES)?;
+            let mut header =
+                KernelHeader::from_bytes(&raw).map_err(|e| PimError::BadArgument(e.to_string()))?;
+            header.n_transitions = counts[dpu] as u32;
+            header.episode_base = ck_round * self.cfg.tau;
+            set.copy_to(dpu, 0, &header.to_bytes())?;
         }
-        Ok(rollback)
+        Ok(*ck_round)
     }
 
     /// Modelled host time to average `n` Q-tables of `q_bytes` each.
@@ -770,7 +684,7 @@ impl PimRunner {
     }
 }
 
-/// Phase 1's staging, shared by both round loops.
+/// Phase 1's staging.
 struct Staging {
     /// Q-table shape.
     ns: usize,
@@ -853,56 +767,87 @@ impl RoundStart {
     }
 }
 
-/// One sync round's Q-table sum, in the run's data type.
-enum RoundSum {
-    Fp32(QTableSum),
-    Int32(FixedQTableSum),
+/// One sync round's Q-table sum, in the run's data type, as one part
+/// per engine worker. The whole sum ends up in the first part.
+enum RoundSums {
+    /// A DPU-order sum. The pass folds into it only on one worker;
+    /// otherwise it is rebuilt by a range pass, and the other parts stay
+    /// empty.
+    Fp32(Vec<QTableSum>),
+    /// Exact sums: each worker folds the DPUs it ran, and the parts add
+    /// up in any order.
+    Int32(Vec<FixedQTableSum>),
 }
 
-impl RoundSum {
-    /// Adds the tables of `other`, another worker's part of the round.
-    /// Only exact INT32 sums are ever split between workers.
-    fn merge(&mut self, other: &RoundSum) {
-        match (self, other) {
-            (Self::Int32(sum), Self::Int32(part)) => sum.merge(part),
-            _ => unreachable!("an FP32 round is folded by one worker"),
-        }
-    }
-
-    fn add_bytes(&mut self, table: &[u8]) {
+impl RoundSums {
+    /// Completes the round's sum and records its one `Gather` from the
+    /// DPUs of `subset` (`None` = all). The pass folded every DPU but the
+    /// `faulted` ones, since relaunched: INT32 adds their tables to the
+    /// merged parts; an FP32 sum that one worker could not fold in DPU
+    /// order is rebuilt over element ranges by the engine.
+    fn gather(
+        &mut self,
+        set: &mut DpuSet,
+        subset: Option<&[usize]>,
+        q_bytes: usize,
+        faulted: &[usize],
+        fold_in_pass: bool,
+    ) -> Result<(), PimError> {
         match self {
-            Self::Fp32(sum) => sum.add_bytes(table),
-            Self::Int32(sum) => sum.add_bytes(table),
+            RoundSums::Int32(parts) => {
+                let (total, rest) = parts.split_at_mut(1);
+                let total = &mut total[0];
+                rest.iter().for_each(|part| total.merge(part));
+                set.gather_folded(Q_TABLE_OFFSET, q_bytes, subset, faulted, |table| {
+                    total.add_bytes(table)
+                })
+            }
+            RoundSums::Fp32(_) if fold_in_pass && faulted.is_empty() => {
+                set.gather_folded(Q_TABLE_OFFSET, q_bytes, subset, &[], |_| {})
+            }
+            RoundSums::Fp32(parts) => {
+                let total = &mut parts[0];
+                total.clear();
+                let live = subset.map_or(set.ndpus(), <[usize]>::len);
+                let workers = set.config().engine.workers_for(live);
+                let mut pieces: Vec<_> = total
+                    .ranges_mut(live, 4 * workers)
+                    .into_iter()
+                    .map(|range| (range.bytes(), range))
+                    .collect();
+                let fold = QTableSumRange::add_bytes;
+                set.gather_ranges(Q_TABLE_OFFSET, q_bytes, subset, &mut pieces, fold)
+            }
         }
     }
 
     fn clear(&mut self) {
         match self {
-            Self::Fp32(sum) => sum.clear(),
-            Self::Int32(sum) => sum.clear(),
+            Self::Fp32(parts) => parts.iter_mut().for_each(QTableSum::clear),
+            Self::Int32(parts) => parts.iter_mut().for_each(FixedQTableSum::clear),
         }
     }
 
     fn tables(&self) -> usize {
         match self {
-            Self::Fp32(sum) => sum.tables(),
-            Self::Int32(sum) => sum.tables(),
+            Self::Fp32(parts) => parts[0].tables(),
+            Self::Int32(parts) => parts[0].tables(),
         }
     }
 
     /// The average in its MRAM layout, ready to broadcast.
     fn mean_bytes(&self) -> Vec<u8> {
         match self {
-            Self::Fp32(sum) => sum.mean().to_bytes(),
-            Self::Int32(sum) => sum.mean().to_bytes(),
+            Self::Fp32(parts) => parts[0].mean().to_bytes(),
+            Self::Int32(parts) => parts[0].mean().to_bytes(),
         }
     }
 
     /// The average as the run's result, descaled to FP32 for INT32 runs.
     fn mean_table(&self) -> QTable {
         match self {
-            Self::Fp32(sum) => sum.mean(),
-            Self::Int32(sum) => sum.mean().to_float(),
+            Self::Fp32(parts) => parts[0].mean(),
+            Self::Int32(parts) => parts[0].mean().to_float(),
         }
     }
 }
@@ -1022,41 +967,6 @@ mod tests {
             })
         );
         assert_eq!(build(8), Ok(()));
-    }
-
-    #[test]
-    fn clean_runs_fuse_and_every_other_run_stays_stepwise() {
-        use swiftrl_pim::faults::FaultPlan;
-        use swiftrl_pim::sanitize::SanitizeLevel;
-        use swiftrl_pim::ExecutionEngine;
-        let d = dataset();
-        let (int32, fp32) = (WorkloadSpec::q_learning_seq_int32(), WorkloadSpec::q_learning_seq_fp32());
-        let platform = |engine| PimConfig::builder().dpus(4_096).engine(engine).build();
-        let fuses = |spec, dpus, platform: PimConfig, resilience| {
-            let runner = PimRunner::with_platform(spec, quick_cfg(dpus), platform.clone())
-                .unwrap()
-                .with_resilience(resilience);
-            let set = PimSystem::new(platform).alloc(dpus).unwrap();
-            runner.fuses(&set, &runner.stage(&d, dpus))
-        };
-        let none = ResilienceConfig::none();
-        let (serial, two) = (ExecutionEngine::Serial, ExecutionEngine::Threaded { workers: 2 });
-        let one = ExecutionEngine::Threaded { workers: 1 };
-        assert!(fuses(int32, 8, platform(serial), none));
-        assert!(fuses(int32, 8, platform(two), none));
-        assert!(fuses(fp32, 8, platform(serial), none));
-        assert!(fuses(fp32, 8, platform(one), none));
-        assert!(fuses(fp32, 1, platform(two), none), "one DPU runs one worker");
-        assert!(!fuses(fp32, 8, platform(two), none), "FP32 sums depend on order");
-        assert!(fuses(int32, 8, platform(two), none.with_checkpoint_every(1)));
-        assert!(!fuses(int32, 8, platform(two), none.with_max_retries(1)));
-        assert!(!fuses(int32, 8, platform(two), none.with_degrade(true)));
-        assert!(!fuses(int32, 3_000, platform(two), none), "empty chunks");
-        let inert = FaultPlan::seeded(1).with_stragglers(1.0, 1.0);
-        let faulty = PimConfig::builder().dpus(8).faults(inert).build();
-        assert!(!fuses(int32, 8, faulty, none));
-        let sanitized = PimConfig::builder().dpus(8).sanitize(SanitizeLevel::Memory).build();
-        assert!(!fuses(int32, 8, sanitized, none));
     }
 
     #[test]

@@ -97,27 +97,9 @@ impl ExecutionEngine {
         }
     }
 
-    /// Executes `kernel` on every DPU and returns the per-DPU results in
-    /// DPU-index order.
-    ///
-    /// Operates directly on the owned `Dpu` slice — full-set launches
-    /// never materialise a per-launch selection vector.
-    pub(crate) fn execute_all(
-        &self,
-        config: &PimConfig,
-        dpus: &mut [Dpu],
-        kernel: &dyn Kernel,
-    ) -> Vec<Result<u64, KernelError>> {
-        let mut slots = vec![(); self.workers_for(dpus.len())];
-        self.execute_chunks(&mut slots, dpus, |(), dpu| dpu.execute(kernel, config))
-    }
-
-    /// Executes `kernel` on an arbitrary selection of DPUs (given as
-    /// mutable references) and returns results in selection order. This
-    /// is the primitive behind the host's subset relaunches of faulted
-    /// DPUs; the scheduling construction is identical to
-    /// [`execute_all`](Self::execute_all), so subset launches keep the
-    /// engine's bit-identity guarantee.
+    /// Executes `kernel` on a selection of DPUs (given as mutable
+    /// references, the whole set or a subset) and returns the results in
+    /// selection order.
     pub(crate) fn execute_refs(
         &self,
         config: &PimConfig,
@@ -325,10 +307,10 @@ mod tests {
         let config = PimConfig::builder().dpus(8).mram_bytes(1 << 16).build();
         let mut serial_dpus = fresh_dpus(&config, 7);
         let mut threaded_dpus = fresh_dpus(&config, 7);
-        let serial = ExecutionEngine::Serial.execute_all(&config, &mut serial_dpus, &SkewKernel);
-        let threaded = ExecutionEngine::Threaded { workers: 3 }.execute_all(
+        let serial = ExecutionEngine::Serial.execute_refs(&config, &mut serial_dpus.iter_mut().collect::<Vec<_>>(), &SkewKernel);
+        let threaded = ExecutionEngine::Threaded { workers: 3 }.execute_refs(
             &config,
-            &mut threaded_dpus,
+            &mut threaded_dpus.iter_mut().collect::<Vec<_>>(),
             &SkewKernel,
         );
         assert_eq!(serial, threaded);
@@ -346,10 +328,10 @@ mod tests {
         let config = PimConfig::builder().dpus(64).mram_bytes(1 << 16).build();
         let mut serial_dpus = fresh_dpus(&config, 37);
         let mut threaded_dpus = fresh_dpus(&config, 37);
-        let serial = ExecutionEngine::Serial.execute_all(&config, &mut serial_dpus, &SkewKernel);
-        let threaded = ExecutionEngine::Threaded { workers: 4 }.execute_all(
+        let serial = ExecutionEngine::Serial.execute_refs(&config, &mut serial_dpus.iter_mut().collect::<Vec<_>>(), &SkewKernel);
+        let threaded = ExecutionEngine::Threaded { workers: 4 }.execute_refs(
             &config,
-            &mut threaded_dpus,
+            &mut threaded_dpus.iter_mut().collect::<Vec<_>>(),
             &SkewKernel,
         );
         assert_eq!(serial, threaded);
@@ -449,7 +431,7 @@ mod tests {
         let mut dpus = fresh_dpus(&config, 16);
         let engine = ExecutionEngine::Threaded { workers: 3 };
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.execute_all(&config, &mut dpus, &PanicKernel)
+            engine.execute_refs(&config, &mut dpus.iter_mut().collect::<Vec<_>>(), &PanicKernel)
         }))
         .expect_err("the kernel panic propagates");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"kernel bug on DPU 5"));

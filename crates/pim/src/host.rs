@@ -13,6 +13,7 @@
 
 use crate::config::PimConfig;
 use crate::dpu::Dpu;
+use crate::faults::FaultPlan;
 use crate::kernel::{Kernel, KernelError};
 use crate::memory::{Bank, MemoryError};
 use crate::report::SanitizerReport;
@@ -20,6 +21,7 @@ use crate::sanitize::{FindingKind, SanitizeLevel, SanitizerFinding};
 use crate::stats::{LaunchStats, SystemStats};
 use crate::xfer::{Direction, TransferLedger, TransferRecord};
 use std::fmt;
+use std::ops::Range;
 use swiftrl_telemetry::{CycleClassTotals, Event, TransferFaultKind, TransferKind};
 
 /// Error raised by host-side PIM operations.
@@ -193,14 +195,16 @@ impl PimSystem {
 /// exactly as the stepwise call it stands for.
 #[derive(Debug, Clone, Copy)]
 pub enum Delivery<'a> {
-    /// [`DpuSet::scatter`]: part `i` goes to DPU `i` at `offset`.
+    /// [`DpuSet::scatter`]: part `i` goes to DPU `i` at `offset`. A DPU
+    /// whose part is empty is not addressed.
     Scatter {
         /// MRAM offset on every DPU.
         offset: usize,
-        /// One non-empty part per DPU.
+        /// One part per DPU of the set.
         parts: &'a [Vec<u8>],
     },
-    /// [`DpuSet::broadcast`]: `data` goes to every DPU at `offset`.
+    /// [`DpuSet::broadcast`], or [`DpuSet::broadcast_subset`] in a round
+    /// over a subset: `data` goes to every DPU of the round at `offset`.
     Broadcast {
         /// MRAM offset on every DPU.
         offset: usize,
@@ -217,6 +221,70 @@ impl<'a> Delivery<'a> {
             Delivery::Broadcast { offset, data } => (offset, data),
         }
     }
+
+    /// Whether the transfer addresses `dpu`, a DPU of the round.
+    fn addresses(&self, dpu: usize) -> bool {
+        match *self {
+            Delivery::Scatter { parts, .. } => !parts[dpu].is_empty(),
+            Delivery::Broadcast { .. } => true,
+        }
+    }
+}
+
+/// What the fault plan does to one DPU's payload of a CPU→PIM transfer.
+#[derive(Clone, Copy)]
+enum TransferFault {
+    /// The payload never lands.
+    Dropped,
+    /// The payload lands with the byte at `pos` XORed with `mask`.
+    Corrupted { pos: usize, mask: u8 },
+}
+
+impl TransferFault {
+    /// The fault plan's decision for transfer `seq` of `len` bytes to
+    /// `dpu`. Pure data, so a pass can apply it inside each DPU's
+    /// delivery while the host records it beforehand.
+    fn decide(faults: &FaultPlan, seq: u64, dpu: usize, len: usize) -> Option<Self> {
+        if faults.is_none() {
+            None
+        } else if faults.drop_transfer(seq, dpu) {
+            Some(TransferFault::Dropped)
+        } else {
+            faults
+                .corrupt_transfer(seq, dpu, len)
+                .map(|(pos, mask)| TransferFault::Corrupted { pos, mask })
+        }
+    }
+
+    fn kind(self) -> TransferFaultKind {
+        match self {
+            TransferFault::Dropped => TransferFaultKind::Dropped,
+            TransferFault::Corrupted { .. } => TransferFaultKind::Corrupted,
+        }
+    }
+}
+
+/// Lands `data` in `bank` at `offset` as `fault` leaves it: a dropped
+/// payload never reaches the bank; a corrupted one lands directly and
+/// its one corrupted byte is patched in place, so nothing is allocated
+/// on any path.
+fn land(
+    bank: &mut Bank,
+    offset: usize,
+    data: &[u8],
+    fault: Option<TransferFault>,
+) -> Result<(), MemoryError> {
+    if let Some(TransferFault::Dropped) = fault {
+        return Ok(());
+    }
+    bank.write(offset, data)?;
+    if let Some(TransferFault::Corrupted { pos, mask }) = fault {
+        let mut byte = [0u8; 1];
+        bank.read(offset + pos, &mut byte)?;
+        byte[0] ^= mask;
+        bank.write(offset + pos, &byte)?;
+    }
+    Ok(())
 }
 
 /// A set of allocated DPUs operated on collectively, like a UPMEM
@@ -434,16 +502,10 @@ impl DpuSet {
         seq
     }
 
-    /// Lands `data` in `dpu`'s MRAM, subject to the fault plan's
-    /// in-flight decisions for CPU→PIM transfer operation `seq`. A
-    /// dropped payload never reaches the bank; a corrupted one lands
-    /// with a single byte XORed. The host cannot observe either, so
-    /// callers charge time and bytes as if the transfer succeeded.
-    ///
-    /// The clean path (and the dropped path) never copies the payload;
-    /// only a corrupted transfer touches extra bytes, and even then the
-    /// payload lands directly and the single corrupted byte is patched
-    /// in place afterwards — `deliver` allocates nothing on any path.
+    /// Lands `data` in `dpu`'s MRAM as CPU→PIM transfer operation
+    /// `seq`, subject to the fault plan's in-flight decisions. The host
+    /// cannot observe a dropped or corrupted payload, so callers charge
+    /// time and bytes as if the transfer succeeded.
     fn deliver(
         &mut self,
         seq: u64,
@@ -451,35 +513,22 @@ impl DpuSet {
         mram_offset: usize,
         data: &[u8],
     ) -> Result<(), PimError> {
-        if self.config.faults.is_none() {
-            self.dpus[dpu].mram_mut().write(mram_offset, data)?;
-            return Ok(());
-        }
-        if self.config.faults.drop_transfer(seq, dpu) {
-            self.stats.injected_transfer_faults += 1;
-            self.config.telemetry.emit(|| Event::TransferFault {
-                kind: TransferFaultKind::Dropped,
-                seq,
-                dpu,
-            });
-            return Ok(());
-        }
-        self.dpus[dpu].mram_mut().write(mram_offset, data)?;
-        if let Some((pos, mask)) = self.config.faults.corrupt_transfer(seq, dpu, data.len()) {
-            // Patch the single corrupted byte in place: read-modify-write
-            // of one byte instead of cloning the whole payload.
-            let mut byte = [0u8; 1];
-            self.dpus[dpu].mram().read(mram_offset + pos, &mut byte)?;
-            byte[0] ^= mask;
-            self.dpus[dpu].mram_mut().write(mram_offset + pos, &byte)?;
-            self.stats.injected_transfer_faults += 1;
-            self.config.telemetry.emit(|| Event::TransferFault {
-                kind: TransferFaultKind::Corrupted,
-                seq,
-                dpu,
-            });
+        let fault = TransferFault::decide(&self.config.faults, seq, dpu, data.len());
+        land(self.dpus[dpu].mram_mut(), mram_offset, data, fault)?;
+        if let Some(fault) = fault {
+            self.note_transfer_fault(fault, seq, dpu);
         }
         Ok(())
+    }
+
+    /// Counts and emits one injected transfer fault.
+    fn note_transfer_fault(&mut self, fault: TransferFault, seq: u64, dpu: usize) {
+        self.stats.injected_transfer_faults += 1;
+        self.config.telemetry.emit(|| Event::TransferFault {
+            kind: fault.kind(),
+            seq,
+            dpu,
+        });
     }
 
     fn record(&mut self, direction: Direction, bytes: u64, dpus: usize, ranks: usize, seconds: f64) {
@@ -672,16 +721,16 @@ impl DpuSet {
         Ok(())
     }
 
-    /// The one gather core: reads `len` bytes at `mram_offset` from each
+    /// Parallel gather: reads `len` bytes at `mram_offset` from each
     /// addressed DPU — the whole set for `indices: None`, else the
     /// strictly increasing `indices` — and hands them to `visit` in
     /// ascending DPU order (UPMEM `dpu_push_xfer(..., FROM_DPU)`). A DPU's
     /// bytes are lent straight from its bank when they lie in one
     /// materialized segment, and are otherwise read into one reused
     /// `len`-byte buffer, so a gather allocates at most that buffer
-    /// however many DPUs it reads. Sync-loop hosts fold each table as it
-    /// arrives instead of keeping per-DPU copies. Records one `Gather`
-    /// transfer, charged for the distinct ranks addressed.
+    /// however many DPUs it reads. Hosts fold each table as it arrives
+    /// instead of keeping per-DPU copies. Records one `Gather` transfer,
+    /// charged for the distinct ranks addressed.
     ///
     /// # Errors
     ///
@@ -691,6 +740,90 @@ impl DpuSet {
         mram_offset: usize,
         len: usize,
         indices: Option<&[usize]>,
+        visit: impl FnMut(&[u8]),
+    ) -> Result<(), PimError> {
+        self.gather_core(mram_offset, len, indices, None, visit)
+    }
+
+    /// The gather that closes a [`Self::sync_round`] whose pass already
+    /// folded the tables: records the one `Gather` from the DPUs in
+    /// `indices` exactly as [`Self::gather_with`] does, but hands `visit`
+    /// only the bytes of the DPUs in `refold` (strictly increasing, a
+    /// subset of `indices`) — those the pass could not fold, such as
+    /// DPUs relaunched after a fault — in ascending DPU order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::gather_with`].
+    pub fn gather_folded(
+        &mut self,
+        mram_offset: usize,
+        len: usize,
+        indices: Option<&[usize]>,
+        refold: &[usize],
+        visit: impl FnMut(&[u8]),
+    ) -> Result<(), PimError> {
+        self.gather_core(mram_offset, len, indices, Some(refold), visit)
+    }
+
+    /// [`Self::gather_with`] as an engine pass over byte ranges instead
+    /// of DPUs: `pieces` pairs disjoint ranges of the `len` gathered
+    /// bytes with an accumulator each, and every piece is handed its
+    /// range of each addressed DPU's bytes in ascending DPU order. So a
+    /// fold that depends on the order of the DPUs (an FP32 sum) comes
+    /// out of a piece bit for bit as the DPU-order fold of its range,
+    /// while the engine's workers split the pieces between them.
+    /// Records the same single `Gather`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an invalid index list, a range outside `0..len`, or an
+    /// out-of-range MRAM read, before reading anything.
+    pub fn gather_ranges<P: Send>(
+        &mut self,
+        mram_offset: usize,
+        len: usize,
+        indices: Option<&[usize]>,
+        pieces: &mut [(Range<usize>, P)],
+        fold: impl Fn(&mut P, &[u8]) + Sync,
+    ) -> Result<(), PimError> {
+        if let Some(indices) = indices {
+            self.check_indices(indices)?;
+        }
+        if pieces.iter().any(|(range, _)| range.start > range.end || range.end > len) {
+            return Err(PimError::BadArgument(format!(
+                "gather_ranges pieces must lie in 0..{len}"
+            )));
+        }
+        self.check_mram(mram_offset, len)?;
+        let ids: Vec<usize> = indices.map_or_else(|| (0..self.dpus.len()).collect(), <[usize]>::to_vec);
+        let dpus = &self.dpus;
+        let mut bufs = vec![Vec::new(); self.config.engine.workers_for(pieces.len())];
+        let results = self.config.engine.execute_chunks(&mut bufs, pieces, |buf, (range, piece)| {
+            for &dpu in &ids {
+                let offset = mram_offset + range.start;
+                lend_or_read(dpus[dpu].mram(), offset, range.len(), buf, |b| fold(piece, b))?;
+            }
+            Ok(0)
+        });
+        for result in results {
+            if let Err(KernelError::Memory(e)) = result {
+                return Err(e.into());
+            }
+        }
+        self.gather_core(mram_offset, len, indices, Some(&[]), |_| {})
+    }
+
+    /// The one gather core: records a `Gather` of `len` bytes at
+    /// `mram_offset` from each addressed DPU, and hands `visit` the
+    /// bytes of the DPUs in `read` (`None` = every addressed DPU) in
+    /// ascending order.
+    fn gather_core(
+        &mut self,
+        mram_offset: usize,
+        len: usize,
+        indices: Option<&[usize]>,
+        read: Option<&[usize]>,
         mut visit: impl FnMut(&[u8]),
     ) -> Result<(), PimError> {
         let n = match indices {
@@ -708,9 +841,12 @@ impl DpuSet {
                 indices.len()
             }
         };
+        self.check_mram(mram_offset, len)?;
         let mut buf = Vec::new();
         let ranks = self.visit_ranks(indices, |set, _, dpu| {
-            lend_or_read(set.dpus[dpu].mram(), mram_offset, len, &mut buf, &mut visit)?;
+            if read.is_none_or(|read| read.binary_search(&dpu).is_ok()) {
+                lend_or_read(set.dpus[dpu].mram(), mram_offset, len, &mut buf, &mut visit)?;
+            }
             Ok(())
         })?;
         self.charge_gather(len, n, ranks);
@@ -800,8 +936,6 @@ impl DpuSet {
     /// Returns the lowest-indexed kernel fault with its DPU index (unlike
     /// real hardware, faults are reported here rather than at `sync`).
     pub fn launch_async(&mut self, kernel: &dyn Kernel) -> Result<(), PimError> {
-        // Full-set launch: no per-launch index vector is materialised —
-        // the engine runs directly over the owned DPU slice.
         self.launch_on(kernel, None)
     }
 
@@ -824,32 +958,16 @@ impl DpuSet {
         Ok(self.sync())
     }
 
-    /// Shared launch core. `indices: None` launches the full set (the
-    /// engine runs over the owned DPU slice directly, no selection
-    /// vector); `Some(indices)` launches that strictly-increasing
-    /// subset.
+    /// Shared launch core: launches the full set (`indices: None`) or
+    /// that strictly increasing subset.
     fn launch_on(&mut self, kernel: &dyn Kernel, indices: Option<&[usize]>) -> Result<(), PimError> {
         self.load_program();
         self.kernel_running = true;
-        let results = match indices {
-            None => self
-                .config
-                .engine
-                .execute_all(&self.config, &mut self.dpus, kernel),
-            Some(indices) => {
-                // Collect mutable references to the selected DPUs in index
-                // order; the engine schedules exactly this selection.
-                let mut refs: Vec<&mut Dpu> = Vec::with_capacity(indices.len());
-                let mut want = indices.iter().copied().peekable();
-                for (i, dpu) in self.dpus.iter_mut().enumerate() {
-                    if want.peek() == Some(&i) {
-                        refs.push(dpu);
-                        want.next();
-                    }
-                }
-                self.config.engine.execute_refs(&self.config, &mut refs, kernel)
-            }
-        };
+        let mut selected = select(&mut self.dpus, indices);
+        let results = self
+            .config
+            .engine
+            .execute_refs(&self.config, &mut selected, kernel);
         self.finish_launch(results, indices)
     }
 
@@ -985,20 +1103,27 @@ impl DpuSet {
         &self.last_launch
     }
 
-    /// One synchronization round as a single engine pass over the DPUs.
-    /// For each DPU the pass writes `deliveries` into its bank, executes
-    /// `kernel`, and folds the DPU's `gather_len` bytes at
-    /// `gather_offset` into its worker's slot of `sums` with `fold`,
-    /// while the bank is still in cache.
+    /// One synchronization round as a single engine pass over the DPUs
+    /// of `indices` (strictly increasing; `None` = the whole set). For
+    /// each DPU the pass writes `deliveries` into its bank, executes
+    /// `kernel`, and, unless the DPU faulted, folds its MRAM bytes
+    /// `fold_bytes` into its worker's slot of `sums` with `fold` while
+    /// the bank is still in cache.
     ///
     /// Every observable is the one the stepwise calls leave behind: each
-    /// delivery in order through [`Self::scatter`] or [`Self::broadcast`],
-    /// then [`Self::launch`], then [`Self::gather_with`] over the whole
-    /// set. That covers bank bytes, [`SystemStats`], `last_launch`, the
-    /// transfer ledger and sequence, and the telemetry stream. Only
-    /// which DPUs share a slot of `sums` depends on the engine's
-    /// schedule: the slots' combined fold must not depend on the order
-    /// of the DPUs it saw, unless the engine runs one worker.
+    /// delivery in order through [`Self::scatter`], [`Self::broadcast`]
+    /// or [`Self::broadcast_subset`], then [`Self::launch`] or
+    /// [`Self::launch_subset`]. That covers bank bytes, [`SystemStats`],
+    /// `last_launch`, the transfer ledger and sequence, the sanitizer
+    /// report and the telemetry stream, under any fault plan: each
+    /// delivery's transfer faults are decided per (sequence number,
+    /// DPU), recorded ahead of its transfer record, and applied inside
+    /// each DPU's delivery. Only which DPUs share a slot of `sums`
+    /// depends on the engine's schedule, so the slots' combined fold must
+    /// not depend on the order of the DPUs it saw unless the engine runs
+    /// one worker. The round's gather is recorded by the call that
+    /// completes the fold, [`Self::gather_folded`] or
+    /// [`Self::gather_ranges`], after any relaunch of faulted DPUs.
     ///
     /// `on_delivered` sees the statistics once the deliveries are
     /// recorded and before the launch. When it returns `false` the pass
@@ -1007,76 +1132,92 @@ impl DpuSet {
     ///
     /// # Errors
     ///
-    /// Fails, before recording anything, on a set with a fault plan or
-    /// an enabled sanitizer (their decisions follow the stepwise
-    /// schedule), on no accumulator slots, on a scatter whose part count
-    /// differs from the set or whose part is empty, and on an
-    /// out-of-range delivery or gather range. A kernel fault is returned
-    /// as [`Self::launch`] returns it, and then nothing is gathered.
+    /// Fails, before recording anything, on an invalid index list, on no
+    /// accumulator slots, on a scatter whose part count differs from the
+    /// set, and on an out-of-range delivery or fold range. A kernel fault
+    /// is returned as [`Self::launch`] returns it; the faulted DPUs are
+    /// listed in `last_launch().faulted_dpus` and were not folded.
     #[allow(clippy::too_many_arguments)]
     pub fn sync_round<A: Send>(
         &mut self,
         deliveries: &[Delivery<'_>],
         kernel: &dyn Kernel,
-        gather_offset: usize,
-        gather_len: usize,
+        indices: Option<&[usize]>,
+        fold_bytes: Range<usize>,
         on_delivered: impl FnOnce(&SystemStats) -> bool,
         sums: &mut [A],
         fold: impl Fn(&mut A, &[u8]) + Sync,
     ) -> Result<bool, PimError> {
-        let refuse = |what: &str| Err(PimError::BadArgument(format!("sync_round {what}")));
-        if !self.config.faults.is_none() {
-            return refuse("needs a set without a fault plan");
-        }
-        if self.config.sanitize.enabled() {
-            return refuse("needs the sanitizer off");
-        }
         if sums.is_empty() {
-            return refuse("needs at least one accumulator slot");
+            return Err(PimError::BadArgument(
+                "sync_round needs at least one accumulator slot".into(),
+            ));
+        }
+        if let Some(indices) = indices {
+            self.check_indices(indices)?;
         }
         let n = self.dpus.len();
+        let ids: Vec<usize> = indices.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
         for delivery in deliveries {
-            match *delivery {
-                Delivery::Scatter { offset, parts } => {
-                    if parts.len() != n {
-                        return refuse(&format!("scatter expects {n} parts, got {}", parts.len()));
-                    }
-                    for part in parts {
-                        if part.is_empty() {
-                            return refuse("scatter parts must be non-empty");
-                        }
-                        self.check_mram(offset, part.len())?;
-                    }
+            if let Delivery::Scatter { parts, .. } = delivery {
+                if parts.len() != n {
+                    return Err(PimError::BadArgument(format!(
+                        "sync_round scatter expects {n} parts, got {}",
+                        parts.len()
+                    )));
                 }
-                Delivery::Broadcast { offset, data } => self.check_mram(offset, data.len())?,
+            }
+            for &dpu in ids.iter().filter(|&&dpu| delivery.addresses(dpu)) {
+                let (offset, data) = delivery.payload(dpu);
+                self.check_mram(offset, data.len())?;
             }
         }
-        self.check_mram(gather_offset, gather_len)?;
+        self.check_mram(fold_bytes.start, fold_bytes.len())?;
 
-        // Every operation addresses the whole set.
-        let ranks = self.ranks();
+        let mut seqs = Vec::with_capacity(deliveries.len());
         for delivery in deliveries {
-            // No fault plan reads the sequence number here, but it
-            // advances as the stepwise call advances it.
-            self.next_transfer_seq();
+            let addressed: Vec<usize> =
+                ids.iter().copied().filter(|&dpu| delivery.addresses(dpu)).collect();
+            for &dpu in &addressed {
+                let (offset, data) = delivery.payload(dpu);
+                self.note_host_access(dpu, offset, data.len());
+            }
+            let seq = self.next_transfer_seq();
+            for &dpu in &addressed {
+                let len = delivery.payload(dpu).1.len();
+                if let Some(fault) = TransferFault::decide(&self.config.faults, seq, dpu, len) {
+                    self.note_transfer_fault(fault, seq, dpu);
+                }
+            }
+            let ranks = match addressed.len() {
+                0 => 0,
+                all if all == n => self.ranks(),
+                _ => self.visit_ranks(Some(&addressed), |_, _, _| Ok(()))?,
+            };
             match *delivery {
                 Delivery::Scatter { parts, .. } => {
-                    let total = parts.iter().map(|p| p.len() as u64).sum();
-                    self.charge_scatter(total, n, ranks);
+                    let total = addressed.iter().map(|&dpu| parts[dpu].len() as u64).sum();
+                    self.charge_scatter(total, addressed.len(), ranks);
                 }
-                Delivery::Broadcast { data, .. } => self.charge_broadcast(data.len(), n, ranks),
+                Delivery::Broadcast { data, .. } => {
+                    self.charge_broadcast(data.len(), addressed.len(), ranks);
+                }
             }
+            seqs.push(seq);
         }
-        let deliver = |dpu: &mut Dpu| {
-            for delivery in deliveries {
-                let (offset, data) = delivery.payload(dpu.id());
-                dpu.mram_mut().write(offset, data)?;
+        let deliver = |dpu: &mut Dpu, faults: &FaultPlan| {
+            for (delivery, &seq) in deliveries.iter().zip(&seqs) {
+                if delivery.addresses(dpu.id()) {
+                    let (offset, data) = delivery.payload(dpu.id());
+                    let fault = TransferFault::decide(faults, seq, dpu.id(), data.len());
+                    land(dpu.mram_mut(), offset, data, fault)?;
+                }
             }
             Ok::<(), MemoryError>(())
         };
         if !on_delivered(&self.stats) {
-            for dpu in &mut self.dpus {
-                deliver(dpu)?;
+            for dpu in select(&mut self.dpus, indices) {
+                deliver(dpu, &self.config.faults)?;
             }
             return Ok(false);
         }
@@ -1088,19 +1229,32 @@ impl DpuSet {
         // in one piece.
         let mut slots: Vec<(&mut A, Vec<u8>)> =
             sums.iter_mut().map(|sum| (sum, Vec::new())).collect();
-        let pass = |(sum, buf): &mut (&mut A, Vec<u8>), dpu: &mut Dpu| {
-            deliver(dpu)?;
+        let pass = |(sum, buf): &mut (&mut A, Vec<u8>), dpu: &mut &mut Dpu| {
+            deliver(dpu, &config.faults)?;
             let cycles = dpu.execute(kernel, config)?;
-            lend_or_read(dpu.mram(), gather_offset, gather_len, buf, |table| fold(sum, table))?;
+            let (offset, len) = (fold_bytes.start, fold_bytes.len());
+            lend_or_read(dpu.mram(), offset, len, buf, |table| fold(sum, table))?;
             Ok(cycles)
         };
-        let results = config
-            .engine
-            .execute_chunks(&mut slots, &mut self.dpus, pass);
-        self.finish_launch(results, None)?;
+        let mut selected = select(&mut self.dpus, indices);
+        let results = config.engine.execute_chunks(&mut slots, &mut selected, pass);
+        self.finish_launch(results, indices)?;
         self.kernel_running = false;
-        self.charge_gather(gather_len, n, ranks);
         Ok(true)
+    }
+}
+
+/// The DPUs of `indices` (strictly increasing; `None` = all), in order.
+fn select<'a>(dpus: &'a mut [Dpu], indices: Option<&[usize]>) -> Vec<&'a mut Dpu> {
+    match indices {
+        None => dpus.iter_mut().collect(),
+        Some(indices) => {
+            let mut want = indices.iter().copied().peekable();
+            dpus.iter_mut()
+                .enumerate()
+                .filter_map(|(i, dpu)| want.next_if_eq(&i).map(|_| dpu))
+                .collect()
+        }
     }
 }
 
@@ -1736,8 +1890,8 @@ mod tests {
                 .sync_round(
                     &deliveries,
                     &IdKernel,
-                    0,
-                    16,
+                    None,
+                    0..16,
                     |stats| {
                         seen_stats = Some(stats.clone());
                         true
@@ -1747,6 +1901,7 @@ mod tests {
                 )
                 .unwrap();
             assert!(launched);
+            fused.gather_folded(0, 16, None, &[], |_| {}).unwrap();
             assert_eq!(sums.iter().sum::<u64>(), want, "{engine:?}");
             // The hook saw the deliveries recorded and nothing else.
             let seen = seen_stats.unwrap();
@@ -1777,8 +1932,8 @@ mod tests {
                     data: &[5u8; 8],
                 }],
                 &IdKernel,
-                0,
-                8,
+                None,
+                0..8,
                 |_| false,
                 &mut sums,
                 fold_words,
@@ -1796,44 +1951,33 @@ mod tests {
 
     #[test]
     fn sync_round_refuses_before_recording_anything() {
-        use crate::faults::FaultPlan;
         let capacity = 1 << 16;
         let good = vec![vec![1u8; 8]; 2];
-        let mut with_empty = good.clone();
-        with_empty[1].clear();
         let mut with_long = good.clone();
         with_long[1] = vec![1u8; 16];
-        let clean = || (None, SanitizeLevel::Off);
         let scatter = |offset, parts| vec![Delivery::Scatter { offset, parts }];
         let broadcast = |offset, data| Delivery::Broadcast { offset, data };
-        let inert = FaultPlan::seeded(1).with_stragglers(1.0, 1.0);
         let cases = [
-            ("fault plan", (Some(inert), SanitizeLevel::Off), vec![], (0, 8)),
-            ("sanitizer", (None, SanitizeLevel::Memory), vec![], (0, 8)),
-            ("no slots", clean(), vec![], (0, 8)),
-            ("part count", clean(), scatter(0, &good[..1]), (0, 8)),
-            ("empty part", clean(), scatter(0, &with_empty), (0, 8)),
-            ("scatter range", clean(), scatter(capacity - 8, &with_long), (0, 8)),
-            ("broadcast range", clean(), vec![broadcast(usize::MAX, &[1])], (0, 8)),
-            ("gather range", clean(), vec![], (capacity - 4, 8)),
+            ("no slots", None, vec![], 0..8),
+            ("bad indices", Some(&[1, 0][..]), vec![], 0..8),
+            ("part count", None, scatter(0, &good[..1]), 0..8),
+            ("scatter range", None, scatter(capacity - 8, &with_long), 0..8),
+            ("broadcast range", None, vec![broadcast(usize::MAX, &[1])], 0..8),
+            ("fold range", None, vec![], capacity - 4..capacity + 4),
             // A valid delivery ahead of the bad one records nothing either.
-            ("late refusal", clean(), [scatter(0, &good), vec![broadcast(capacity, &[1])]].concat(), (0, 8)),
+            ("late refusal", None, [scatter(0, &good), vec![broadcast(capacity, &[1])]].concat(), 0..8),
         ];
-        for (what, (plan, level), deliveries, (gather_offset, gather_len)) in cases {
-            let mut builder = PimConfig::builder().dpus(4).mram_bytes(capacity);
-            if let Some(plan) = plan {
-                builder = builder.faults(plan);
-            }
-            let mut set = PimSystem::new(builder.build()).alloc(2).unwrap();
-            set.set_sanitize_level(level);
+        for (what, indices, deliveries, fold_bytes) in cases {
+            let config = PimConfig::builder().dpus(4).mram_bytes(capacity).build();
+            let mut set = PimSystem::new(config).alloc(2).unwrap();
             set.broadcast(0, &[3u8; 8]).unwrap();
             let (ledger, stats, seq) = (set.ledger().clone(), set.stats().clone(), set.transfer_seq);
             let mut sums = vec![0u64; usize::from(what != "no slots")];
             let result = set.sync_round(
                 &deliveries,
                 &IdKernel,
-                gather_offset,
-                gather_len,
+                indices,
+                fold_bytes,
                 |_| panic!("{what}: the hook ran"),
                 &mut sums,
                 fold_words,
@@ -1847,6 +1991,38 @@ mod tests {
             assert_eq!(set.transfer_seq, seq, "{what}");
             assert_eq!(set.copy_from(1, 0, 16).unwrap(), [[3u8; 8], [0u8; 8]].concat(), "{what}");
         }
+    }
+
+    #[test]
+    fn gather_ranges_visits_each_range_in_dpu_order() {
+        let mut sys = PimSystem::new(
+            PimConfig::builder()
+                .dpus(8)
+                .mram_bytes(1 << 16)
+                .engine(crate::engine::ExecutionEngine::Threaded { workers: 3 })
+                .build(),
+        );
+        let mut set = sys.alloc(6).unwrap();
+        let parts: Vec<Vec<u8>> = (0..6u8).map(|i| (0..24).map(|b| i * 24 + b).collect()).collect();
+        set.scatter(0, &parts).unwrap();
+        for indices in [None, Some(&[1, 4, 5][..])] {
+            let mut pieces: Vec<(Range<usize>, Vec<u8>)> =
+                [0..5, 5..16, 16..24].into_iter().map(|r| (r, Vec::new())).collect();
+            set.gather_ranges(0, 24, indices, &mut pieces, |seen, b| seen.extend_from_slice(b))
+                .unwrap();
+            let want = gathered(&mut set, 0, 24, indices).unwrap();
+            let records = set.ledger().records();
+            assert_eq!(records[records.len() - 2], records[records.len() - 1], "one Gather each");
+            for (range, seen) in &pieces {
+                let expect: Vec<u8> = want.iter().flat_map(|t| t[range.clone()].to_vec()).collect();
+                assert_eq!(seen, &expect, "{indices:?}, {range:?}");
+            }
+        }
+        let mut outside = [(20..25, Vec::new())];
+        assert!(matches!(
+            set.gather_ranges(0, 24, None, &mut outside, |_: &mut Vec<u8>, _| {}),
+            Err(PimError::BadArgument(_))
+        ));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! Q-tables", §4.2).
 
 use crate::fixed::FixedScale;
+use std::ops::Range;
 use swiftrl_env::{Action, State};
 
 /// A dense FP32 Q-table.
@@ -233,11 +234,26 @@ impl QTableSum {
     ///
     /// Panics if `bytes.len() != num_states * num_actions * 4`.
     pub fn add_bytes(&mut self, bytes: &[u8]) {
-        assert_eq!(bytes.len(), self.sums.len() * 4, "bad Q-table size");
-        for (o, c) in self.sums.iter_mut().zip(bytes.chunks_exact(4)) {
-            *o += f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-        }
+        add_f32_bytes(&mut self.sums, bytes);
         self.tables += 1;
+    }
+
+    /// Counts `tables` more tables and cuts the sum into at most `parts`
+    /// element ranges for a fold split by range: the caller then adds
+    /// each of those tables' bytes of a range to that range, in table
+    /// order ([`QTableSumRange::add_bytes`]). Every element so sees the
+    /// additions of `tables` calls of [`Self::add_bytes`] in the same
+    /// order, and the sum is bit for bit theirs however the ranges are
+    /// shared between threads.
+    pub fn ranges_mut(&mut self, tables: usize, parts: usize) -> Vec<QTableSumRange<'_>> {
+        self.tables += tables;
+        // Whole 64-byte lines per range, so no two ranges share one.
+        let per = self.sums.len().div_ceil(parts.max(1)).next_multiple_of(16);
+        self.sums
+            .chunks_mut(per)
+            .enumerate()
+            .map(|(i, sums)| QTableSumRange { start: i * per, sums })
+            .collect()
     }
 
     /// The element-wise mean of the tables added so far.
@@ -259,6 +275,38 @@ impl QTableSum {
     pub fn clear(&mut self) {
         self.sums.fill(0.0);
         self.tables = 0;
+    }
+}
+
+/// One element range of a [`QTableSum`], from [`QTableSum::ranges_mut`].
+#[derive(Debug)]
+pub struct QTableSumRange<'a> {
+    start: usize,
+    sums: &'a mut [f32],
+}
+
+impl QTableSumRange<'_> {
+    /// The bytes of a table in the MRAM layout ([`QTable::to_bytes`])
+    /// that this range covers.
+    pub fn bytes(&self) -> Range<usize> {
+        self.start * 4..(self.start + self.sums.len()) * 4
+    }
+
+    /// Adds one table's [`Self::bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not as long as the range's bytes.
+    pub fn add_bytes(&mut self, bytes: &[u8]) {
+        add_f32_bytes(self.sums, bytes);
+    }
+}
+
+/// Adds the little-endian `f32`s of `bytes` to `sums`, element-wise.
+fn add_f32_bytes(sums: &mut [f32], bytes: &[u8]) {
+    assert_eq!(bytes.len(), sums.len() * 4, "bad Q-table size");
+    for (o, c) in sums.iter_mut().zip(bytes.chunks_exact(4)) {
+        *o += f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
     }
 }
 
@@ -757,6 +805,40 @@ mod tests {
                 assert_eq!(merged.tables(), n, "split at {k}");
                 assert_eq!(merged.mean(), sequential.mean(), "split at {k}");
             }
+        }
+    }
+
+    #[test]
+    fn range_fold_equals_the_sequential_adds_bit_for_bit() {
+        let (ns, na) = (7, 9);
+        let n = 30;
+        // Mixed magnitudes and signs, so the f32 sums round differently
+        // in any other order.
+        let tables: Vec<Vec<u8>> = (0..n)
+            .map(|t| {
+                (0..ns * na)
+                    .flat_map(|e| {
+                        let r = mix((t * ns * na + e) as u64);
+                        let v = (r % 2_000_001) as f32 / 1_000.0 - 1_000.0;
+                        (v * [1.0, 1e-3, 1e3][(r % 3) as usize]).to_le_bytes()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut sequential = QTableSum::new(ns, na);
+        tables.iter().for_each(|b| sequential.add_bytes(b));
+        for parts in [1, 2, 3, 4, 64] {
+            let mut sum = QTableSum::new(ns, na);
+            let mut ranges = sum.ranges_mut(n, parts);
+            assert!(ranges.len() <= parts, "{parts} parts");
+            // Range by range, as a worker would take them.
+            for range in ranges.iter_mut().rev() {
+                for table in &tables {
+                    range.add_bytes(&table[range.bytes()]);
+                }
+            }
+            assert_eq!(sum.mean().to_bytes(), sequential.mean().to_bytes(), "{parts} parts");
+            assert_eq!(sum.tables(), n);
         }
     }
 
