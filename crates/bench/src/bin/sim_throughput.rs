@@ -49,9 +49,9 @@ struct Case {
 struct Measurement {
     tier: ExecTier,
     wall_s: f64,
-    /// [`RunOutcome::host_kernel_s`]: on a fused sync round it also
-    /// times the round's deliveries and fold, which every tier shares,
-    /// so the tier ratios of such a run understate the kernel's own.
+    /// [`RunOutcome::host_kernel_s`]: the rounds' per-DPU passes, so it
+    /// also times the deliveries and the fold, which every tier shares,
+    /// and the tier ratios understate the kernel's own.
     kernel_wall_s: f64,
     sim_kernel_s: f64,
     sim_total_s: f64,

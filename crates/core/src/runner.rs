@@ -245,7 +245,7 @@ impl PimRunner {
         let final_agg_s = self.aggregate_seconds(live, q_bytes);
         breakdown.pim_cpu_s += final_agg_s;
         self.platform.telemetry.emit(|| Event::HostAggregate {
-            tables: sum.tables(),
+            tables: live,
             bytes: q_bytes as u64,
             seconds: final_agg_s,
         });
@@ -486,8 +486,17 @@ impl PimRunner {
                 continue;
             }
             if round + 1 < rounds {
-                let next = self.average(&sums, live, q_bytes, &mut tally.breakdown);
-                if self.checkpoint_due(round) {
+                // The host-side average, broadcast by the next round.
+                let next = sums.mean_bytes();
+                let seconds = self.aggregate_seconds(live, q_bytes);
+                tally.breakdown.inter_pim_s += seconds;
+                self.platform.telemetry.emit(|| Event::HostAggregate {
+                    tables: live,
+                    bytes: q_bytes as u64,
+                    seconds,
+                });
+                let every = self.resilience.checkpoint_every;
+                if every > 0 && (round + 1).is_multiple_of(every) {
                     tally.res.checkpoints += 1;
                     tally.res.checkpoint_bytes += next.len() as u64;
                     checkpoint = (round + 1, next.clone());
@@ -504,34 +513,6 @@ impl PimRunner {
             });
         }
         Ok((sums, alive.len()))
-    }
-
-    /// The host-side average of one non-final round's `sum` over `live`
-    /// tables, in its MRAM layout and ready to broadcast. Charges the
-    /// modelled aggregation time to synchronization.
-    fn average(
-        &self,
-        sum: &RoundSums,
-        live: usize,
-        q_bytes: usize,
-        breakdown: &mut TimeBreakdown,
-    ) -> Vec<u8> {
-        let avg = sum.mean_bytes();
-        let agg_s = self.aggregate_seconds(live, q_bytes);
-        breakdown.inter_pim_s += agg_s;
-        self.platform.telemetry.emit(|| Event::HostAggregate {
-            tables: live,
-            bytes: q_bytes as u64,
-            seconds: agg_s,
-        });
-        avg
-    }
-
-    /// Whether the average broadcast after `round` is a periodic
-    /// checkpoint.
-    fn checkpoint_due(&self, round: u32) -> bool {
-        let every = self.resilience.checkpoint_every;
-        every > 0 && (round + 1).is_multiple_of(every)
     }
 
     /// Relaunches the DPUs a round's pass `faulted` on, up to the
@@ -809,9 +790,11 @@ impl RoundSums {
                 let total = &mut parts[0];
                 total.clear();
                 let live = subset.map_or(set.ndpus(), <[usize]>::len);
-                let workers = set.config().engine.workers_for(live);
+                // One range per worker, of at least 4 KiB: a small table
+                // is folded inline.
+                let parts = set.config().engine.workers_for(live).min(q_bytes.div_ceil(4096));
                 let mut pieces: Vec<_> = total
-                    .ranges_mut(live, 4 * workers)
+                    .ranges_mut(live, parts)
                     .into_iter()
                     .map(|range| (range.bytes(), range))
                     .collect();
@@ -825,13 +808,6 @@ impl RoundSums {
         match self {
             Self::Fp32(parts) => parts.iter_mut().for_each(QTableSum::clear),
             Self::Int32(parts) => parts.iter_mut().for_each(FixedQTableSum::clear),
-        }
-    }
-
-    fn tables(&self) -> usize {
-        match self {
-            Self::Fp32(parts) => parts[0].tables(),
-            Self::Int32(parts) => parts[0].tables(),
         }
     }
 

@@ -264,25 +264,36 @@ impl TransferFault {
     }
 }
 
-/// Lands `data` in `bank` at `offset` as `fault` leaves it: a dropped
-/// payload never reaches the bank; a corrupted one lands directly and
-/// its one corrupted byte is patched in place, so nothing is allocated
-/// on any path.
+/// Lands `deliveries`, recorded with transfer sequence numbers `seqs`,
+/// on `dpu` as the fault plan leaves each payload: a dropped payload
+/// never reaches the bank; a corrupted one lands directly and its one
+/// corrupted byte is patched in place, so nothing is allocated on any
+/// path.
 fn land(
-    bank: &mut Bank,
-    offset: usize,
-    data: &[u8],
-    fault: Option<TransferFault>,
+    dpu: &mut Dpu,
+    faults: &FaultPlan,
+    deliveries: &[Delivery<'_>],
+    seqs: &[u64],
 ) -> Result<(), MemoryError> {
-    if let Some(TransferFault::Dropped) = fault {
-        return Ok(());
-    }
-    bank.write(offset, data)?;
-    if let Some(TransferFault::Corrupted { pos, mask }) = fault {
-        let mut byte = [0u8; 1];
-        bank.read(offset + pos, &mut byte)?;
-        byte[0] ^= mask;
-        bank.write(offset + pos, &byte)?;
+    let id = dpu.id();
+    for (delivery, &seq) in deliveries.iter().zip(seqs) {
+        if !delivery.addresses(id) {
+            continue;
+        }
+        let (offset, data) = delivery.payload(id);
+        let bank = dpu.mram_mut();
+        match TransferFault::decide(faults, seq, id, data.len()) {
+            Some(TransferFault::Dropped) => {}
+            fault => {
+                bank.write(offset, data)?;
+                if let Some(TransferFault::Corrupted { pos, mask }) = fault {
+                    let mut byte = [0u8; 1];
+                    bank.read(offset + pos, &mut byte)?;
+                    byte[0] ^= mask;
+                    bank.write(offset + pos, &byte)?;
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -426,51 +437,18 @@ impl DpuSet {
         self.config.ranks_for(self.dpus.len())
     }
 
-    /// The single rank-aware transfer path: walks the addressed DPUs
-    /// (`None` = the whole set) rank group by rank group in ascending
-    /// order, calling `f(set, pos, dpu)` with `pos` the ordinal of
-    /// `dpu` within the selection, and returns the number of distinct
-    /// ranks visited — the rank parallelism the bandwidth model is
-    /// charged for. Every broadcast/scatter/gather variant routes its
-    /// per-DPU work and its rank count through here, so full-set and
-    /// subset operations share one charging semantics: a transfer is
-    /// charged for the ranks it *actually* addresses. (For a full set
-    /// of `n` DPUs that is exactly `ranks_for(n)`; a sparse subset
-    /// spread across the machine touches — and is charged for — more
-    /// ranks than a dense packing of its size would.)
-    ///
-    /// DPUs are visited in strictly ascending index order, identical to
-    /// a flat iteration, so transfer sequence numbers and fault-plan
-    /// decisions are unaffected by the rank grouping.
-    fn visit_ranks(
-        &mut self,
-        indices: Option<&[usize]>,
-        mut f: impl FnMut(&mut Self, usize, usize) -> Result<(), PimError>,
-    ) -> Result<usize, PimError> {
-        let per = self.config.dpus_per_rank.max(1);
+    /// The distinct ranks a transfer to `indices` (strictly increasing;
+    /// `None` = the whole set) addresses — the rank parallelism the
+    /// bandwidth model charges every scatter, broadcast and gather for.
+    /// A full set of `n` DPUs addresses `ranks_for(n)`; a sparse subset
+    /// spread across the machine addresses more ranks than a dense
+    /// packing of its size would.
+    fn ranks_addressed(&self, indices: Option<&[usize]>) -> usize {
         match indices {
-            None => {
-                let n = self.dpus.len();
-                let ranks = self.config.ranks_for(n);
-                for rank in 0..ranks {
-                    for dpu in rank * per..((rank + 1) * per).min(n) {
-                        f(self, dpu, dpu)?;
-                    }
-                }
-                Ok(ranks)
-            }
+            None => self.ranks(),
             Some(indices) => {
-                let mut ranks = 0usize;
-                let mut pos = 0usize;
-                while pos < indices.len() {
-                    let rank = self.config.rank_of(indices[pos]);
-                    ranks += 1;
-                    while pos < indices.len() && self.config.rank_of(indices[pos]) == rank {
-                        f(self, pos, indices[pos])?;
-                        pos += 1;
-                    }
-                }
-                Ok(ranks.max(1))
+                let rank = |dpu| self.config.rank_of(dpu);
+                1 + indices.windows(2).filter(|w| rank(w[0]) != rank(w[1])).count()
             }
         }
     }
@@ -502,33 +480,102 @@ impl DpuSet {
         seq
     }
 
-    /// Lands `data` in `dpu`'s MRAM as CPU→PIM transfer operation
-    /// `seq`, subject to the fault plan's in-flight decisions. The host
-    /// cannot observe a dropped or corrupted payload, so callers charge
-    /// time and bytes as if the transfer succeeded.
-    fn deliver(
-        &mut self,
-        seq: u64,
-        dpu: usize,
-        mram_offset: usize,
-        data: &[u8],
-    ) -> Result<(), PimError> {
-        let fault = TransferFault::decide(&self.config.faults, seq, dpu, data.len());
-        land(self.dpus[dpu].mram_mut(), mram_offset, data, fault)?;
-        if let Some(fault) = fault {
-            self.note_transfer_fault(fault, seq, dpu);
+    /// The DPUs of `indices` (checked), or every DPU of the set.
+    fn dpu_ids(&self, indices: Option<&[usize]>) -> Result<Vec<usize>, PimError> {
+        match indices {
+            Some(indices) => {
+                self.check_indices(indices)?;
+                Ok(indices.to_vec())
+            }
+            None => Ok((0..self.dpus.len()).collect()),
+        }
+    }
+
+    /// Checks `deliveries` to the DPUs `ids`: one scatter part per DPU of
+    /// the set, and every addressed range inside the bank.
+    fn check_deliveries(&self, deliveries: &[Delivery<'_>], ids: &[usize]) -> Result<(), PimError> {
+        let n = self.dpus.len();
+        for delivery in deliveries {
+            if let Delivery::Scatter { parts, .. } = delivery {
+                if parts.len() != n {
+                    return Err(PimError::BadArgument(format!(
+                        "scatter expects {n} parts, got {}",
+                        parts.len()
+                    )));
+                }
+            }
+            for &dpu in ids.iter().filter(|&&dpu| delivery.addresses(dpu)) {
+                let (offset, data) = delivery.payload(dpu);
+                self.check_mram(offset, data.len())?;
+            }
         }
         Ok(())
     }
 
-    /// Counts and emits one injected transfer fault.
-    fn note_transfer_fault(&mut self, fault: TransferFault, seq: u64, dpu: usize) {
-        self.stats.injected_transfer_faults += 1;
-        self.config.telemetry.emit(|| Event::TransferFault {
-            kind: fault.kind(),
-            seq,
-            dpu,
-        });
+    /// Records checked `deliveries` to the DPUs `ids` (ascending), one
+    /// CPU→PIM transfer each: sanitizer host-access checks, the transfer
+    /// sequence number, the fault plan's decisions for every addressed
+    /// DPU, then the ledger record and `Transfer` event. Returns the
+    /// sequence numbers; [`land`] then writes the payloads. A transfer is
+    /// charged for the ranks it addresses: an empty scatter part (the
+    /// `partition_even` tail when DPUs outnumber items) is not addressed,
+    /// sees no fault decision, and its rank does not count.
+    fn record_deliveries(&mut self, deliveries: &[Delivery<'_>], ids: &[usize]) -> Vec<u64> {
+        let mut seqs = Vec::with_capacity(deliveries.len());
+        for delivery in deliveries {
+            let addressed: Vec<usize> =
+                ids.iter().copied().filter(|&dpu| delivery.addresses(dpu)).collect();
+            for &dpu in &addressed {
+                let (offset, data) = delivery.payload(dpu);
+                self.note_host_access(dpu, offset, data.len());
+            }
+            let seq = self.next_transfer_seq();
+            for &dpu in &addressed {
+                self.transfer_fault(seq, dpu, delivery.payload(dpu).1.len());
+            }
+            let ranks = if addressed.is_empty() {
+                0
+            } else {
+                self.ranks_addressed(Some(&addressed))
+            };
+            match *delivery {
+                Delivery::Scatter { parts, .. } => {
+                    let total = addressed.iter().map(|&dpu| parts[dpu].len() as u64).sum();
+                    self.charge_scatter(total, addressed.len(), ranks);
+                }
+                Delivery::Broadcast { data, .. } => {
+                    self.charge_broadcast(data.len(), addressed.len(), ranks);
+                }
+            }
+            seqs.push(seq);
+        }
+        seqs
+    }
+
+    /// Counts and emits the fault plan's decision for `dpu`'s `len`-byte
+    /// payload of transfer `seq` when it is a fault. The host cannot
+    /// observe it, so the transfer is charged as if it succeeded.
+    fn transfer_fault(&mut self, seq: u64, dpu: usize, len: usize) {
+        if let Some(fault) = TransferFault::decide(&self.config.faults, seq, dpu, len) {
+            self.stats.injected_transfer_faults += 1;
+            self.config.telemetry.emit(|| Event::TransferFault {
+                kind: fault.kind(),
+                seq,
+                dpu,
+            });
+        }
+    }
+
+    /// `deliveries` to the DPUs of `indices` (`None` = all), checked,
+    /// recorded and landed: the stepwise scatter and broadcasts.
+    fn transfer(&mut self, deliveries: &[Delivery<'_>], indices: Option<&[usize]>) -> Result<(), PimError> {
+        let ids = self.dpu_ids(indices)?;
+        self.check_deliveries(deliveries, &ids)?;
+        let seqs = self.record_deliveries(deliveries, &ids);
+        for dpu in select(&mut self.dpus, indices) {
+            land(dpu, &self.config.faults, deliveries, &seqs)?;
+        }
+        Ok(())
     }
 
     fn record(&mut self, direction: Direction, bytes: u64, dpus: usize, ranks: usize, seconds: f64) {
@@ -608,9 +655,15 @@ impl DpuSet {
     /// Fails on a bad DPU index or an out-of-range MRAM write.
     pub fn copy_to(&mut self, dpu: usize, mram_offset: usize, data: &[u8]) -> Result<(), PimError> {
         self.check_dpu(dpu)?;
+        self.check_mram(mram_offset, data.len())?;
         self.note_host_access(dpu, mram_offset, data.len());
         let seq = self.next_transfer_seq();
-        self.deliver(seq, dpu, mram_offset, data)?;
+        self.transfer_fault(seq, dpu, data.len());
+        let delivery = Delivery::Broadcast {
+            offset: mram_offset,
+            data,
+        };
+        land(&mut self.dpus[dpu], &self.config.faults, &[delivery], &[seq])?;
         let seconds = self.config.transfer.scatter_gather_seconds(data.len(), 1);
         self.record_xfer(TransferKind::CopyTo, data.len() as u64, 1, 1, seconds);
         Ok(())
@@ -644,40 +697,8 @@ impl DpuSet {
     ///
     /// Fails if `parts.len() != ndpus()` or any MRAM write is out of range.
     pub fn scatter(&mut self, mram_offset: usize, parts: &[Vec<u8>]) -> Result<(), PimError> {
-        if parts.len() != self.dpus.len() {
-            return Err(PimError::BadArgument(format!(
-                "scatter expects {} parts, got {}",
-                self.dpus.len(),
-                parts.len()
-            )));
-        }
-        for (i, part) in parts.iter().enumerate() {
-            if !part.is_empty() {
-                self.note_host_access(i, mram_offset, part.len());
-            }
-        }
-        let seq = self.next_transfer_seq();
-        let total: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        // Empty parts carry no payload: their DPUs are not addressed by
-        // the transfer at all (`partition_even` with more DPUs than
-        // items yields empty tail chunks), so they see no delivery —
-        // and no in-flight fault decisions — and their ranks don't
-        // count toward the rank parallelism the bandwidth model is
-        // charged for.
-        let addressed: Vec<usize> = (0..parts.len()).filter(|&i| !parts[i].is_empty()).collect();
-        let ranks = if addressed.len() == parts.len() {
-            self.visit_ranks(None, |set, _, dpu| {
-                set.deliver(seq, dpu, mram_offset, &parts[dpu])
-            })?
-        } else if addressed.is_empty() {
-            0
-        } else {
-            self.visit_ranks(Some(&addressed), |set, _, dpu| {
-                set.deliver(seq, dpu, mram_offset, &parts[dpu])
-            })?
-        };
-        self.charge_scatter(total, addressed.len(), ranks);
-        Ok(())
+        let offset = mram_offset;
+        self.transfer(&[Delivery::Scatter { offset, parts }], None)
     }
 
     /// Broadcast: copies the same buffer to every DPU at `mram_offset`
@@ -687,13 +708,8 @@ impl DpuSet {
     ///
     /// Fails if the MRAM write is out of range.
     pub fn broadcast(&mut self, mram_offset: usize, data: &[u8]) -> Result<(), PimError> {
-        for i in 0..self.dpus.len() {
-            self.note_host_access(i, mram_offset, data.len());
-        }
-        let seq = self.next_transfer_seq();
-        let ranks = self.visit_ranks(None, |set, _, dpu| set.deliver(seq, dpu, mram_offset, data))?;
-        self.charge_broadcast(data.len(), self.dpus.len(), ranks);
-        Ok(())
+        let offset = mram_offset;
+        self.transfer(&[Delivery::Broadcast { offset, data }], None)
     }
 
     /// [`Self::broadcast`] restricted to the DPUs in `indices` (strictly
@@ -709,16 +725,8 @@ impl DpuSet {
         data: &[u8],
         indices: &[usize],
     ) -> Result<(), PimError> {
-        self.check_indices(indices)?;
-        for &i in indices {
-            self.note_host_access(i, mram_offset, data.len());
-        }
-        let seq = self.next_transfer_seq();
-        let ranks = self.visit_ranks(Some(indices), |set, _, dpu| {
-            set.deliver(seq, dpu, mram_offset, data)
-        })?;
-        self.charge_broadcast(data.len(), indices.len(), ranks);
-        Ok(())
+        let offset = mram_offset;
+        self.transfer(&[Delivery::Broadcast { offset, data }], Some(indices))
     }
 
     /// Parallel gather: reads `len` bytes at `mram_offset` from each
@@ -787,16 +795,13 @@ impl DpuSet {
         pieces: &mut [(Range<usize>, P)],
         fold: impl Fn(&mut P, &[u8]) + Sync,
     ) -> Result<(), PimError> {
-        if let Some(indices) = indices {
-            self.check_indices(indices)?;
-        }
-        if pieces.iter().any(|(range, _)| range.start > range.end || range.end > len) {
+        let ids = self.dpu_ids(indices)?;
+        if pieces.iter().any(|(range, _)| range.end > len) {
             return Err(PimError::BadArgument(format!(
                 "gather_ranges pieces must lie in 0..{len}"
             )));
         }
         self.check_mram(mram_offset, len)?;
-        let ids: Vec<usize> = indices.map_or_else(|| (0..self.dpus.len()).collect(), <[usize]>::to_vec);
         let dpus = &self.dpus;
         let mut bufs = vec![Vec::new(); self.config.engine.workers_for(pieces.len())];
         let results = self.config.engine.execute_chunks(&mut bufs, pieces, |buf, (range, piece)| {
@@ -826,30 +831,18 @@ impl DpuSet {
         read: Option<&[usize]>,
         mut visit: impl FnMut(&[u8]),
     ) -> Result<(), PimError> {
-        let n = match indices {
-            None => {
-                for i in 0..self.dpus.len() {
-                    self.note_host_access(i, mram_offset, len);
-                }
-                self.dpus.len()
-            }
-            Some(indices) => {
-                self.check_indices(indices)?;
-                for &i in indices {
-                    self.note_host_access(i, mram_offset, len);
-                }
-                indices.len()
-            }
-        };
+        let ids = self.dpu_ids(indices)?;
+        for &dpu in &ids {
+            self.note_host_access(dpu, mram_offset, len);
+        }
         self.check_mram(mram_offset, len)?;
         let mut buf = Vec::new();
-        let ranks = self.visit_ranks(indices, |set, _, dpu| {
+        for &dpu in &ids {
             if read.is_none_or(|read| read.binary_search(&dpu).is_ok()) {
-                lend_or_read(set.dpus[dpu].mram(), mram_offset, len, &mut buf, &mut visit)?;
+                lend_or_read(self.dpus[dpu].mram(), mram_offset, len, &mut buf, &mut visit)?;
             }
-            Ok(())
-        })?;
-        self.charge_gather(len, n, ranks);
+        }
+        self.charge_gather(len, ids.len(), self.ranks_addressed(indices));
         Ok(())
     }
 
@@ -1110,20 +1103,17 @@ impl DpuSet {
     /// `fold_bytes` into its worker's slot of `sums` with `fold` while
     /// the bank is still in cache.
     ///
-    /// Every observable is the one the stepwise calls leave behind: each
-    /// delivery in order through [`Self::scatter`], [`Self::broadcast`]
-    /// or [`Self::broadcast_subset`], then [`Self::launch`] or
-    /// [`Self::launch_subset`]. That covers bank bytes, [`SystemStats`],
-    /// `last_launch`, the transfer ledger and sequence, the sanitizer
-    /// report and the telemetry stream, under any fault plan: each
-    /// delivery's transfer faults are decided per (sequence number,
-    /// DPU), recorded ahead of its transfer record, and applied inside
-    /// each DPU's delivery. Only which DPUs share a slot of `sums`
-    /// depends on the engine's schedule, so the slots' combined fold must
-    /// not depend on the order of the DPUs it saw unless the engine runs
-    /// one worker. The round's gather is recorded by the call that
-    /// completes the fold, [`Self::gather_folded`] or
-    /// [`Self::gather_ranges`], after any relaunch of faulted DPUs.
+    /// Every observable — bank bytes, [`SystemStats`], `last_launch`,
+    /// ledger, transfer sequence, sanitizer report, telemetry — is the one
+    /// [`Self::scatter`]/[`Self::broadcast`]/[`Self::broadcast_subset`]
+    /// per delivery, then [`Self::launch`]/[`Self::launch_subset`], leave
+    /// behind, under any fault plan: deliveries are recorded by the same
+    /// code, and each DPU's transfer faults, pure functions of (sequence
+    /// number, DPU, length), are applied inside its delivery. Only which
+    /// DPUs share a slot of `sums` depends on the schedule, so the slots'
+    /// combined fold must not depend on DPU order unless the engine runs
+    /// one worker. [`Self::gather_folded`] or [`Self::gather_ranges`]
+    /// records the round's gather, after any relaunch.
     ///
     /// `on_delivered` sees the statistics once the deliveries are
     /// recorded and before the launch. When it returns `false` the pass
@@ -1153,71 +1143,13 @@ impl DpuSet {
                 "sync_round needs at least one accumulator slot".into(),
             ));
         }
-        if let Some(indices) = indices {
-            self.check_indices(indices)?;
-        }
-        let n = self.dpus.len();
-        let ids: Vec<usize> = indices.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
-        for delivery in deliveries {
-            if let Delivery::Scatter { parts, .. } = delivery {
-                if parts.len() != n {
-                    return Err(PimError::BadArgument(format!(
-                        "sync_round scatter expects {n} parts, got {}",
-                        parts.len()
-                    )));
-                }
-            }
-            for &dpu in ids.iter().filter(|&&dpu| delivery.addresses(dpu)) {
-                let (offset, data) = delivery.payload(dpu);
-                self.check_mram(offset, data.len())?;
-            }
-        }
+        let ids = self.dpu_ids(indices)?;
+        self.check_deliveries(deliveries, &ids)?;
         self.check_mram(fold_bytes.start, fold_bytes.len())?;
-
-        let mut seqs = Vec::with_capacity(deliveries.len());
-        for delivery in deliveries {
-            let addressed: Vec<usize> =
-                ids.iter().copied().filter(|&dpu| delivery.addresses(dpu)).collect();
-            for &dpu in &addressed {
-                let (offset, data) = delivery.payload(dpu);
-                self.note_host_access(dpu, offset, data.len());
-            }
-            let seq = self.next_transfer_seq();
-            for &dpu in &addressed {
-                let len = delivery.payload(dpu).1.len();
-                if let Some(fault) = TransferFault::decide(&self.config.faults, seq, dpu, len) {
-                    self.note_transfer_fault(fault, seq, dpu);
-                }
-            }
-            let ranks = match addressed.len() {
-                0 => 0,
-                all if all == n => self.ranks(),
-                _ => self.visit_ranks(Some(&addressed), |_, _, _| Ok(()))?,
-            };
-            match *delivery {
-                Delivery::Scatter { parts, .. } => {
-                    let total = addressed.iter().map(|&dpu| parts[dpu].len() as u64).sum();
-                    self.charge_scatter(total, addressed.len(), ranks);
-                }
-                Delivery::Broadcast { data, .. } => {
-                    self.charge_broadcast(data.len(), addressed.len(), ranks);
-                }
-            }
-            seqs.push(seq);
-        }
-        let deliver = |dpu: &mut Dpu, faults: &FaultPlan| {
-            for (delivery, &seq) in deliveries.iter().zip(&seqs) {
-                if delivery.addresses(dpu.id()) {
-                    let (offset, data) = delivery.payload(dpu.id());
-                    let fault = TransferFault::decide(faults, seq, dpu.id(), data.len());
-                    land(dpu.mram_mut(), offset, data, fault)?;
-                }
-            }
-            Ok::<(), MemoryError>(())
-        };
+        let seqs = self.record_deliveries(deliveries, &ids);
         if !on_delivered(&self.stats) {
             for dpu in select(&mut self.dpus, indices) {
-                deliver(dpu, &self.config.faults)?;
+                land(dpu, &self.config.faults, deliveries, &seqs)?;
             }
             return Ok(false);
         }
@@ -1230,7 +1162,7 @@ impl DpuSet {
         let mut slots: Vec<(&mut A, Vec<u8>)> =
             sums.iter_mut().map(|sum| (sum, Vec::new())).collect();
         let pass = |(sum, buf): &mut (&mut A, Vec<u8>), dpu: &mut &mut Dpu| {
-            deliver(dpu, &config.faults)?;
+            land(dpu, &config.faults, deliveries, &seqs)?;
             let cycles = dpu.execute(kernel, config)?;
             let (offset, len) = (fold_bytes.start, fold_bytes.len());
             lend_or_read(dpu.mram(), offset, len, buf, |table| fold(sum, table))?;
@@ -1643,10 +1575,12 @@ mod tests {
                 .build(),
         );
         let mut set = sys.alloc(1).unwrap();
-        set.copy_to(0, 0, &[0u8; 32]).unwrap();
-        let landed = set.copy_from(0, 0, 32).unwrap();
-        let differing = landed.iter().filter(|&&b| b != 0).count();
-        assert_eq!(differing, 1);
+        let payload: Vec<u8> = (0..128).map(|i| i as u8).collect();
+        set.copy_to(0, 0, &payload).unwrap();
+        let landed = set.copy_from(0, 0, 128).unwrap();
+        let diffs: Vec<usize> = (0..128).filter(|&i| landed[i] != payload[i]).collect();
+        assert_eq!(diffs.len(), 1, "exactly one byte must differ");
+        assert_eq!((landed[diffs[0]] ^ payload[diffs[0]]).count_ones(), 1, "one bit flipped");
         assert_eq!(set.stats().injected_transfer_faults, 1);
     }
 
@@ -1743,28 +1677,6 @@ mod tests {
         set.copy_to(0, 0, &payload).unwrap();
         assert_eq!(set.copy_from(0, 0, 64).unwrap(), payload);
         assert_eq!(set.stats().injected_transfer_faults, 0);
-    }
-
-    #[test]
-    fn corrupted_delivery_patches_exactly_one_byte_in_place() {
-        use crate::faults::FaultPlan;
-        let mut sys = PimSystem::new(
-            PimConfig::builder()
-                .dpus(2)
-                .mram_bytes(1 << 16)
-                .faults(FaultPlan::seeded(5).with_transfer_faults(1.0, 0.0))
-                .build(),
-        );
-        let mut set = sys.alloc(1).unwrap();
-        let payload: Vec<u8> = (0..128).map(|i| i as u8).collect();
-        set.copy_to(0, 0, &payload).unwrap();
-        let landed = set.copy_from(0, 0, 128).unwrap();
-        let diffs: Vec<usize> = (0..128).filter(|&i| landed[i] != payload[i]).collect();
-        assert_eq!(diffs.len(), 1, "exactly one byte must differ");
-        // The flipped byte differs by a single XOR mask; every other
-        // byte is byte-identical to the source buffer.
-        assert_ne!(landed[diffs[0]], payload[diffs[0]]);
-        assert_eq!(set.stats().injected_transfer_faults, 1);
     }
 
     #[test]
