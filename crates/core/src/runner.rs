@@ -225,7 +225,7 @@ impl PimRunner {
         let mut tally = RunTally::default();
 
         // ---- Phase 1: CPU→PIM program + dataset + header + Q-table load ----
-        // The round loops deliver the staging.
+        // The round loop delivers the staging.
         set.reset_stats();
         set.load_program();
         let stage = self.stage(dataset, ndpus);

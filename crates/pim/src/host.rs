@@ -445,11 +445,12 @@ impl DpuSet {
     /// packing of its size would.
     fn ranks_addressed(&self, indices: Option<&[usize]>) -> usize {
         match indices {
-            None => self.ranks(),
-            Some(indices) => {
+            // A strictly increasing list of every DPU is the whole set.
+            Some(indices) if indices.len() < self.dpus.len() => {
                 let rank = |dpu| self.config.rank_of(dpu);
                 1 + indices.windows(2).filter(|w| rank(w[0]) != rank(w[1])).count()
             }
+            _ => self.ranks(),
         }
     }
 
@@ -496,17 +497,19 @@ impl DpuSet {
     fn check_deliveries(&self, deliveries: &[Delivery<'_>], ids: &[usize]) -> Result<(), PimError> {
         let n = self.dpus.len();
         for delivery in deliveries {
-            if let Delivery::Scatter { parts, .. } = delivery {
-                if parts.len() != n {
+            match *delivery {
+                Delivery::Scatter { parts, .. } if parts.len() != n => {
                     return Err(PimError::BadArgument(format!(
                         "scatter expects {n} parts, got {}",
                         parts.len()
                     )));
                 }
-            }
-            for &dpu in ids.iter().filter(|&&dpu| delivery.addresses(dpu)) {
-                let (offset, data) = delivery.payload(dpu);
-                self.check_mram(offset, data.len())?;
+                Delivery::Scatter { offset, parts } => {
+                    for &dpu in ids.iter().filter(|&&dpu| !parts[dpu].is_empty()) {
+                        self.check_mram(offset, parts[dpu].len())?;
+                    }
+                }
+                Delivery::Broadcast { offset, data } => self.check_mram(offset, data.len())?,
             }
         }
         Ok(())
@@ -530,8 +533,10 @@ impl DpuSet {
                 self.note_host_access(dpu, offset, data.len());
             }
             let seq = self.next_transfer_seq();
-            for &dpu in &addressed {
-                self.transfer_fault(seq, dpu, delivery.payload(dpu).1.len());
+            if !self.config.faults.is_none() {
+                for &dpu in &addressed {
+                    self.transfer_fault(seq, dpu, delivery.payload(dpu).1.len());
+                }
             }
             let ranks = if addressed.is_empty() {
                 0

@@ -441,7 +441,7 @@ fn sarsa_ran_fp32() -> WorkloadSpec {
 /// All 12 paper variants on both fused-sweep tiers and three engines.
 /// FP32 on two or three workers folds its sums over element ranges.
 #[test]
-fn the_round_loop_matches_its_specification_across_variants_tiers_and_engines() {
+fn fused_rounds_match_the_stepwise_loop_across_variants_tiers_and_engines() {
     let data = dataset(2_000);
     for tier in TIERS {
         for engine in ENGINES {
@@ -459,7 +459,7 @@ fn the_round_loop_matches_its_specification_across_variants_tiers_and_engines() 
 }
 
 #[test]
-fn the_round_loop_matches_its_specification_on_the_reference_tier() {
+fn fused_rounds_match_the_stepwise_loop_on_the_reference_tier() {
     let data = dataset(300);
     for engine in [
         ExecutionEngine::Serial,
@@ -477,7 +477,7 @@ fn the_round_loop_matches_its_specification_on_the_reference_tier() {
 }
 
 #[test]
-fn edge_cases_match_the_specification() {
+fn edge_cases_match_the_stepwise_loop() {
     let data = dataset(2_000);
     let few = dataset(10);
     for tier in TIERS {
@@ -499,6 +499,9 @@ fn edge_cases_match_the_specification() {
                     ..base(cfg(5, 6, 2))
                 }
                 .check(&label("checkpoints"));
+                // One DPU runs one worker on every engine, so FP32 folds
+                // inside the pass.
+                base(cfg(1, 4, 2)).check(&label("one DPU"));
                 // More DPUs than transitions leaves empty chunks, which
                 // the chunk scatter does not address.
                 Run {
@@ -517,7 +520,7 @@ fn edge_cases_match_the_specification() {
 /// retry budget that runs out, degrade with a rollback to a checkpoint,
 /// MRAM bit flips, stragglers, and corrupted or dropped transfers.
 #[test]
-fn faulted_runs_match_the_specification() {
+fn faulted_runs_match_the_stepwise_loop() {
     let data = dataset(2_000);
     let few = dataset(10);
     let q_region = MramRegion {
@@ -593,7 +596,7 @@ fn faulted_runs_match_the_specification() {
 }
 
 #[test]
-fn sanitized_runs_match_the_specification() {
+fn sanitized_runs_match_the_stepwise_loop() {
     let data = dataset(600);
     for tier in TIERS {
         for engine in ENGINES {
@@ -615,7 +618,7 @@ fn sanitized_runs_match_the_specification() {
 /// specification: same launches, same event stream, same bank bytes —
 /// clean, and with a relaunch in flight.
 #[test]
-fn cancellation_at_every_round_matches_the_specification() {
+fn cancellation_at_every_round_matches_the_stepwise_loop() {
     let data = dataset(2_000);
     let rounds = 4;
     for tier in TIERS {
