@@ -27,7 +27,7 @@
 use swiftrl::baselines::cpu_model::{CpuModel, CpuVersion};
 use swiftrl::baselines::gpu_model::GpuModel;
 use swiftrl::core::backend::{CpuModelBackend, GpuModelBackend, TrainingBackend};
-use swiftrl::core::config::{RunConfig, WorkloadSpec};
+use swiftrl::core::config::{Algorithm, DataType, RunConfig, WorkloadSpec};
 use swiftrl::core::layout::Q_TABLE_OFFSET;
 use swiftrl::core::multi_agent::train_multi_agent;
 use swiftrl::core::resilience::ResilienceConfig;
@@ -37,11 +37,12 @@ use swiftrl::env::collect::collect_random;
 use swiftrl::env::frozen_lake::FrozenLake;
 use swiftrl::env::taxi::Taxi;
 use swiftrl::env::ExperienceDataset;
-use swiftrl::pim::config::{ExecTier, PimConfig};
+use swiftrl::pim::config::{EmulationCharging, ExecTier, PimConfig};
 use swiftrl::pim::faults::{FaultPlan, MramRegion};
 use swiftrl::pim::host::PimSystem;
 use swiftrl::pim::sanitize::SanitizeLevel;
 use swiftrl::pim::ExecutionEngine;
+use swiftrl::rl::sampling::SamplingStrategy;
 use swiftrl::telemetry::{chrome_trace, render_deterministic, ServiceTelemetry, Telemetry};
 use swiftrl_bench::Extrapolation;
 
@@ -83,6 +84,7 @@ struct Case<'a> {
     cfg: RunConfig,
     data: &'a ExperienceDataset,
     tier: ExecTier,
+    charging: EmulationCharging,
     engine: ExecutionEngine,
     faults: FaultPlan,
     sanitize: SanitizeLevel,
@@ -96,6 +98,7 @@ impl<'a> Case<'a> {
             cfg,
             data,
             tier: ExecTier::Batched,
+            charging: EmulationCharging::Calibrated,
             engine: ExecutionEngine::Serial,
             faults: FaultPlan::none(),
             sanitize: SanitizeLevel::Off,
@@ -106,7 +109,7 @@ impl<'a> Case<'a> {
     /// The case's line: every deterministic observable of the run.
     fn line(&self, label: &str) -> String {
         let telemetry = Telemetry::enabled();
-        let platform = PimConfig::builder()
+        let mut platform = PimConfig::builder()
             .dpus(self.cfg.dpus)
             .exec_tier(self.tier)
             .engine(self.engine)
@@ -114,6 +117,7 @@ impl<'a> Case<'a> {
             .sanitize(self.sanitize)
             .telemetry(telemetry.clone())
             .build();
+        platform.cost.emulation_charging = self.charging;
         let runner = PimRunner::with_platform(self.spec, self.cfg, platform.clone())
             .unwrap()
             .with_resilience(self.resilience);
@@ -267,6 +271,7 @@ fn golden_lines() -> Vec<String> {
     lines.push(multi_agent_line());
     lines.push(service_line());
     lines.extend(figure_lines());
+    lines.extend(tally_lines(&tx));
     lines
 }
 
@@ -362,6 +367,31 @@ fn figure_lines() -> Vec<String> {
             &format!("fig7/{name}"),
             &[("total_s", format!("{:016x}", report.total_seconds().to_bits()))],
         ));
+    }
+    lines
+}
+
+/// Tally charging, which no case above runs: its per-op charges are
+/// data-dependent, and `OpCosts::fp_call_overhead_slots` is read only
+/// here. Each variant runs on the fused Batched tier and on the Fast
+/// interpreter with 3 tasklets.
+fn tally_lines(data: &ExperienceDataset) -> Vec<String> {
+    let sarsa_ran_fp32 = WorkloadSpec {
+        algorithm: Algorithm::Sarsa,
+        sampling: SamplingStrategy::Random,
+        dtype: DataType::Fp32,
+    };
+    let mut lines = Vec::new();
+    for spec in [sarsa_ran_fp32, WorkloadSpec::q_learning_seq_int32()] {
+        let tiers = [(ExecTier::Batched, "batched", 1), (ExecTier::Fast, "fast3", 3)];
+        for (tier, name, tasklets) in tiers {
+            let case = Case {
+                tier,
+                charging: EmulationCharging::Tally,
+                ..Case::new(spec, cfg(4, 6, 2).with_tasklets(tasklets), data)
+            };
+            lines.push(case.line(&format!("tally/{name}/Taxi/{spec}")));
+        }
     }
     lines
 }
