@@ -184,7 +184,14 @@ struct KernelBody {
     tasklets: usize,
 }
 
+// Every `KernelBody` method is forced inline, so the whole interpreted
+// launch (episode loop, record read, update dispatch and the four update
+// rules) is one loop in `<SwiftRlKernel as Kernel>::run` with the
+// per-record intrinsics inlined into it. Left to the heuristics, the
+// record read and the update dispatch stay out of line (three call sites
+// each), and every record then pays two calls plus the spills around them.
 impl KernelBody {
+    #[inline(always)]
     fn new(spec: WorkloadSpec, hdr: KernelHeader, tasklet_id: usize, tasklets: usize) -> Self {
         let map = WramMap::new(&hdr);
         // Contiguous sub-partition of the chunk, sizes within one.
@@ -203,6 +210,7 @@ impl KernelBody {
         }
     }
 
+    #[inline(always)]
     fn run(&self, ctx: &mut DpuContext<'_>) -> Result<(), KernelError> {
         let hdr = &self.hdr;
         if hdr.num_states == 0 || hdr.num_actions == 0 {
@@ -251,15 +259,18 @@ impl KernelBody {
     }
 
     /// WRAM offset of this tasklet's private transition staging buffer.
+    #[inline(always)]
     fn batch_off(&self) -> usize {
         self.map.batch + self.tasklet_id * SEQ_BATCH * RECORD_BYTES
     }
 
     /// MRAM offset of record `i` of this tasklet's sub-range.
+    #[inline(always)]
     fn record_off(&self, i: usize) -> usize {
         self.hdr.transition_offset(self.range.start + i)
     }
 
+    #[inline(always)]
     fn run_episode(
         &self,
         ctx: &mut DpuContext<'_>,
@@ -330,6 +341,7 @@ impl KernelBody {
     }
 
     /// Reads and validates one staged record from WRAM.
+    #[inline(always)]
     fn read_record(&self, ctx: &mut DpuContext<'_>, wram_off: usize) -> Result<Record, KernelError> {
         let state = ctx.wram_read_u32(wram_off)?;
         let action_word = ctx.wram_read_u32(wram_off + 4)?;
@@ -356,6 +368,7 @@ impl KernelBody {
         })
     }
 
+    #[inline(always)]
     fn apply_update(
         &self,
         ctx: &mut DpuContext<'_>,
@@ -374,6 +387,7 @@ impl KernelBody {
     // ---- FP32 updates ------------------------------------------------------
 
     /// `max_a' Q(s', a')` with emulated comparisons.
+    #[inline(always)]
     fn max_next_fp32(&self, ctx: &mut DpuContext<'_>, next_state: u32) -> Result<F32, KernelError> {
         let na = self.hdr.num_actions;
         ctx.charge_alu(2); // row base address
@@ -386,6 +400,7 @@ impl KernelBody {
         Ok(best)
     }
 
+    #[inline(always)]
     fn q_update_fp32(&self, ctx: &mut DpuContext<'_>, rec: &Record) -> Result<(), KernelError> {
         let na = self.hdr.num_actions;
         let alpha = F32(self.hdr.alpha);
@@ -413,6 +428,7 @@ impl KernelBody {
     /// ε-greedy a' over the WRAM Q-table, bit-identical to the host's
     /// `epsilon_greedy` (integer threshold draw, then either a uniform
     /// action or a first-max argmax).
+    #[inline(always)]
     fn epsilon_greedy_fp32(
         &self,
         ctx: &mut DpuContext<'_>,
@@ -439,6 +455,7 @@ impl KernelBody {
         Ok(best_a)
     }
 
+    #[inline(always)]
     fn sarsa_update_fp32(
         &self,
         ctx: &mut DpuContext<'_>,
@@ -474,6 +491,7 @@ impl KernelBody {
 
     /// `max_a' Q(s', a')` with native integer comparisons (last max wins
     /// on value ties, which is value-identical to any tie choice).
+    #[inline(always)]
     fn max_next_int32(&self, ctx: &mut DpuContext<'_>, next_state: u32) -> Result<i32, KernelError> {
         let na = self.hdr.num_actions;
         ctx.charge_alu(2);
@@ -490,12 +508,13 @@ impl KernelBody {
 
     /// `(a * b) / scale` with the emulated wide multiply + divide, exactly
     /// like `FixedScale::mul`.
-    #[inline]
+    #[inline(always)]
     fn fixed_mul(&self, ctx: &mut DpuContext<'_>, a: i32, b: i32) -> i32 {
         let wide = ctx.mul_wide(a, b);
         ctx.div_wide(wide, self.hdr.scale as i32) as i32
     }
 
+    #[inline(always)]
     fn q_update_int32(&self, ctx: &mut DpuContext<'_>, rec: &Record) -> Result<(), KernelError> {
         let na = self.hdr.num_actions;
         let alpha_s = self.hdr.alpha as i32;
@@ -520,6 +539,7 @@ impl KernelBody {
         Ok(())
     }
 
+    #[inline(always)]
     fn epsilon_greedy_int32(
         &self,
         ctx: &mut DpuContext<'_>,
@@ -546,6 +566,7 @@ impl KernelBody {
         Ok(best_a)
     }
 
+    #[inline(always)]
     fn sarsa_update_int32(
         &self,
         ctx: &mut DpuContext<'_>,
@@ -823,17 +844,22 @@ struct FusedParams {
     scale: fastpath::Reciprocal,
 }
 
+// Every `FusedParams` method is forced inline, so each `fused_sweep`
+// instance (one per `TALLY`) is one loop over the records with the update
+// rules and the `Em` charges in registers. `update` has three call sites
+// per instance (SEQ, STR, RAN), which keeps it out of line under the
+// heuristics, and a call per update spills the accumulators.
 impl FusedParams {
     /// Q-table word index of `(state, action)` (the fused sweep views the
     /// Q-table image as `u32` words, so `q_entry / 4`).
-    #[inline]
+    #[inline(always)]
     fn qi(&self, state: u32, action: u32) -> usize {
         (state * self.na + action) as usize
     }
 
     /// One Q-update on the shared table image, mirroring `apply_update`
     /// and the per-variant update routines charge for charge.
-    #[inline]
+    #[inline(always)]
     fn update<const TALLY: bool>(
         &self,
         em: &mut Em<'_, TALLY>,
@@ -852,6 +878,7 @@ impl FusedParams {
         }
     }
 
+    #[inline(always)]
     fn q_update_fp32<const TALLY: bool>(
         &self,
         em: &mut Em<'_, TALLY>,
@@ -886,6 +913,7 @@ impl FusedParams {
         q.set(e, new);
     }
 
+    #[inline(always)]
     fn epsilon_greedy_fp32<const TALLY: bool>(
         &self,
         em: &mut Em<'_, TALLY>,
@@ -914,6 +942,7 @@ impl FusedParams {
         best_a
     }
 
+    #[inline(always)]
     fn sarsa_update_fp32<const TALLY: bool>(
         &self,
         em: &mut Em<'_, TALLY>,
@@ -945,12 +974,13 @@ impl FusedParams {
 
     /// `(a * b) / scale` with the emulated wide multiply + divide,
     /// exactly like `KernelBody::fixed_mul`.
-    #[inline]
+    #[inline(always)]
     fn fixed_mul<const TALLY: bool>(&self, em: &mut Em<'_, TALLY>, a: i32, b: i32) -> i32 {
         let wide = em.mul_wide(a, b);
         em.div_wide(wide, &self.scale) as i32
     }
 
+    #[inline(always)]
     fn q_update_int32<const TALLY: bool>(
         &self,
         em: &mut Em<'_, TALLY>,
@@ -987,6 +1017,7 @@ impl FusedParams {
         q.set(e, new as u32);
     }
 
+    #[inline(always)]
     fn epsilon_greedy_int32<const TALLY: bool>(
         &self,
         em: &mut Em<'_, TALLY>,
@@ -1015,6 +1046,7 @@ impl FusedParams {
         best_a
     }
 
+    #[inline(always)]
     fn sarsa_update_int32<const TALLY: bool>(
         &self,
         em: &mut Em<'_, TALLY>,

@@ -394,7 +394,9 @@ impl CostModel {
     /// DMA cost in cycles for a transfer of `bytes` bytes.
     ///
     /// The transfer is rounded up to the DMA granule.
-    #[inline]
+    // Forced inline: it is part of the kernel's per-record DMA
+    // (`DpuContext::mram_to_wram`).
+    #[inline(always)]
     pub fn dma_cycles(&self, bytes: usize) -> u64 {
         let granule = self.dma_granule_bytes.max(1);
         // Identical arithmetic to the div_ceil forms below, but free of

@@ -264,6 +264,34 @@ impl<'a> DpuContext<'a> {
         self.counter.charge(OpClass::FloatEmul, n);
     }
 
+    // The intrinsics a kernel's per-update path calls (`mul_wide`,
+    // `div_wide`, `fadd`/`fsub`/`fmul`/`fmax`/`fgt`, `lcg_next`,
+    // `lcg_below`) are forced inline: once the kernel's update loop is one
+    // function, the heuristics leave the larger of them out of line, and
+    // each emulated op then costs a call. Their Reference-tier arms go
+    // through the two helpers below, kept out of line like
+    // `Bank::read_u32_slow`, so each inlined intrinsic is its Fast-tier
+    // arms plus one call.
+
+    /// An emulated integer op on the Reference tier: runs the instrumented
+    /// routine and charges what it executed.
+    #[inline(never)]
+    fn reference_int<R>(&mut self, calibrated: u64, op: impl FnOnce(&mut OpTally) -> R) -> R {
+        let mut t = OpTally::new();
+        let r = op(&mut t);
+        self.charge_int_emul(calibrated, &t);
+        r
+    }
+
+    /// [`Self::reference_int`] for an emulated float op.
+    #[inline(never)]
+    fn reference_float<R>(&mut self, calibrated: u64, op: impl FnOnce(&mut OpTally) -> R) -> R {
+        let mut t = OpTally::new();
+        let r = op(&mut t);
+        self.charge_float_emul(calibrated, &t);
+        r
+    }
+
     /// Fast-tier integer charge: the slot count is already fully resolved
     /// (calibrated constant or closed-form tally).
     #[inline]
@@ -343,10 +371,7 @@ impl<'a> DpuContext<'a> {
     pub fn mul32(&mut self, a: i32, b: i32) -> i32 {
         match self.arith {
             ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = emul::imul32(a, b, &mut t);
-                self.charge_int_emul(self.cost.ops.mul32_slots, &t);
-                r
+                self.reference_int(self.cost.ops.mul32_slots, |t| emul::imul32(a, b, t))
             }
             ArithMode::FastCalibrated => {
                 self.charge_int_slots(self.cost.ops.mul32_slots);
@@ -360,14 +385,11 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated signed 32×32→64 multiply.
-    #[inline]
+    #[inline(always)]
     pub fn mul_wide(&mut self, a: i32, b: i32) -> i64 {
         match self.arith {
             ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = emul::imul32_wide(a, b, &mut t);
-                self.charge_int_emul(self.cost.ops.mul64_slots, &t);
-                r
+                self.reference_int(self.cost.ops.mul64_slots, |t| emul::imul32_wide(a, b, t))
             }
             ArithMode::FastCalibrated => {
                 self.charge_int_slots(self.cost.ops.mul64_slots);
@@ -389,10 +411,7 @@ impl<'a> DpuContext<'a> {
     pub fn div32(&mut self, n: i32, d: i32) -> i32 {
         match self.arith {
             ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let (q, _) = emul::idiv32(n, d, &mut t);
-                self.charge_int_emul(self.cost.ops.div32_slots, &t);
-                q
+                self.reference_int(self.cost.ops.div32_slots, |t| emul::idiv32(n, d, t).0)
             }
             ArithMode::FastCalibrated => {
                 let (q, _) = fastpath::idiv32(n, d);
@@ -413,14 +432,11 @@ impl<'a> DpuContext<'a> {
     /// # Panics
     ///
     /// Panics if `d == 0`.
-    #[inline]
+    #[inline(always)]
     pub fn div_wide(&mut self, n: i64, d: i32) -> i64 {
         match self.arith {
             ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let q = emul::idiv64(n, d, &mut t);
-                self.charge_int_emul(self.cost.ops.div64_slots, &t);
-                q
+                self.reference_int(self.cost.ops.div64_slots, |t| emul::idiv64(n, d, t))
             }
             ArithMode::FastCalibrated => {
                 let q = fastpath::idiv64(n, d);
@@ -438,15 +454,12 @@ impl<'a> DpuContext<'a> {
     // ---- emulated floating point -------------------------------------------
 
     /// Emulated FP32 add.
-    #[inline]
+    #[inline(always)]
     pub fn fadd(&mut self, a: F32, b: F32) -> F32 {
         match self.arith {
-            ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::f32_add(a.0, b.0, &mut t);
-                self.charge_float_emul(self.cost.ops.fadd_slots, &t);
-                F32(r)
-            }
+            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fadd_slots, |t| {
+                softfloat::f32_add(a.0, b.0, t)
+            })),
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fadd_slots);
                 F32(fastpath::f32_add(a.0, b.0))
@@ -461,15 +474,12 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 subtract.
-    #[inline]
+    #[inline(always)]
     pub fn fsub(&mut self, a: F32, b: F32) -> F32 {
         match self.arith {
-            ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::f32_sub(a.0, b.0, &mut t);
-                self.charge_float_emul(self.cost.ops.fadd_slots, &t);
-                F32(r)
-            }
+            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fadd_slots, |t| {
+                softfloat::f32_sub(a.0, b.0, t)
+            })),
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fadd_slots);
                 F32(fastpath::f32_sub(a.0, b.0))
@@ -484,15 +494,12 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 multiply.
-    #[inline]
+    #[inline(always)]
     pub fn fmul(&mut self, a: F32, b: F32) -> F32 {
         match self.arith {
-            ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::f32_mul(a.0, b.0, &mut t);
-                self.charge_float_emul(self.cost.ops.fmul_slots, &t);
-                F32(r)
-            }
+            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fmul_slots, |t| {
+                softfloat::f32_mul(a.0, b.0, t)
+            })),
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fmul_slots);
                 F32(fastpath::f32_mul(a.0, b.0))
@@ -510,12 +517,9 @@ impl<'a> DpuContext<'a> {
     #[inline]
     pub fn fdiv(&mut self, a: F32, b: F32) -> F32 {
         match self.arith {
-            ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::f32_div(a.0, b.0, &mut t);
-                self.charge_float_emul(self.cost.ops.fdiv_slots, &t);
-                F32(r)
-            }
+            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fdiv_slots, |t| {
+                softfloat::f32_div(a.0, b.0, t)
+            })),
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fdiv_slots);
                 F32(fastpath::f32_div(a.0, b.0))
@@ -530,14 +534,11 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 `a > b` (false on NaN).
-    #[inline]
+    #[inline(always)]
     pub fn fgt(&mut self, a: F32, b: F32) -> bool {
         match self.arith {
             ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::f32_gt(a.0, b.0, &mut t);
-                self.charge_float_emul(self.cost.ops.fcmp_slots, &t);
-                r
+                self.reference_float(self.cost.ops.fcmp_slots, |t| softfloat::f32_gt(a.0, b.0, t))
             }
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fcmp_slots);
@@ -553,15 +554,12 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 `maxNum(a, b)`.
-    #[inline]
+    #[inline(always)]
     pub fn fmax(&mut self, a: F32, b: F32) -> F32 {
         match self.arith {
-            ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::f32_max(a.0, b.0, &mut t);
-                self.charge_float_emul(self.cost.ops.fcmp_slots, &t);
-                F32(r)
-            }
+            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fcmp_slots, |t| {
+                softfloat::f32_max(a.0, b.0, t)
+            })),
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fcmp_slots);
                 F32(fastpath::f32_max(a.0, b.0))
@@ -580,10 +578,8 @@ impl<'a> DpuContext<'a> {
     pub fn i32_to_f32(&mut self, v: i32) -> F32 {
         match self.arith {
             ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::i32_to_f32(v, &mut t);
-                self.charge_float_emul(self.cost.ops.fconv_slots, &t);
-                F32(r)
+                F32(self
+                    .reference_float(self.cost.ops.fconv_slots, |t| softfloat::i32_to_f32(v, t)))
             }
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fconv_slots);
@@ -602,10 +598,7 @@ impl<'a> DpuContext<'a> {
     pub fn f32_to_i32(&mut self, v: F32) -> i32 {
         match self.arith {
             ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let r = softfloat::f32_to_i32(v.0, &mut t);
-                self.charge_float_emul(self.cost.ops.fconv_slots, &t);
-                r
+                self.reference_float(self.cost.ops.fconv_slots, |t| softfloat::f32_to_i32(v.0, t))
             }
             ArithMode::FastCalibrated => {
                 self.charge_float_slots(self.cost.ops.fconv_slots);
@@ -623,15 +616,12 @@ impl<'a> DpuContext<'a> {
 
     /// Advances an LCG state in-register: one emulated multiply + one add,
     /// exactly the custom `rand()` replacement SwiftRL implements (§3.2.1).
-    #[inline]
+    #[inline(always)]
     pub fn lcg_next(&mut self, state: &mut u32) -> u32 {
         let m = match self.arith {
-            ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let m = emul::umul32_wide(*state, emul::Lcg32::MULTIPLIER, &mut t) as u32;
-                self.charge_int_emul(self.cost.ops.mul32_slots, &t);
-                m
-            }
+            ArithMode::Reference => self.reference_int(self.cost.ops.mul32_slots, |t| {
+                emul::umul32_wide(*state, emul::Lcg32::MULTIPLIER, t) as u32
+            }),
             ArithMode::FastCalibrated => {
                 self.charge_int_slots(self.cost.ops.mul32_slots);
                 fastpath::umul32_wide(*state, emul::Lcg32::MULTIPLIER) as u32
@@ -653,17 +643,14 @@ impl<'a> DpuContext<'a> {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
-    #[inline]
+    #[inline(always)]
     pub fn lcg_below(&mut self, state: &mut u32, bound: u32) -> u32 {
         assert!(bound > 0, "lcg_below bound must be positive");
         let raw = self.lcg_next(state);
         let wide = match self.arith {
-            ArithMode::Reference => {
-                let mut t = OpTally::new();
-                let wide = emul::umul32_wide(raw, bound, &mut t);
-                self.charge_int_emul(self.cost.ops.mul64_slots, &t);
-                wide
-            }
+            ArithMode::Reference => self.reference_int(self.cost.ops.mul64_slots, |t| {
+                emul::umul32_wide(raw, bound, t)
+            }),
             ArithMode::FastCalibrated => {
                 self.charge_int_slots(self.cost.ops.mul64_slots);
                 fastpath::umul32_wide(raw, bound)
@@ -753,6 +740,7 @@ impl<'a> DpuContext<'a> {
     /// Enforces the DMA engine's alignment contract: offset and length must
     /// be multiples of the configured granule (8 bytes on UPMEM), exactly
     /// as on real hardware. Also reports the attempt to the sanitizer.
+    #[inline]
     fn check_dma_align(
         &mut self,
         kind: MemoryKind,
@@ -820,6 +808,11 @@ impl<'a> DpuContext<'a> {
     ///
     /// Returns a memory fault if either range exceeds its bank capacity or
     /// either offset (or the length) is not aligned to the DMA granule.
+    // Forced inline, with `check_dma_align`, the bank copy and
+    // `CostModel::dma_cycles` inline under it: a kernel issues one per
+    // record on the STR and RAN walks, and out of line each one is a call
+    // across the crate boundary that thin LTO does not inline.
+    #[inline(always)]
     pub fn mram_to_wram(
         &mut self,
         mram_offset: usize,

@@ -438,7 +438,9 @@ impl DpuMemory {
 /// When each range lies inside the written bytes of one materialized
 /// segment (every per-record DMA of a staged replay chunk), the copy is
 /// a single slice copy that grows and materializes nothing, exactly like
-/// the general loop on those ranges.
+/// the general loop on those ranges. Forced inline, as part of the
+/// kernel's per-record DMA (`DpuContext::mram_to_wram`).
+#[inline(always)]
 fn copy_between(
     src: &Bank,
     dst: &mut Bank,
