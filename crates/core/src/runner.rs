@@ -364,9 +364,9 @@ impl PimRunner {
         };
         let staging = stage.deliveries();
         let mut alive: Vec<usize> = (0..ndpus).collect();
-        let mut assignments: Vec<Vec<Range<usize>>> =
-            stage.ranges.iter().map(|r| vec![r.clone()]).collect();
-        let mut counts: Vec<usize> = stage.ranges.iter().map(|r| r.len()).collect();
+        // Each DPU's dataset ranges and record count, built on the first
+        // degrade: a run that never degrades never reads them.
+        let mut remap = None;
         // Before `checkpoint_every` first fires (or when it is 0), the
         // snapshot is the *initial* Q-table at round 0, so a degradation
         // in the first window rolls survivors back to a from-scratch
@@ -465,12 +465,18 @@ impl PimRunner {
                 tally.host_kernel_s += started.elapsed().as_secs_f64();
             }
             if !dead.is_empty() {
+                let (assignments, counts) = remap.get_or_insert_with(|| {
+                    let assignments: Vec<Vec<Range<usize>>> =
+                        stage.ranges.iter().map(|r| vec![r.clone()]).collect();
+                    let counts: Vec<usize> = stage.ranges.iter().map(|r| r.len()).collect();
+                    (assignments, counts)
+                });
                 let rollback = self.degrade(
                     set,
                     dataset,
                     &mut alive,
-                    &mut assignments,
-                    &mut counts,
+                    assignments,
+                    counts,
                     &dead,
                     &checkpoint,
                     stage.trans_offset,
