@@ -246,24 +246,6 @@ impl<'a> DpuContext<'a> {
         self.counter.charge(OpClass::Control, n);
     }
 
-    #[inline]
-    fn charge_int_emul(&mut self, calibrated: u64, tally: &OpTally) {
-        let n = match self.cost.emulation_charging {
-            EmulationCharging::Calibrated => calibrated,
-            EmulationCharging::Tally => tally.count(),
-        };
-        self.counter.charge(OpClass::IntEmul, n);
-    }
-
-    #[inline]
-    fn charge_float_emul(&mut self, calibrated: u64, tally: &OpTally) {
-        let n = match self.cost.emulation_charging {
-            EmulationCharging::Calibrated => calibrated,
-            EmulationCharging::Tally => tally.count() + self.cost.ops.fp_call_overhead_slots,
-        };
-        self.counter.charge(OpClass::FloatEmul, n);
-    }
-
     // The intrinsics a kernel's per-update path calls (`mul_wide`,
     // `div_wide`, `fadd`/`fsub`/`fmul`/`fmax`/`fgt`, `lcg_next`,
     // `lcg_below`) are forced inline: once the kernel's update loop is one
@@ -274,21 +256,30 @@ impl<'a> DpuContext<'a> {
     // arms plus one call.
 
     /// An emulated integer op on the Reference tier: runs the instrumented
-    /// routine and charges what it executed.
+    /// routine, then charges the calibrated constant or what it executed.
     #[inline(never)]
     fn reference_int<R>(&mut self, calibrated: u64, op: impl FnOnce(&mut OpTally) -> R) -> R {
         let mut t = OpTally::new();
         let r = op(&mut t);
-        self.charge_int_emul(calibrated, &t);
+        let n = match self.cost.emulation_charging {
+            EmulationCharging::Calibrated => calibrated,
+            EmulationCharging::Tally => t.count(),
+        };
+        self.counter.charge(OpClass::IntEmul, n);
         r
     }
 
-    /// [`Self::reference_int`] for an emulated float op.
+    /// [`Self::reference_int`] for an emulated float op, whose executed
+    /// charge includes the runtime library's call overhead.
     #[inline(never)]
     fn reference_float<R>(&mut self, calibrated: u64, op: impl FnOnce(&mut OpTally) -> R) -> R {
         let mut t = OpTally::new();
         let r = op(&mut t);
-        self.charge_float_emul(calibrated, &t);
+        let n = match self.cost.emulation_charging {
+            EmulationCharging::Calibrated => calibrated,
+            EmulationCharging::Tally => t.count() + self.cost.ops.fp_call_overhead_slots,
+        };
+        self.counter.charge(OpClass::FloatEmul, n);
         r
     }
 

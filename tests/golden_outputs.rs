@@ -383,7 +383,10 @@ fn tally_lines(data: &ExperienceDataset) -> Vec<String> {
     };
     let mut lines = Vec::new();
     for spec in [sarsa_ran_fp32, WorkloadSpec::q_learning_seq_int32()] {
-        let tiers = [(ExecTier::Batched, "batched", 1), (ExecTier::Fast, "fast3", 3)];
+        let tiers = [
+            (ExecTier::Batched, "batched", 1),
+            (ExecTier::Fast, "fast3", 3),
+        ];
         for (tier, name, tasklets) in tiers {
             let case = Case {
                 tier,
