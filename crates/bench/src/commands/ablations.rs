@@ -13,9 +13,10 @@
 //! Every configuration runs through the [`TrainingBackend`] trait.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin ablations
+//! cargo run --release -p swiftrl-bench -- ablations
 //! ```
 
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{fmt_secs, print_table, HarnessArgs};
 use swiftrl_core::backend::{BackendStats, TrainingBackend, TrainingReport};
 use swiftrl_core::config::{DataType, RunConfig, WorkloadSpec};
@@ -43,8 +44,8 @@ fn comm_rounds(report: &TrainingReport) -> u32 {
     }
 }
 
-fn main() {
-    let args = HarnessArgs::parse(0.05);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.05)?;
     let transitions = args.scaled(1_000_000, 20_000);
     let episodes = args.scaled_episodes(2_000, 100);
     let dpus = 128;
@@ -189,4 +190,5 @@ fn main() {
          cycles, so intra-DPU speedup saturates at ~11× — the headroom the \
          paper leaves on the table by using core-level parallelism only."
     );
+    Ok(())
 }

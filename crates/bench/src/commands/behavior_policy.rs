@@ -9,9 +9,10 @@
 //! dataset's provenance moves the §4.2 quality numbers.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin behavior_policy
+//! cargo run --release -p swiftrl-bench -- behavior_policy
 //! ```
 
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{print_table, HarnessArgs};
 use swiftrl_core::backend::TrainingBackend;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
@@ -42,8 +43,8 @@ fn goal_fraction(d: &ExperienceDataset) -> f64 {
     d.iter().filter(|t| t.reward > 0.0).count() as f64 / d.len() as f64
 }
 
-fn main() {
-    let args = HarnessArgs::parse(0.05);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.05)?;
     let transitions = args.scaled(1_000_000, 20_000);
     let episodes = args.scaled_episodes(2_000, 50);
     let seed = args.seed.unwrap_or(21);
@@ -100,4 +101,5 @@ fn main() {
          spaces the coverage difference explains why partially-trained \
          datasets (as in the paper) land below the optimum."
     );
+    Ok(())
 }

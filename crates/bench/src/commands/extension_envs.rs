@@ -3,9 +3,10 @@
 //! environment-agnostic (any `DiscreteEnv` trains unchanged).
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin extension_envs
+//! cargo run --release -p swiftrl-bench -- extension_envs
 //! ```
 
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{fmt_secs, print_table, HarnessArgs};
 use swiftrl_core::backend::TrainingBackend;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
@@ -60,8 +61,8 @@ fn run_dataset<E: DiscreteEnv>(
     ]
 }
 
-fn main() {
-    let args = HarnessArgs::parse(0.05);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.05)?;
     let n = args.scaled(1_000_000, 20_000);
     let episodes = args.scaled_episodes(2_000, 50).max(100);
 
@@ -130,4 +131,5 @@ fn main() {
          DiscreteEnv; distributed offline RL needs per-chunk coverage \
          commensurate with the state-action space."
     );
+    Ok(())
 }

@@ -4,9 +4,10 @@
 //! problem grows with the machine.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin extension_weak_scaling
+//! cargo run --release -p swiftrl-bench -- extension_weak_scaling
 //! ```
 
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{fmt_secs, print_table, HarnessArgs};
 use swiftrl_core::backend::TrainingBackend;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
@@ -17,8 +18,8 @@ use swiftrl_env::frozen_lake::FrozenLake;
 const PER_DPU_TRANSITIONS: usize = 400;
 const EPISODES: u32 = 100;
 
-fn main() {
-    let args = HarnessArgs::parse(1.0);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 1.0)?;
     let dpu_counts = args
         .dpus
         .clone()
@@ -77,4 +78,5 @@ fn main() {
         "\nKernel time stays flat (perfect weak scaling); only the host-side \
          setup and synchronization grow with the machine."
     );
+    Ok(())
 }

@@ -3,13 +3,15 @@
 //! in the memory-bound region, motivating PIM.
 //!
 //! ```text
-//! cargo run -p swiftrl-bench --bin fig2_roofline
+//! cargo run --release -p swiftrl-bench -- fig2_roofline
 //! ```
 
 use swiftrl_baselines::roofline::{figure2_machine, figure2_points};
+use swiftrl_bench::cli::{read_flags, ArgError};
 use swiftrl_bench::print_table;
 
-fn main() {
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    read_flags(args, &[])?;
     let machine = figure2_machine();
     println!("# Figure 2: Roofline model of RL workloads\n");
     println!("Machine: {machine}");
@@ -52,4 +54,5 @@ fn main() {
         "Measured: all points memory-bound = {all_memory_bound} — {}",
         if all_memory_bound { "MATCHES" } else { "DEVIATES" }
     );
+    Ok(())
 }

@@ -3,17 +3,18 @@
 //! CPU-PIM, PIM-CPU and inter-PIM-core components (τ = 50, stride = 4).
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin fig5_frozenlake_scaling
-//! cargo run --release -p swiftrl-bench --bin fig5_frozenlake_scaling -- --paper-scale
+//! cargo run --release -p swiftrl-bench -- fig5_frozenlake_scaling
+//! cargo run --release -p swiftrl-bench -- fig5_frozenlake_scaling --paper-scale
 //! ```
 
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::scaling::{run_scaling_figure, ScalingFigure};
 use swiftrl_bench::HarnessArgs;
 use swiftrl_env::collect::collect_random;
 use swiftrl_env::frozen_lake::FrozenLake;
 
-fn main() {
-    let args = HarnessArgs::parse(0.05);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.05)?;
     let fig = ScalingFigure {
         figure: "Figure 5",
         env: "frozen lake",
@@ -25,4 +26,5 @@ fn main() {
     let mut env = FrozenLake::slippery_4x4();
     let dataset = collect_random(&mut env, transitions, args.seed.unwrap_or(42) as u64);
     run_scaling_figure(&fig, &dataset, &args);
+    Ok(())
 }

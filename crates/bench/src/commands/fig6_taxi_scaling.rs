@@ -8,17 +8,18 @@
 //! variants at 2,000 cores in the paper).
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin fig6_taxi_scaling
+//! cargo run --release -p swiftrl-bench -- fig6_taxi_scaling
 //! ```
 
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::scaling::{run_scaling_figure, ScalingFigure};
 use swiftrl_bench::HarnessArgs;
 use swiftrl_core::config::DataType;
 use swiftrl_env::collect::collect_random;
 use swiftrl_env::taxi::Taxi;
 
-fn main() {
-    let args = HarnessArgs::parse(0.01);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.01)?;
     let fig = ScalingFigure {
         figure: "Figure 6",
         env: "taxi",
@@ -41,4 +42,5 @@ fn main() {
         let f = c.breakdown.fractions();
         println!("- {}: {:.2}%", c.spec, f[3] * 100.0);
     }
+    Ok(())
 }

@@ -6,25 +6,19 @@
 //! times come from the cycle-level simulator (extrapolated from a
 //! reduced-scale run); CPU and GPU times come from the analytical
 //! Table-1 model backends (see DESIGN.md on the substitution). The
-//! binary also reports the paper's headline ratios next to the measured
+//! subcommand also reports the paper's headline ratios next to the measured
 //! ones.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin fig7_cpu_gpu_pim
+//! cargo run --release -p swiftrl-bench -- fig7_cpu_gpu_pim
 //! ```
-
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "benchmark binary: parses its own CLI and environment"
-)]
 
 use std::collections::HashMap;
 use swiftrl_baselines::cpu_model::{CpuModel, CpuVersion};
 use swiftrl_baselines::gpu_model::GpuModel;
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{
-    fmt_ratio, fmt_secs, metrics_sibling, print_table, write_json_artifact, write_trace_artifact,
-    Extrapolation, HarnessArgs,
+    fmt_ratio, fmt_secs, print_table, write_observability, Extrapolation, HarnessArgs,
 };
 use swiftrl_core::backend::{BackendStats, CpuModelBackend, GpuModelBackend, TrainingBackend};
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
@@ -33,7 +27,7 @@ use swiftrl_env::collect::collect_random;
 use swiftrl_env::frozen_lake::FrozenLake;
 use swiftrl_env::taxi::Taxi;
 use swiftrl_env::ExperienceDataset;
-use swiftrl_telemetry::{chrome_trace, snapshot_bundle, Event, MetricsSnapshot, Telemetry};
+use swiftrl_telemetry::{Event, Telemetry};
 
 const PAPER_EPISODES: u32 = 2_000;
 const TAU: u32 = 50;
@@ -55,8 +49,8 @@ struct EnvCase {
 /// times[(env_tag, workload name, backend name)] = paper-scale seconds.
 type TimeTable = HashMap<(&'static str, String, String), f64>;
 
-fn main() {
-    let args = HarnessArgs::parse(0.01);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.01)?;
 
     let mut fl = FrozenLake::slippery_4x4();
     let mut taxi = Taxi::new();
@@ -181,36 +175,8 @@ fn main() {
     headline_checks(&times);
     energy_extension(&times);
 
-    if let Some(path) = &args.trace {
-        let runs: Vec<(u64, &str, &[Event])> = (0..)
-            .zip(&traced)
-            .map(|(id, (label, events))| (id, label.as_str(), events.as_slice()))
-            .collect();
-        write_trace_artifact(path, &chrome_trace(&runs))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        let snapshots: Vec<MetricsSnapshot> = traced
-            .iter()
-            .map(|(label, events)| MetricsSnapshot::from_events(label.clone(), events))
-            .collect();
-        let metrics_path = metrics_sibling(path);
-        write_json_artifact(&metrics_path, &snapshot_bundle("Figure 7", &snapshots))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", metrics_path.display()));
-        println!(
-            "\ntrace: {} ({} PIM runs); metrics: {}",
-            path.display(),
-            runs.len(),
-            metrics_path.display()
-        );
-    }
-    if let Some(path) = &args.metrics {
-        let snapshots: Vec<MetricsSnapshot> = traced
-            .iter()
-            .map(|(label, events)| MetricsSnapshot::from_events(label.clone(), events))
-            .collect();
-        write_json_artifact(path, &snapshot_bundle("Figure 7", &snapshots))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        println!("\nmetrics: {} ({} PIM runs)", path.display(), snapshots.len());
-    }
+    write_observability(&args, "Figure 7", "PIM runs", &traced);
+    Ok(())
 }
 
 /// Looks one (env, workload, backend) time up from the collected table.

@@ -11,19 +11,14 @@
 //! directory.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin fleet_scaling
-//! cargo run --release -p swiftrl-bench --bin fleet_scaling -- --quick
+//! cargo run --release -p swiftrl-bench -- fleet_scaling
+//! cargo run --release -p swiftrl-bench -- fleet_scaling --quick
 //! ```
 
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "benchmark binary: wall-clock timing is the measurement"
-)]
-
 use std::time::Instant;
+use swiftrl_bench::cli::{read_flags, ArgError};
 use swiftrl_bench::scaling::FLEET_DPU_COUNTS;
-use swiftrl_bench::write_json_artifact;
+use swiftrl_bench::write_artifact;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
 use swiftrl_core::runner::PimRunner;
 use swiftrl_env::collect::collect_random;
@@ -32,21 +27,8 @@ use swiftrl_pim::config::{ExecTier, PimConfig, MRAM_BANK_CAPACITY_BYTES};
 use swiftrl_pim::ExecutionEngine;
 use swiftrl_telemetry::Json;
 
-fn main() {
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("flags: --quick (smaller workload and sweep for CI)");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let quick = read_flags(args, &["--quick (smaller workload and sweep for CI)"])?.has("--quick");
 
     // The quick sweep keeps the two points that matter for the lazy-bank
     // claim — the smallest figure point and the paper's full fleet — on
@@ -173,7 +155,8 @@ fn main() {
         ("engine", Json::str("threaded")),
         ("points", Json::Arr(points)),
     ]);
-    write_json_artifact(std::path::Path::new("BENCH_FLEET_SCALING.json"), &doc)
+    write_artifact(std::path::Path::new("BENCH_FLEET_SCALING.json"), &doc.render_pretty())
         .expect("write BENCH_FLEET_SCALING.json");
     println!("\nWrote BENCH_FLEET_SCALING.json");
+    Ok(())
 }

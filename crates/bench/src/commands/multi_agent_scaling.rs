@@ -10,10 +10,11 @@
 //! SwiftRL achieves ≈11.23× and ≈21.92× speedup respectively.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin multi_agent_scaling
+//! cargo run --release -p swiftrl-bench -- multi_agent_scaling
 //! ```
 
 use swiftrl_baselines::cpu_model::CpuModel;
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{fmt_ratio, fmt_secs, print_table, HarnessArgs};
 use swiftrl_core::backend::{
     BackendStats, CpuMultiAgentBackend, MultiAgentRunner, TrainingBackend,
@@ -28,8 +29,8 @@ const PAPER_EPISODES: u32 = 2_000;
 /// Paper measurements for (agents, cpu_seconds, speedup).
 const PAPER_POINTS: [(usize, f64, f64); 2] = [(1_000, 996.52, 11.23), (2_000, 1_943.78, 21.92)];
 
-fn main() {
-    let args = HarnessArgs::parse(0.05);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.05)?;
 
     // Reduced-scale simulation: fewer agents (kernel time is agent-count
     // invariant — one agent per DPU) and a smaller per-agent workload.
@@ -113,4 +114,5 @@ fn main() {
          communication time ({}s).",
         agent_tables, pim_report.breakdown.inter_pim_s
     );
+    Ok(())
 }

@@ -14,10 +14,11 @@
 //!   −8.6; SARSA-SEQ: −8.8 vs CPU −8.2.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin quality_training
+//! cargo run --release -p swiftrl-bench -- quality_training
 //! ```
 
 use swiftrl_baselines::cpu_model::{CpuModel, CpuVersion};
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{print_table, HarnessArgs};
 use swiftrl_core::backend::{CpuModelBackend, TrainingBackend};
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
@@ -67,8 +68,8 @@ fn cpu_backend(spec: WorkloadSpec, episodes: u32) -> Box<dyn TrainingBackend> {
     ))
 }
 
-fn main() {
-    let args = HarnessArgs::parse(0.1);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.1)?;
 
     // FrozenLake: scaled-down dataset/episodes still converge (tiny MDP).
     let fl_transitions = args.scaled(1_000_000, 20_000);
@@ -173,4 +174,5 @@ fn main() {
          scale-independent.",
         args.scale * 100.0
     );
+    Ok(())
 }

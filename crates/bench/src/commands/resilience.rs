@@ -15,9 +15,10 @@
 //!    what motivates the host-side checkpoints.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin resilience
+//! cargo run --release -p swiftrl-bench -- resilience
 //! ```
 
+use swiftrl_bench::cli::ArgError;
 use swiftrl_bench::{fmt_secs, print_table, HarnessArgs};
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
 use swiftrl_core::resilience::ResilienceConfig;
@@ -45,8 +46,8 @@ fn run_resilient(
         .unwrap_or_else(|e| panic!("resilient run failed: {e}"))
 }
 
-fn main() {
-    let args = HarnessArgs::parse(0.05);
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let args = HarnessArgs::from_args(args, 0.05)?;
     let transitions = args.scaled(1_000_000, 20_000);
     let tau = 50u32;
     // At least 4 sync rounds: sweep 2 kills DPUs from launch 1 and the
@@ -192,4 +193,5 @@ fn main() {
          {dpus}-way average, so quality falls off a cliff once flips land \
          at all — the motivation for the host-side Q-table checkpoints."
     );
+    Ok(())
 }

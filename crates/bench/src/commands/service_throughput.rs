@@ -14,9 +14,9 @@
 //! `BENCH_SERVICE.json` in the current directory.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin service_throughput
-//! cargo run --release -p swiftrl-bench --bin service_throughput -- --quick
-//! cargo run --release -p swiftrl-bench --bin service_throughput -- \
+//! cargo run --release -p swiftrl-bench -- service_throughput
+//! cargo run --release -p swiftrl-bench -- service_throughput --quick
+//! cargo run --release -p swiftrl-bench -- service_throughput \
 //!     --quick --trace service.trace.json --metrics service.metrics.json
 //! ```
 //!
@@ -29,14 +29,9 @@
 //! snapshot and a Prometheus text exposition (`.prom` sibling of the
 //! metrics path) are derived.
 
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "benchmark binary: wall-clock timing is the measurement"
-)]
-
 use std::time::Instant;
-use swiftrl_bench::{write_json_artifact, write_trace_artifact};
+use swiftrl_bench::cli::{read_flags, ArgError};
+use swiftrl_bench::write_artifact;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
 use swiftrl_core::resilience::ResilienceConfig;
 use swiftrl_core::runner::PimRunner;
@@ -175,42 +170,18 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-fn main() {
-    let mut quick = false;
-    let mut trace: Option<std::path::PathBuf> = None;
-    let mut metrics: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--trace" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--trace needs a path; try --help");
-                    std::process::exit(2);
-                });
-                trace = Some(std::path::PathBuf::from(v));
-            }
-            "--metrics" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--metrics needs a path; try --help");
-                    std::process::exit(2);
-                });
-                metrics = Some(std::path::PathBuf::from(v));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --quick (fewer jobs and episodes for CI) | \
-                     --trace <path> (fleet-wide Chrome trace from an observed drain) | \
-                     --metrics <path> (service metrics JSON + .prom exposition sibling)"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let flags = read_flags(
+        args,
+        &[
+            "--quick (fewer jobs and episodes for CI)",
+            "--trace <path> (fleet-wide Chrome trace from an observed drain)",
+            "--metrics <path> (service metrics JSON + .prom exposition sibling)",
+        ],
+    )?;
+    let quick = flags.has("--quick");
+    let trace = flags.value("--trace").map(std::path::PathBuf::from);
+    let metrics = flags.value("--metrics").map(std::path::PathBuf::from);
 
     let (jobs, episodes, worker_sweep): (usize, u32, Vec<usize>) = if quick {
         (24, 8, vec![1, 4])
@@ -327,13 +298,14 @@ fn main() {
         ("host_threads", Json::UInt(threads as u64)),
         ("points", Json::Arr(points)),
     ]);
-    write_json_artifact(std::path::Path::new("BENCH_SERVICE.json"), &doc)
+    write_artifact(std::path::Path::new("BENCH_SERVICE.json"), &doc.render_pretty())
         .expect("write BENCH_SERVICE.json");
     println!("\nWrote BENCH_SERVICE.json");
 
     if trace.is_some() || metrics.is_some() {
         observed_drain(&fleet, &requests, *worker_sweep.last().unwrap_or(&4), trace, metrics);
     }
+    Ok(())
 }
 
 /// One extra drain with service observability on, separate from the
@@ -382,13 +354,13 @@ fn observed_drain(
             .iter()
             .map(|(id, label, events)| (*id, label.as_str(), events.as_slice()))
             .collect();
-        write_trace_artifact(path, &service_trace(&records, &jobs))
+        write_artifact(path, &service_trace(&records, &jobs))
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         println!("service trace: {}", path.display());
     }
     if let Some(path) = &metrics {
         let registry = ServiceMetrics::from_records(&records);
-        write_json_artifact(path, &registry.to_json())
+        write_artifact(path, &registry.to_json().render_pretty())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         let prom_path = path.with_extension("prom");
         std::fs::write(&prom_path, registry.to_prometheus())

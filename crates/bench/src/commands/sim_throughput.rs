@@ -11,18 +11,13 @@
 //! Results land in `BENCH_SIM_THROUGHPUT.json` in the current directory.
 //!
 //! ```text
-//! cargo run --release -p swiftrl-bench --bin sim_throughput
-//! cargo run --release -p swiftrl-bench --bin sim_throughput -- --quick
+//! cargo run --release -p swiftrl-bench -- sim_throughput
+//! cargo run --release -p swiftrl-bench -- sim_throughput --quick
 //! ```
 
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "benchmark binary: wall-clock timing is the measurement"
-)]
-
 use std::time::Instant;
-use swiftrl_bench::write_json_artifact;
+use swiftrl_bench::cli::{read_flags, ArgError};
+use swiftrl_bench::write_artifact;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
 use swiftrl_core::runner::{PimRunner, RunOutcome};
 use swiftrl_env::cliff_walking::CliffWalking;
@@ -144,21 +139,8 @@ fn entry_json(case: &Case, dpus: usize, m: &Measurement) -> Json {
     ])
 }
 
-fn main() {
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("flags: --quick (smaller dataset/episodes for CI)");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    let quick = read_flags(args, &["--quick (smaller dataset/episodes for CI)"])?.has("--quick");
 
     // Best-of-N wall clock per tier: on a busy host only the cleanest
     // run reflects the simulator's cost, and every tier gets the same
@@ -418,7 +400,8 @@ fn main() {
         ("speedups", Json::Arr(speedups)),
         ("aggregates", Json::Arr(aggregates)),
     ]);
-    write_json_artifact(std::path::Path::new("BENCH_SIM_THROUGHPUT.json"), &doc)
+    write_artifact(std::path::Path::new("BENCH_SIM_THROUGHPUT.json"), &doc.render_pretty())
         .expect("write BENCH_SIM_THROUGHPUT.json");
     println!("\nWrote BENCH_SIM_THROUGHPUT.json");
+    Ok(())
 }

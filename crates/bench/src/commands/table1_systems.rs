@@ -2,13 +2,15 @@
 //! specifications.
 //!
 //! ```text
-//! cargo run -p swiftrl-bench --bin table1_systems
+//! cargo run --release -p swiftrl-bench -- table1_systems
 //! ```
 
 use swiftrl_baselines::specs::MachineSpec;
+use swiftrl_bench::cli::{read_flags, ArgError};
 use swiftrl_bench::print_table;
 
-fn main() {
+pub fn run(args: &[String]) -> Result<(), ArgError> {
+    read_flags(args, &[])?;
     println!("# Table 1: Evaluated systems\n");
     let rows: Vec<Vec<String>> = MachineSpec::table1()
         .iter()
@@ -44,4 +46,5 @@ fn main() {
         "\nThe simulated PIM platform in this reproduction instantiates the \
          UPMEM row (see swiftrl_pim::config::PimConfig::default)."
     );
+    Ok(())
 }

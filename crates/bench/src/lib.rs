@@ -1,10 +1,10 @@
-//! Shared harness utilities for the experiment binaries.
+//! Shared harness utilities for the `swiftrl-bench` subcommands.
 //!
-//! Every binary regenerates one table or figure of the SwiftRL paper. By
+//! Every subcommand regenerates one table or figure of the SwiftRL paper. By
 //! default the experiments run at a *reduced scale* (smaller dataset,
 //! fewer episodes) that finishes in seconds on a laptop; because the
 //! simulated-time components scale linearly in the reduced dimensions,
-//! each binary also reports the extrapolation to the paper's full
+//! each subcommand also reports the extrapolation to the paper's full
 //! parameters. Pass `--paper-scale` to run the actual full-size
 //! experiment (hours of host CPU time), or `--scale <f>` for anything in
 //! between.
@@ -12,17 +12,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "measurement harness: wall-clock timing and CLI/env parsing are its job"
-)]
 
+pub mod cli;
 pub mod scaling;
 
+use cli::{parse_value, read_flags, ArgError};
 use swiftrl_core::breakdown::TimeBreakdown;
+use swiftrl_telemetry::{chrome_trace, snapshot_bundle, Event, MetricsSnapshot};
 
-/// Command-line options shared by the experiment binaries.
+/// Command-line options shared by the scaled-experiment subcommands.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Scale factor applied to dataset size and episode count (1.0 =
@@ -51,19 +49,25 @@ impl HarnessArgs {
         self.trace.is_some() || self.metrics.is_some()
     }
 
-    /// Parses `std::env::args()`.
+    /// The flags every scaled-experiment subcommand accepts.
+    const FLAGS: [&'static str; 6] = [
+        "--scale <f in (0,1]>",
+        "--paper-scale",
+        "--dpus <a,b,c>",
+        "--seed <u32>",
+        "--trace <path>",
+        "--metrics <path>",
+    ];
+
+    /// Reads a scaled-experiment subcommand's argument list. Flags apply
+    /// in order, so the last of `--scale` / `--paper-scale` wins.
     ///
-    /// Supported flags: `--scale <f64>`, `--paper-scale`,
-    /// `--dpus <a,b,c>`, `--seed <u32>`, `--trace <path>`,
-    /// `--metrics <path>`, `--help`.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags.
-    pub fn parse(default_scale: f64) -> Self {
-        fn usage(msg: &str) -> ! {
-            panic!("{msg}; try --help")
-        }
+    /// [`ArgError::Help`] at `--help`; [`ArgError::Usage`] on an unknown
+    /// flag, a missing or malformed value, or a `--scale` outside
+    /// `(0, 1]`.
+    pub fn from_args(args: &[String], default_scale: f64) -> Result<Self, ArgError> {
         let mut out = Self {
             scale: default_scale,
             dpus: None,
@@ -71,54 +75,30 @@ impl HarnessArgs {
             trace: None,
             metrics: None,
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
+        for (flag, value) in read_flags(args, &Self::FLAGS)?.iter() {
+            match flag {
                 "--scale" => {
-                    let v = args.next().unwrap_or_else(|| usage("--scale needs a value"));
-                    out.scale = v.parse().unwrap_or_else(|_| usage("--scale must be a float"));
-                    assert!(out.scale > 0.0 && out.scale <= 1.0, "--scale must be in (0, 1]");
+                    out.scale = parse_value(flag, value, "a float")?;
+                    if !(out.scale > 0.0 && out.scale <= 1.0) {
+                        return Err(ArgError::Usage("--scale must be in (0, 1]".into()));
+                    }
                 }
                 "--paper-scale" => out.scale = 1.0,
                 "--dpus" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--dpus needs a comma-separated list"));
                     out.dpus = Some(
-                        v.split(',')
-                            .map(|s| {
-                                s.trim()
-                                    .parse()
-                                    .unwrap_or_else(|_| usage("--dpus must be integers"))
-                            })
-                            .collect(),
+                        value
+                            .split(',')
+                            .map(|s| parse_value(flag, s.trim(), "integers"))
+                            .collect::<Result<_, _>>()?,
                     );
                 }
-                "--seed" => {
-                    let v = args.next().unwrap_or_else(|| usage("--seed needs a value"));
-                    out.seed = Some(v.parse().unwrap_or_else(|_| usage("--seed must be a u32")));
-                }
-                "--trace" => {
-                    let v = args.next().unwrap_or_else(|| usage("--trace needs a path"));
-                    out.trace = Some(std::path::PathBuf::from(v));
-                }
-                "--metrics" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--metrics needs a path"));
-                    out.metrics = Some(std::path::PathBuf::from(v));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --scale <f in (0,1]> | --paper-scale | --dpus <a,b,c> | \
-                         --seed <u32> | --trace <path> | --metrics <path>"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}; try --help"),
+                "--seed" => out.seed = Some(parse_value(flag, value, "a u32")?),
+                "--trace" => out.trace = Some(std::path::PathBuf::from(value)),
+                "--metrics" => out.metrics = Some(std::path::PathBuf::from(value)),
+                other => unreachable!("read_flags accepted {other}, not in FLAGS"),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Scales an integer quantity, keeping at least `min`.
@@ -196,45 +176,22 @@ impl Extrapolation {
     }
 }
 
-/// Writes a JSON artifact with the shared bench formatting: pretty
-/// rendering (stable key order, trailing newline) self-validated with
-/// the telemetry parser before anything touches disk, so a malformed
-/// document can never be written. Creates parent directories as needed.
+/// Writes a rendered JSON artifact (a `BENCH_*.json` document, a
+/// metrics bundle, a Chrome `trace_event` trace): validates it with the
+/// telemetry parser before anything touches disk, so a malformed
+/// document can never be written, then creates parent directories as
+/// needed. A [`Json`](swiftrl_telemetry::Json) document is rendered
+/// with `render_pretty` (stable key order, trailing newline) first.
 ///
 /// # Errors
 ///
 /// I/O failures propagate; a render that fails to re-parse (a bug in
-/// the builder, not the caller) surfaces as `InvalidData`.
-pub fn write_json_artifact(path: &std::path::Path, doc: &swiftrl_telemetry::Json) -> std::io::Result<()> {
-    let rendered = doc.render_pretty();
-    if let Err(e) = swiftrl_telemetry::json::parse(&rendered) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("rendered JSON failed self-validation: {e}"),
-        ));
-    }
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, rendered)
-}
-
-/// Writes a pre-rendered Chrome `trace_event` document, validating it
-/// with the telemetry parser first (same guarantee as
-/// [`write_json_artifact`], for the exporter's already-serialized
-/// output). Creates parent directories as needed.
-///
-/// # Errors
-///
-/// I/O failures propagate; an exporter bug that yields unparsable JSON
-/// surfaces as `InvalidData`.
-pub fn write_trace_artifact(path: &std::path::Path, rendered: &str) -> std::io::Result<()> {
+/// the builder or exporter, not the caller) surfaces as `InvalidData`.
+pub fn write_artifact(path: &std::path::Path, rendered: &str) -> std::io::Result<()> {
     if let Err(e) = swiftrl_telemetry::json::parse(rendered) {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("rendered trace failed self-validation: {e}"),
+            format!("rendered artifact failed self-validation: {e}"),
         ));
     }
     if let Some(dir) = path.parent() {
@@ -245,10 +202,47 @@ pub fn write_trace_artifact(path: &std::path::Path, rendered: &str) -> std::io::
     std::fs::write(path, rendered)
 }
 
-/// The metrics-snapshot path that rides along with a `--trace <path>`
-/// Chrome trace: the same path with a `.metrics.json` extension.
-pub fn metrics_sibling(trace_path: &std::path::Path) -> std::path::PathBuf {
-    trace_path.with_extension("metrics.json")
+/// Writes a sweep's `--trace` / `--metrics` artifacts from its traced
+/// PIM runs, one `(label, events)` pair per run, and prints where they
+/// went (`noun` names the runs: `runs`, `PIM runs`). `--trace <path>`
+/// writes the Chrome trace, one process lane per run, and a
+/// metrics-snapshot bundle titled `title` next to it (the same path
+/// with a `.metrics.json` extension); `--metrics <path>` writes the
+/// bundle at exactly that path.
+///
+/// # Panics
+///
+/// Panics if an artifact cannot be written.
+pub fn write_observability(args: &HarnessArgs, title: &str, noun: &str, traced: &[(String, Vec<Event>)]) {
+    let write = |path: &std::path::Path, rendered: &str| {
+        write_artifact(path, rendered).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    };
+    let bundle = || {
+        let snapshots: Vec<MetricsSnapshot> = traced
+            .iter()
+            .map(|(label, events)| MetricsSnapshot::from_events(label.clone(), events))
+            .collect();
+        snapshot_bundle(title, &snapshots).render_pretty()
+    };
+    if let Some(path) = &args.trace {
+        let runs: Vec<(u64, &str, &[Event])> = (0..)
+            .zip(traced)
+            .map(|(id, (label, events))| (id, label.as_str(), events.as_slice()))
+            .collect();
+        write(path, &chrome_trace(&runs));
+        let metrics_path = path.with_extension("metrics.json");
+        write(&metrics_path, &bundle());
+        println!(
+            "\ntrace: {} ({} {noun}); metrics: {}",
+            path.display(),
+            runs.len(),
+            metrics_path.display()
+        );
+    }
+    if let Some(path) = &args.metrics {
+        write(path, &bundle());
+        println!("\nmetrics: {} ({} {noun})", path.display(), traced.len());
+    }
 }
 
 /// Prints a GitHub-flavoured markdown table.
@@ -325,28 +319,73 @@ pub fn ratio_json(num: f64, den: f64) -> swiftrl_telemetry::Json {
 mod tests {
     use super::*;
 
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn harness_args_read_every_flag() {
+        let a = HarnessArgs::from_args(&[], 0.05).unwrap();
+        assert_eq!(a.scale, 0.05);
+        assert!(a.dpus.is_none() && a.seed.is_none() && !a.observability_on());
+
+        let a = HarnessArgs::from_args(
+            &argv(&[
+                "--scale", "0.25", "--dpus", "8, 16,32", "--seed", "7", "--trace", "t/x.json",
+                "--metrics", "m.json",
+            ]),
+            0.05,
+        )
+        .unwrap();
+        assert_eq!(a.scale, 0.25);
+        assert_eq!(a.dpus, Some(vec![8, 16, 32]));
+        assert_eq!(a.seed, Some(7));
+        assert_eq!(a.trace, Some(std::path::PathBuf::from("t/x.json")));
+        assert_eq!(a.metrics, Some(std::path::PathBuf::from("m.json")));
+        assert!(a.observability_on());
+
+        // `--scale` and `--paper-scale` apply in order: the last wins.
+        let paper = HarnessArgs::from_args(&argv(&["--scale", "0.1", "--paper-scale"]), 0.05);
+        assert_eq!(paper.unwrap().scale, 1.0);
+        let scaled = HarnessArgs::from_args(&argv(&["--paper-scale", "--scale", "0.1"]), 0.05);
+        assert_eq!(scaled.unwrap().scale, 0.1);
+    }
+
+    #[test]
+    fn harness_args_reject_malformed_lists() {
+        let usage = |args: &[&str]| match HarnessArgs::from_args(&argv(args), 0.05) {
+            Err(ArgError::Usage(msg)) => msg,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        };
+        assert_eq!(usage(&["--scale", "0"]), "--scale must be in (0, 1]");
+        assert_eq!(usage(&["--scale", "1.5"]), "--scale must be in (0, 1]");
+        assert_eq!(usage(&["--scale", "NaN"]), "--scale must be in (0, 1]");
+        assert_eq!(usage(&["--scale", "x"]), "--scale must be a float");
+        assert_eq!(usage(&["--scale"]), "--scale needs <f in (0,1]>");
+        assert_eq!(usage(&["--dpus", "8,x"]), "--dpus must be integers");
+        assert_eq!(usage(&["--seed", "-1"]), "--seed must be a u32");
+        assert_eq!(usage(&["--trace"]), "--trace needs <path>");
+        assert_eq!(usage(&["--quick"]), "unknown flag --quick");
+        assert_eq!(
+            HarnessArgs::from_args(&argv(&["--seed", "1", "-h"]), 0.05).unwrap_err(),
+            ArgError::Help(
+                "flags: --scale <f in (0,1]> | --paper-scale | --dpus <a,b,c> | --seed <u32> | \
+                 --trace <path> | --metrics <path>"
+                    .into()
+            )
+        );
+    }
+
     #[test]
     fn scaled_keeps_minimum() {
-        let a = HarnessArgs {
-            scale: 0.001,
-            dpus: None,
-            seed: None,
-            trace: None,
-            metrics: None,
-        };
+        let a = HarnessArgs::from_args(&[], 0.001).unwrap();
         assert_eq!(a.scaled(1_000, 50), 50);
         assert_eq!(a.scaled(1_000_000, 50), 1_000);
     }
 
     #[test]
     fn scaled_episodes_stay_tau_multiples() {
-        let a = HarnessArgs {
-            scale: 0.03,
-            dpus: None,
-            seed: None,
-            trace: None,
-            metrics: None,
-        };
+        let a = HarnessArgs::from_args(&[], 0.03).unwrap();
         let e = a.scaled_episodes(2_000, 50);
         assert_eq!(e % 50, 0);
         assert!(e >= 50);

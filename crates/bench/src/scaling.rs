@@ -1,14 +1,11 @@
 //! Shared driver for the strong-scaling figures (Figs. 5 and 6).
 
-use crate::{
-    fmt_secs, metrics_sibling, print_table, write_json_artifact, write_trace_artifact,
-    Extrapolation, HarnessArgs,
-};
+use crate::{fmt_secs, print_table, write_observability, Extrapolation, HarnessArgs};
 use swiftrl_core::backend::TrainingBackend;
 use swiftrl_core::config::{RunConfig, WorkloadSpec};
 use swiftrl_core::runner::PimRunner;
 use swiftrl_env::ExperienceDataset;
-use swiftrl_telemetry::{chrome_trace, snapshot_bundle, Event, MetricsSnapshot, Telemetry};
+use swiftrl_telemetry::{Event, Telemetry};
 
 /// The DPU counts swept by Figures 5 and 6.
 pub const PAPER_DPU_COUNTS: [usize; 5] = [125, 250, 500, 1_000, 2_000];
@@ -151,49 +148,8 @@ pub fn run_scaling_figure(
     }
 
     summarize(&cells, &dpu_counts);
-    if let Some(path) = &args.trace {
-        write_trace_artifacts(fig, path, &traced);
-    }
-    if let Some(path) = &args.metrics {
-        write_metrics_bundle(fig, path, &traced);
-    }
+    write_observability(args, fig.figure, "runs", &traced);
     cells
-}
-
-/// Writes the Chrome trace (all runs, one process lane each) and the
-/// metrics-snapshot bundle next to it.
-fn write_trace_artifacts(fig: &ScalingFigure, path: &std::path::Path, traced: &[(String, Vec<Event>)]) {
-    let runs: Vec<(u64, &str, &[Event])> = (0..)
-        .zip(traced)
-        .map(|(id, (label, events))| (id, label.as_str(), events.as_slice()))
-        .collect();
-    write_trace_artifact(path, &chrome_trace(&runs))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    let snapshots: Vec<MetricsSnapshot> = traced
-        .iter()
-        .map(|(label, events)| MetricsSnapshot::from_events(label.clone(), events))
-        .collect();
-    let metrics_path = metrics_sibling(path);
-    write_json_artifact(&metrics_path, &snapshot_bundle(fig.figure, &snapshots))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", metrics_path.display()));
-    println!(
-        "\ntrace: {} ({} runs); metrics: {}",
-        path.display(),
-        runs.len(),
-        metrics_path.display()
-    );
-}
-
-/// Writes the metrics-snapshot bundle at an explicit `--metrics` path
-/// (independent of `--trace`, which writes a sibling bundle of its own).
-fn write_metrics_bundle(fig: &ScalingFigure, path: &std::path::Path, traced: &[(String, Vec<Event>)]) {
-    let snapshots: Vec<MetricsSnapshot> = traced
-        .iter()
-        .map(|(label, events)| MetricsSnapshot::from_events(label.clone(), events))
-        .collect();
-    write_json_artifact(path, &snapshot_bundle(fig.figure, &snapshots))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("\nmetrics: {} ({} runs)", path.display(), snapshots.len());
 }
 
 fn summarize(cells: &[ScalingCell], dpu_counts: &[usize]) {

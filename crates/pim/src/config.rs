@@ -262,7 +262,8 @@ pub struct CostModel {
     /// floating point) is charged.
     pub emulation_charging: EmulationCharging,
     /// Which arithmetic tier executes the emulated operations (default:
-    /// the fast tier, proven bit- and cycle-identical to the reference).
+    /// the batched tier, proven bit- and cycle-identical to the
+    /// reference).
     pub arith_tier: ExecTier,
 }
 
@@ -296,10 +297,10 @@ pub enum ExecTier {
     /// op. The ground truth; keep for audits and the parity suite.
     Reference,
     /// Compute results with host-native arithmetic and charge cycles from
-    /// the closed-form tally formulas in [`crate::fastpath`]. The default:
-    /// same bits, same cycles, a fraction of the host time. Still
-    /// interprets the kernel one charged intrinsic at a time.
-    #[default]
+    /// the closed-form tally formulas in [`crate::fastpath`]: same bits,
+    /// same cycles, a fraction of the host time. Still interprets the
+    /// kernel one charged intrinsic at a time. [`ExecTier::Batched`]
+    /// falls back to it for every launch it cannot fuse.
     Fast,
     /// Fuse the whole per-launch update loop into one host-native sweep
     /// per DPU (see [`crate::batch`]): kernels that opt in via
@@ -309,7 +310,8 @@ pub enum ExecTier {
     /// interpreted per intrinsic. A launch that a fault plan touches, a
     /// sanitizing run, or a kernel without a batch implementation falls
     /// back to the per-intrinsic fast path, so resilience and sanitizer
-    /// semantics are untouched.
+    /// semantics are untouched. The default.
+    #[default]
     Batched,
 }
 

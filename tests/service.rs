@@ -123,11 +123,12 @@ fn hundred_concurrent_tenants_match_their_solo_runs_bit_exactly() {
     ];
     let workers = 8;
     let service = TrainingService::new(small_fleet(), workers);
-    // The service keeps the caller's fleet platform and runs every job
-    // on the batched tier, on its share of the host's threads: the
-    // whole host split between the 1..=workers jobs sharing it.
+    // The service keeps the caller's fleet platform (here on the
+    // default tier, batched) and runs every job on the batched tier, on
+    // its share of the host's threads: the whole host split between the
+    // 1..=workers jobs sharing it.
     assert_eq!(service.fleet_config().engine, small_fleet().engine);
-    assert_eq!(service.fleet_config().cost.arith_tier, ExecTier::Fast);
+    assert_eq!(service.fleet_config().cost.arith_tier, ExecTier::Batched);
     let shares: Vec<_> = (1..=workers)
         .map(|jobs| small_fleet().engine.within(host_threads(), jobs))
         .collect();
