@@ -10,6 +10,12 @@
 //! up front. Results land in `BENCH_FLEET_SCALING.json` in the current
 //! directory.
 //!
+//! The memory columns (`bank_peak_bytes`, `arena_peak_bytes`,
+//! `lazy_fraction`) are the **Fast** run's. They depend on the tier:
+//! the interpreted Fast launch stages through each DPU's 64 KiB WRAM
+//! bank and so materializes one more segment per DPU than the Batched
+//! run of the same workload, which never touches WRAM (DESIGN §8.3).
+//!
 //! ```text
 //! cargo run --release -p swiftrl-bench -- fleet_scaling
 //! cargo run --release -p swiftrl-bench -- fleet_scaling --quick

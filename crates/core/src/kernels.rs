@@ -174,6 +174,33 @@ struct Record {
     done: bool,
 }
 
+// Both `Record` helpers are forced inline: `fits` runs once per record
+// in the interpreter's record read and in the batched tier's validation
+// pass, `decode` once per update of the fused sweep.
+impl Record {
+    /// Decodes one transition record as it lies in MRAM.
+    #[inline(always)]
+    fn decode(raw: &[u8; RECORD_BYTES]) -> Self {
+        let [s0, s1, s2, s3, a0, a1, a2, a3, r0, r1, r2, r3, n0, n1, n2, n3] = *raw;
+        let action_word = u32::from_le_bytes([a0, a1, a2, a3]);
+        Self {
+            state: u32::from_le_bytes([s0, s1, s2, s3]),
+            action: action_word & !DONE_BIT,
+            reward_raw: u32::from_le_bytes([r0, r1, r2, r3]),
+            next_state: u32::from_le_bytes([n0, n1, n2, n3]),
+            done: action_word & DONE_BIT != 0,
+        }
+    }
+
+    /// Whether every index of the record lies inside the header's table.
+    #[inline(always)]
+    fn fits(&self, hdr: &KernelHeader) -> bool {
+        self.state < hdr.num_states
+            && self.next_state < hdr.num_states
+            && self.action < hdr.num_actions
+    }
+}
+
 struct KernelBody {
     spec: WorkloadSpec,
     hdr: KernelHeader,
@@ -351,21 +378,19 @@ impl KernelBody {
         let done = action_word & DONE_BIT != 0;
         let action = action_word & !DONE_BIT;
         ctx.charge_alu(2);
-        if state >= self.hdr.num_states
-            || next_state >= self.hdr.num_states
-            || action >= self.hdr.num_actions
-        {
-            return Err(KernelError::Fault(format!(
-                "record out of space: s={state} a={action} s'={next_state}"
-            )));
-        }
-        Ok(Record {
+        let rec = Record {
             state,
             action,
             reward_raw,
             next_state,
             done,
-        })
+        };
+        if !rec.fits(&self.hdr) {
+            return Err(KernelError::Fault(format!(
+                "record out of space: s={state} a={action} s'={next_state}"
+            )));
+        }
+        Ok(rec)
     }
 
     #[inline(always)]
@@ -604,8 +629,10 @@ impl KernelBody {
 // Under `ExecTier::Batched` the executor offers the whole launch to the
 // kernel as one host-native sweep per DPU instead of interpreting it one
 // charged intrinsic at a time per tasklet. Values are computed with the
-// same `swiftrl_pim::fastpath` bit-exact routines the fast tier uses, so
-// Q-tables stay bit-identical; charges are deposited per tasklet as
+// same `swiftrl_pim::fastpath` bit-exact routines the fast tier uses
+// (FP32 add, subtract and multiply as host ops whose NaNs are
+// canonicalized at the store, see `Em::fadd`), so Q-tables stay
+// bit-identical; charges are deposited per tasklet as
 // *aggregates* — loop-trip counts multiplied by the pinned per-intrinsic
 // slot costs under calibrated charging, or summed data-dependent tallies
 // (plus the per-call FP overhead) under tally charging. The parity suite
@@ -676,6 +703,12 @@ impl<'a, const TALLY: bool> Em<'a, TALLY> {
         self.wram += n;
     }
 
+    /// FP32 add. Unlike `fastpath::f32_add`, and like `fsub` and `fmul`,
+    /// the result keeps the host's NaN encoding: within an update every
+    /// such result feeds further adds and multiplies until the update
+    /// stores it, and a NaN in is a NaN out, so only the stored value is
+    /// canonicalized (`fastpath::f32_canonical`). The tallies classify a
+    /// NaN operand whatever its encoding.
     #[inline]
     fn fadd(&mut self, a: u32, b: u32) -> u32 {
         if TALLY {
@@ -683,7 +716,7 @@ impl<'a, const TALLY: bool> Em<'a, TALLY> {
         } else {
             self.n_fadd += 1;
         }
-        fastpath::f32_add(a, b)
+        (f32::from_bits(a) + f32::from_bits(b)).to_bits()
     }
 
     #[inline]
@@ -694,7 +727,7 @@ impl<'a, const TALLY: bool> Em<'a, TALLY> {
             // Charged at the add cost, exactly like `DpuContext::fsub`.
             self.n_fadd += 1;
         }
-        fastpath::f32_sub(a, b)
+        (f32::from_bits(a) - f32::from_bits(b)).to_bits()
     }
 
     #[inline]
@@ -704,7 +737,7 @@ impl<'a, const TALLY: bool> Em<'a, TALLY> {
         } else {
             self.n_fmul += 1;
         }
-        fastpath::f32_mul(a, b)
+        (f32::from_bits(a) * f32::from_bits(b)).to_bits()
     }
 
     #[inline]
@@ -814,28 +847,42 @@ impl<'a, const TALLY: bool> Em<'a, TALLY> {
     }
 }
 
-/// Little-endian `u32` view of a Q-table image in bank bytes: the fused
-/// sweep reads and writes table words where they lie, with no decode or
-/// encode pass.
-struct LeWords<'a>(&'a mut [u8]);
+/// Little-endian `u32` word view of a Q-table image in bank bytes: the
+/// fused sweep reads and writes table words where they lie, with no
+/// decode or encode pass, and walks a whole row behind one range check.
+struct LeWords<'a> {
+    words: &'a mut [[u8; 4]],
+    /// Words per row (the action count).
+    na: usize,
+}
 
 impl LeWords<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> u32 {
-        let b = &self.0[4 * i..4 * i + 4];
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+    /// The row of `state`'s action values.
+    #[inline(always)]
+    fn row(&self, state: u32) -> &[[u8; 4]] {
+        let start = state as usize * self.na;
+        &self.words[start..start + self.na]
     }
 
-    #[inline]
-    fn set(&mut self, i: usize, v: u32) {
-        self.0[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
+    /// The word of `(state, action)`, for a read-modify-write.
+    #[inline(always)]
+    fn entry(&mut self, state: u32, action: u32) -> &mut [u8; 4] {
+        &mut self.words[state as usize * self.na + action as usize]
     }
+}
+
+/// The four update rules, as the `RULE` const parameter of
+/// `fused_sweep`: each rule gets its own sweep loop, with no per-record
+/// dispatch and register allocation for that rule alone.
+mod rule {
+    pub const Q_FP32: u8 = 0;
+    pub const Q_INT32: u8 = 1;
+    pub const SARSA_FP32: u8 = 2;
+    pub const SARSA_INT32: u8 = 3;
 }
 
 /// Header-derived parameters of one fused launch, shared by all tasklets.
 struct FusedParams {
-    algorithm: Algorithm,
-    dtype: DataType,
     na: u32,
     alpha: u32,
     gamma: u32,
@@ -845,36 +892,32 @@ struct FusedParams {
 }
 
 // Every `FusedParams` method is forced inline, so each `fused_sweep`
-// instance (one per `TALLY`) is one loop over the records with the update
-// rules and the `Em` charges in registers. `update` has three call sites
-// per instance (SEQ, STR, RAN), which keeps it out of line under the
-// heuristics, and a call per update spills the accumulators.
+// instance (one per `TALLY` and `RULE`) is one loop over the records with
+// the update rule and the `Em` charges in registers. `update` has three
+// call sites per instance (SEQ, STR, RAN), which keeps it out of line
+// under the heuristics, and a call per update spills the accumulators.
 impl FusedParams {
-    /// Q-table word index of `(state, action)` (the fused sweep views the
-    /// Q-table image as `u32` words, so `q_entry / 4`).
+    /// One Q-update on the shared table image: the record read, then
+    /// `apply_update` and the per-variant update routines charge for
+    /// charge. The record is decoded here, where it is used.
     #[inline(always)]
-    fn qi(&self, state: u32, action: u32) -> usize {
-        (state * self.na + action) as usize
-    }
-
-    /// One Q-update on the shared table image, mirroring `apply_update`
-    /// and the per-variant update routines charge for charge.
-    #[inline(always)]
-    fn update<const TALLY: bool>(
+    fn update<const TALLY: bool, const RULE: u8>(
         &self,
         em: &mut Em<'_, TALLY>,
         q: &mut LeWords<'_>,
-        rec: &Record,
+        raw: &[u8; RECORD_BYTES],
         policy_state: &mut u32,
     ) {
+        // `read_record`: four WRAM words and the flag unpack.
+        em.wram(4);
+        em.alu(2);
+        let rec = Record::decode(raw);
         em.control(1); // update-call overhead
-        match (self.algorithm, self.dtype) {
-            (Algorithm::QLearning, DataType::Fp32) => self.q_update_fp32(em, q, rec),
-            (Algorithm::QLearning, DataType::Int32) => self.q_update_int32(em, q, rec),
-            (Algorithm::Sarsa, DataType::Fp32) => self.sarsa_update_fp32(em, q, rec, policy_state),
-            (Algorithm::Sarsa, DataType::Int32) => {
-                self.sarsa_update_int32(em, q, rec, policy_state)
-            }
+        match RULE {
+            rule::Q_FP32 => self.q_update_fp32(em, q, &rec),
+            rule::Q_INT32 => self.q_update_int32(em, q, &rec),
+            rule::SARSA_FP32 => self.sarsa_update_fp32(em, q, &rec, policy_state),
+            _ => self.sarsa_update_int32(em, q, &rec, policy_state), // rule::SARSA_INT32
         }
     }
 
@@ -892,25 +935,23 @@ impl FusedParams {
             // max_next_fp32
             em.alu(2);
             em.wram(1);
-            let mut best = q.get(self.qi(rec.next_state, 0));
-            for a in 1..self.na {
+            let row = q.row(rec.next_state);
+            let mut best = u32::from_le_bytes(row[0]);
+            for w in &row[1..] {
                 em.alu(1);
                 em.wram(1);
-                let v = q.get(self.qi(rec.next_state, a));
-                best = em.fmax(best, v);
+                best = em.fmax(best, u32::from_le_bytes(*w));
             }
             let discounted = em.fmul(self.gamma, best);
             em.fadd(rec.reward_raw, discounted)
         };
         em.alu(2);
-        let e = self.qi(rec.state, rec.action);
-        em.wram(1);
-        let old = q.get(e);
+        em.wram(2);
+        let e = q.entry(rec.state, rec.action);
+        let old = u32::from_le_bytes(*e);
         let delta = em.fsub(target, old);
         let scaled = em.fmul(self.alpha, delta);
-        let new = em.fadd(old, scaled);
-        em.wram(1);
-        q.set(e, new);
+        *e = fastpath::f32_canonical(em.fadd(old, scaled)).to_le_bytes();
     }
 
     #[inline(always)]
@@ -927,13 +968,14 @@ impl FusedParams {
             return em.lcg_below(policy_state, self.na);
         }
         em.alu(2);
-        let mut best_a = 0u32;
         em.wram(1);
-        let mut best_v = q.get(self.qi(state, 0));
-        for a in 1..self.na {
+        let row = q.row(state);
+        let mut best_a = 0u32;
+        let mut best_v = u32::from_le_bytes(row[0]);
+        for (a, w) in (1u32..).zip(&row[1..]) {
             em.alu(1);
             em.wram(1);
-            let v = q.get(self.qi(state, a));
+            let v = u32::from_le_bytes(*w);
             if em.fgt(v, best_v) {
                 best_v = v;
                 best_a = a;
@@ -957,19 +999,17 @@ impl FusedParams {
             let a_next = self.epsilon_greedy_fp32(em, q, rec.next_state, policy_state);
             em.alu(2);
             em.wram(1);
-            let q_next = q.get(self.qi(rec.next_state, a_next));
+            let q_next = u32::from_le_bytes(*q.entry(rec.next_state, a_next));
             let discounted = em.fmul(self.gamma, q_next);
             em.fadd(rec.reward_raw, discounted)
         };
         em.alu(2);
-        let e = self.qi(rec.state, rec.action);
-        em.wram(1);
-        let old = q.get(e);
+        em.wram(2);
+        let e = q.entry(rec.state, rec.action);
+        let old = u32::from_le_bytes(*e);
         let delta = em.fsub(target, old);
         let scaled = em.fmul(self.alpha, delta);
-        let new = em.fadd(old, scaled);
-        em.wram(1);
-        q.set(e, new);
+        *e = fastpath::f32_canonical(em.fadd(old, scaled)).to_le_bytes();
     }
 
     /// `(a * b) / scale` with the emulated wide multiply + divide,
@@ -994,11 +1034,12 @@ impl FusedParams {
             // max_next_int32
             em.alu(2);
             em.wram(1);
-            let mut best = q.get(self.qi(rec.next_state, 0)) as i32;
-            for a in 1..self.na {
+            let row = q.row(rec.next_state);
+            let mut best = i32::from_le_bytes(row[0]);
+            for w in &row[1..] {
                 em.alu(1);
                 em.wram(1);
-                let v = q.get(self.qi(rec.next_state, a)) as i32;
+                let v = i32::from_le_bytes(*w);
                 if em.igt(v, best) {
                     best = v;
                 }
@@ -1007,14 +1048,12 @@ impl FusedParams {
             em.iadd(rec.reward_raw as i32, discounted)
         };
         em.alu(2);
-        let e = self.qi(rec.state, rec.action);
-        em.wram(1);
-        let old = q.get(e) as i32;
+        em.wram(2);
+        let e = q.entry(rec.state, rec.action);
+        let old = i32::from_le_bytes(*e);
         let diff = em.isub(target, old);
         let delta = self.fixed_mul(em, self.alpha as i32, diff);
-        let new = em.iadd(old, delta);
-        em.wram(1);
-        q.set(e, new as u32);
+        *e = em.iadd(old, delta).to_le_bytes();
     }
 
     #[inline(always)]
@@ -1031,13 +1070,14 @@ impl FusedParams {
             return em.lcg_below(policy_state, self.na);
         }
         em.alu(2);
-        let mut best_a = 0u32;
         em.wram(1);
-        let mut best_v = q.get(self.qi(state, 0)) as i32;
-        for a in 1..self.na {
+        let row = q.row(state);
+        let mut best_a = 0u32;
+        let mut best_v = i32::from_le_bytes(row[0]);
+        for (a, w) in (1u32..).zip(&row[1..]) {
             em.alu(1);
             em.wram(1);
-            let v = q.get(self.qi(state, a)) as i32;
+            let v = i32::from_le_bytes(*w);
             if em.igt(v, best_v) {
                 best_v = v;
                 best_a = a;
@@ -1061,36 +1101,79 @@ impl FusedParams {
             let a_next = self.epsilon_greedy_int32(em, q, rec.next_state, policy_state);
             em.alu(2);
             em.wram(1);
-            let q_next = q.get(self.qi(rec.next_state, a_next)) as i32;
+            let q_next = i32::from_le_bytes(*q.entry(rec.next_state, a_next));
             let discounted = self.fixed_mul(em, self.gamma as i32, q_next);
             em.iadd(rec.reward_raw as i32, discounted)
         };
         em.alu(2);
-        let e = self.qi(rec.state, rec.action);
-        em.wram(1);
-        let old = q.get(e) as i32;
+        em.wram(2);
+        let e = q.entry(rec.state, rec.action);
+        let old = i32::from_le_bytes(*e);
         let diff = em.isub(target, old);
         let delta = self.fixed_mul(em, self.alpha as i32, diff);
-        let new = em.iadd(old, delta);
-        em.wram(1);
-        q.set(e, new as u32);
+        *e = em.iadd(old, delta).to_le_bytes();
     }
 }
 
 impl SwiftRlKernel {
-    /// [`Self::fused_sweep`] in the cost model's charging mode.
+    /// Validates the replay chunk, then runs [`Self::fused_sweep`] for the
+    /// kernel's update rule in the cost model's charging mode. `bytes`
+    /// holds the Q-table DMA image (its first `q_dma_bytes`, pad bytes
+    /// included) and the chunk's records right after it, as the layout
+    /// places them in MRAM.
+    /// Returns `false`, having written and charged nothing, when a record
+    /// indexes outside the table: the interpreter may fault on it
+    /// mid-sweep, so the launch is declined.
     fn sweep(
         &self,
         cost: &CostModel,
         counters: &mut [CycleCounter],
         hdr: &KernelHeader,
+        bytes: &mut [u8],
+        q_dma_bytes: usize,
+    ) -> bool {
+        let (image, chunk) = bytes.split_at_mut(q_dma_bytes);
+        let (records, _) = chunk.as_chunks::<RECORD_BYTES>();
+        if !records.iter().all(|raw| Record::decode(raw).fits(hdr)) {
+            return false;
+        }
+        let q = &mut LeWords {
+            words: image.as_chunks_mut::<4>().0,
+            na: hdr.num_actions as usize,
+        };
+        match (self.spec.algorithm, self.spec.dtype) {
+            (Algorithm::QLearning, DataType::Fp32) => {
+                self.sweep_rule::<{ rule::Q_FP32 }>(cost, counters, hdr, q, records)
+            }
+            (Algorithm::QLearning, DataType::Int32) => {
+                self.sweep_rule::<{ rule::Q_INT32 }>(cost, counters, hdr, q, records)
+            }
+            (Algorithm::Sarsa, DataType::Fp32) => {
+                self.sweep_rule::<{ rule::SARSA_FP32 }>(cost, counters, hdr, q, records)
+            }
+            (Algorithm::Sarsa, DataType::Int32) => {
+                self.sweep_rule::<{ rule::SARSA_INT32 }>(cost, counters, hdr, q, records)
+            }
+        }
+        true
+    }
+
+    /// [`Self::fused_sweep`] for one rule in the cost model's charging
+    /// mode: the two instances of that rule's loop.
+    fn sweep_rule<const RULE: u8>(
+        &self,
+        cost: &CostModel,
+        counters: &mut [CycleCounter],
+        hdr: &KernelHeader,
         q: &mut LeWords<'_>,
-        records: &[Record],
+        records: &[[u8; RECORD_BYTES]],
     ) {
         match cost.emulation_charging {
-            EmulationCharging::Tally => self.fused_sweep::<true>(cost, counters, hdr, q, records),
+            EmulationCharging::Tally => {
+                self.fused_sweep::<true, RULE>(cost, counters, hdr, q, records)
+            }
             EmulationCharging::Calibrated => {
-                self.fused_sweep::<false>(cost, counters, hdr, q, records)
+                self.fused_sweep::<false, RULE>(cost, counters, hdr, q, records)
             }
         }
     }
@@ -1098,19 +1181,18 @@ impl SwiftRlKernel {
     /// The fused per-DPU sweep: every tasklet's episodes, in tasklet
     /// order (the per-intrinsic executor serializes tasklet bodies over
     /// the shared WRAM Q-table), charging per-tasklet aggregates. `q`
-    /// spans the whole Q-table DMA image, pad bytes included.
-    fn fused_sweep<const TALLY: bool>(
+    /// spans the whole Q-table DMA image, pad bytes included; `records`
+    /// is the DPU's chunk, validated and still encoded.
+    fn fused_sweep<const TALLY: bool, const RULE: u8>(
         &self,
         cost: &CostModel,
         counters: &mut [CycleCounter],
         hdr: &KernelHeader,
         q: &mut LeWords<'_>,
-        records: &[Record],
+        records: &[[u8; RECORD_BYTES]],
     ) {
-        let q_dma_bytes = q.0.len();
+        let q_dma_bytes = q.words.len() * 4;
         let p = FusedParams {
-            algorithm: self.spec.algorithm,
-            dtype: self.spec.dtype,
             na: hdr.num_actions,
             alpha: hdr.alpha,
             gamma: hdr.gamma,
@@ -1176,10 +1258,8 @@ impl SwiftRlKernel {
                             };
                             i += count;
                         }
-                        for rec in &records[start..start + rn] {
-                            em.wram(4);
-                            em.alu(2);
-                            p.update(&mut em, q, rec, &mut policy_state);
+                        for raw in &records[start..start + rn] {
+                            p.update::<TALLY, RULE>(&mut em, q, raw, &mut policy_state);
                         }
                     }
                     sampling_kind::STR => {
@@ -1196,9 +1276,8 @@ impl SwiftRlKernel {
                             em.alu(3); // stride bookkeeping
                             dma_bytes += RECORD_BYTES as u64;
                             dma_cycles += c_rec;
-                            em.wram(4);
-                            em.alu(2);
-                            p.update(&mut em, q, &records[start + i], &mut policy_state);
+                            let raw = &records[start + i];
+                            p.update::<TALLY, RULE>(&mut em, q, raw, &mut policy_state);
                         }
                     }
                     _ => {
@@ -1208,9 +1287,8 @@ impl SwiftRlKernel {
                             let i = em.lcg_below(&mut sample_state, rn as u32) as usize;
                             dma_bytes += RECORD_BYTES as u64;
                             dma_cycles += c_rec;
-                            em.wram(4);
-                            em.alu(2);
-                            p.update(&mut em, q, &records[start + i], &mut policy_state);
+                            let raw = &records[start + i];
+                            p.update::<TALLY, RULE>(&mut em, q, raw, &mut policy_state);
                         }
                     }
                 }
@@ -1279,61 +1357,36 @@ impl BatchKernel for SwiftRlKernel {
         if map.batch + self.tasklets * SEQ_BATCH * RECORD_BYTES > ctx.wram_capacity() {
             return Ok(false);
         }
-        // MRAM ranges touched by the launch must be in-bank.
-        let cap = ctx.mram().capacity() as u64;
+        // The replay chunk starts right after the Q-table image, so one
+        // MRAM span holds both; it must be in-bank.
+        debug_assert_eq!(hdr.transitions_offset(), Q_TABLE_OFFSET + q_dma_bytes);
         let n = hdr.n_transitions as usize;
-        if (Q_TABLE_OFFSET + q_dma_bytes) as u64 > cap {
-            return Ok(false);
-        }
-        let records_end = hdr.transitions_offset() as u64 + (n as u64) * RECORD_BYTES as u64;
-        if records_end > cap {
+        let span = q_dma_bytes + n * RECORD_BYTES;
+        if (Q_TABLE_OFFSET + span) as u64 > ctx.mram().capacity() as u64 {
             return Ok(false);
         }
 
-        // Decode the replay chunk once.
-        let mut rec_bytes = vec![0u8; n * RECORD_BYTES];
-        if ctx.mram().read(hdr.transitions_offset(), &mut rec_bytes).is_err() {
-            return Ok(false);
-        }
-        let mut records = Vec::with_capacity(n);
-        for raw in rec_bytes.chunks_exact(RECORD_BYTES) {
-            let word = |i: usize| {
-                u32::from_le_bytes([raw[4 * i], raw[4 * i + 1], raw[4 * i + 2], raw[4 * i + 3]])
-            };
-            let action_word = word(1);
-            let rec = Record {
-                state: word(0),
-                action: action_word & !DONE_BIT,
-                reward_raw: word(2),
-                next_state: word(3),
-                done: action_word & DONE_BIT != 0,
-            };
-            if rec.state >= hdr.num_states
-                || rec.next_state >= hdr.num_states
-                || rec.action >= hdr.num_actions
-            {
-                // A record the per-intrinsic path may fault on mid-sweep.
-                return Ok(false);
-            }
-            records.push(rec);
-        }
-
-        // ---- committed: the fused sweep cannot fail past this point.
-        // It updates the Q-table where it lies when the image sits in one
-        // materialized bank segment. A table that crosses a segment
-        // boundary is swept on a staged copy that `Bank::write` puts
+        // ---- sweep. When the span lies in one materialized bank segment
+        // the sweep runs on the bank bytes in place; otherwise it runs on
+        // a staged copy of the span, and `Bank::write` puts the image
         // back, which materializes segments exactly as the interpreter's
-        // WRAM write-back does.
+        // WRAM write-back does. Either way every record is validated
+        // before anything is written or charged.
         let (bank, cost, counters) = ctx.split_mut();
-        match bank.slice_mut(Q_TABLE_OFFSET, q_dma_bytes) {
-            Some(image) => self.sweep(cost, counters, &hdr, &mut LeWords(image), &records),
-            None => {
-                let mut staged = vec![0u8; q_dma_bytes];
-                if bank.read(Q_TABLE_OFFSET, &mut staged).is_err() {
+        match bank.slice_mut(Q_TABLE_OFFSET, span) {
+            Some(bytes) => {
+                if !self.sweep(cost, counters, &hdr, bytes, q_dma_bytes) {
                     return Ok(false);
                 }
-                self.sweep(cost, counters, &hdr, &mut LeWords(&mut staged), &records);
-                if bank.write(Q_TABLE_OFFSET, &staged).is_err() {
+            }
+            None => {
+                let mut staged = vec![0u8; span];
+                if bank.read(Q_TABLE_OFFSET, &mut staged).is_err()
+                    || !self.sweep(cost, counters, &hdr, &mut staged, q_dma_bytes)
+                {
+                    return Ok(false);
+                }
+                if bank.write(Q_TABLE_OFFSET, &staged[..q_dma_bytes]).is_err() {
                     return Ok(false);
                 }
             }
@@ -1718,6 +1771,140 @@ mod tests {
         bad[0].encode_fp32(&mut data);
         set.copy_to(0, hdr.transitions_offset(), &data).unwrap();
         assert!(set.launch(&SwiftRlKernel::new(spec)).is_err());
+    }
+
+    /// A SwiftRL MRAM image on a 3-state × 2-action table: the header,
+    /// then `n` in-range FP32 records with one whose `next_state` (7) is
+    /// out of range at index `bad`.
+    fn image_with_bad_record(n: usize, bad: usize) -> (KernelHeader, Vec<u8>) {
+        let spec = WorkloadSpec::q_learning_seq_fp32();
+        let hdr = header_for(spec, n, 2, 1);
+        let mut records = Vec::with_capacity(n * RECORD_BYTES);
+        for i in 0..n {
+            Transition {
+                state: State(i as u32 % 3),
+                action: Action(i as u32 % 2),
+                reward: 0.5,
+                next_state: State(if i == bad { 7 } else { (i as u32 + 1) % 3 }),
+                done: false,
+            }
+            .encode_fp32(&mut records);
+        }
+        (hdr, records)
+    }
+
+    /// A record outside the table is declined on both batched paths —
+    /// in place, and staged when the chunk crosses a bank segment — with
+    /// the bank byte-identical and nothing charged; the launch then
+    /// raises the interpreter's error, the same under `Batched` as under
+    /// `Fast`.
+    #[test]
+    fn out_of_range_record_is_declined_on_both_paths() {
+        use swiftrl_pim::config::ExecTier;
+        use swiftrl_pim::memory::{DpuMemory, BANK_SEGMENT_BYTES};
+
+        let spec = WorkloadSpec::q_learning_seq_fp32();
+        // 10 records fit the first segment; 4,200 cross its end.
+        for (n, bad, in_place) in [(10, 4, true), (4_200, 4_150, false)] {
+            let (hdr, records) = image_with_bad_record(n, bad);
+            let span = hdr.transitions_offset() - Q_TABLE_OFFSET + records.len();
+            let cfg = PimConfig::builder().dpus(1).mram_bytes(1 << 20).build();
+            let mut memory = DpuMemory::new(cfg.mram_bytes, cfg.wram_bytes);
+            memory.mram.write(0, &hdr.to_bytes()).unwrap();
+            memory.mram.write(hdr.transitions_offset(), &records).unwrap();
+            assert_eq!(memory.mram.slice(Q_TABLE_OFFSET, span).is_some(), in_place);
+            let mut before = vec![0u8; 2 * BANK_SEGMENT_BYTES];
+            memory.mram.read(0, &mut before).unwrap();
+
+            let mut ctx = BatchContext::new(0, 1, &mut memory, &cfg.cost);
+            assert_eq!(SwiftRlKernel::new(spec).run_batched(&mut ctx), Ok(false));
+            let (charges, cycles) = ctx.finish(11);
+            assert_eq!((charges.total_slots(), charges.dma_bytes, cycles), (0, 0, 0));
+            let mut after = vec![0u8; 2 * BANK_SEGMENT_BYTES];
+            memory.mram.read(0, &mut after).unwrap();
+            assert!(before == after, "declined launch wrote the bank ({n} records)");
+
+            let launch = |tier| {
+                let platform = PimConfig::builder()
+                    .dpus(1)
+                    .mram_bytes(1 << 20)
+                    .exec_tier(tier)
+                    .build();
+                let mut sys = PimSystem::new(platform);
+                let mut set = sys.alloc(1).unwrap();
+                set.copy_to(0, 0, &hdr.to_bytes()).unwrap();
+                set.copy_to(0, hdr.transitions_offset(), &records).unwrap();
+                let err = set.launch(&SwiftRlKernel::new(spec)).unwrap_err();
+                (err, set.copy_from(0, 0, 2 * BANK_SEGMENT_BYTES).unwrap())
+            };
+            let (batched_err, batched_bank) = launch(ExecTier::Batched);
+            let (fast_err, fast_bank) = launch(ExecTier::Fast);
+            assert_eq!(batched_err, fast_err);
+            assert!(format!("{batched_err}").contains("record out of space: s=1 a=0 s'=7"));
+            assert!(batched_bank == fast_bank);
+        }
+    }
+
+    /// Infinite, NaN (non-canonical payloads included) and subnormal
+    /// rewards drive the FP32 rules through invalid operations
+    /// (`inf - inf`); the batched sweep, which canonicalizes NaNs only at
+    /// the store, leaves the same Q-table bytes and charges as the
+    /// reference tier in both charging modes.
+    #[test]
+    fn fp32_special_values_match_the_reference_tier() {
+        use swiftrl_pim::config::{EmulationCharging, ExecTier};
+
+        let rewards = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FA0_0001),
+            f32::from_bits(0xFFC0_1234),
+            1e38,
+            -0.0,
+            f32::MIN_POSITIVE / 4.0,
+        ];
+        let data: Vec<Transition> = (0..60u32)
+            .map(|i| Transition {
+                state: State(i % 3),
+                action: Action(i % 2),
+                reward: rewards[i as usize % rewards.len()],
+                next_state: State((i + 1) % 3),
+                done: i % 11 == 0,
+            })
+            .collect();
+        let mut records = Vec::new();
+        for t in &data {
+            t.encode_fp32(&mut records);
+        }
+        for spec in [WorkloadSpec::q_learning_seq_fp32(), WorkloadSpec::sarsa_seq_fp32()] {
+            let hdr = header_for(spec, data.len(), 3, 5);
+            for charging in [EmulationCharging::Calibrated, EmulationCharging::Tally] {
+                let launch = |tier| {
+                    let mut platform = PimConfig::builder()
+                        .dpus(1)
+                        .mram_bytes(1 << 20)
+                        .exec_tier(tier)
+                        .build();
+                    platform.cost.emulation_charging = charging;
+                    let mut sys = PimSystem::new(platform);
+                    let mut set = sys.alloc(1).unwrap();
+                    set.copy_to(0, 0, &hdr.to_bytes()).unwrap();
+                    set.copy_to(0, hdr.transitions_offset(), &records).unwrap();
+                    set.launch(&SwiftRlKernel::new(spec)).unwrap();
+                    let q = set.copy_from(0, Q_TABLE_OFFSET, hdr.q_table_bytes()).unwrap();
+                    (q, set.last_launch().clone())
+                };
+                let (ref_q, ref_stats) = launch(ExecTier::Reference);
+                let (q, stats) = launch(ExecTier::Batched);
+                assert_eq!(ref_q, q, "{spec}/{charging:?}: Q-table bytes diverged");
+                assert_eq!(ref_stats, stats, "{spec}/{charging:?}: charges diverged");
+                let words: Vec<u32> = q
+                    .chunks_exact(4)
+                    .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+                    .collect();
+                assert!(words.contains(&0x7FC0_0000), "{spec}: no NaN was stored");
+            }
+        }
     }
 
     #[test]

@@ -263,6 +263,16 @@ pub fn idiv64_tally(n: i64, d: i32) -> u64 {
 // Soft-float helpers (value-only mirrors of the instrumented routines)
 // ---------------------------------------------------------------------------
 
+/// Canonicalizes an FP32 bit pattern the way the reference tier does: a
+/// NaN of any encoding becomes the canonical quiet NaN, everything else
+/// keeps its bits. A caller chaining host float ops may canonicalize only
+/// the value it keeps: a NaN fed to a further add, subtract or multiply
+/// yields a NaN again, which that op's own canonicalization would fold.
+#[inline]
+pub fn f32_canonical(bits: u32) -> u32 {
+    canon(f32::from_bits(bits))
+}
+
 /// Canonicalizes a host result the way the reference tier does: every NaN
 /// becomes the canonical quiet NaN, everything else keeps its bits.
 #[inline]
@@ -552,14 +562,21 @@ pub fn f32_lt(a: u32, b: u32) -> bool {
 /// Value of [`crate::softfloat::f32_max`]: `maxNum` semantics — prefer the
 /// non-NaN operand, canonical NaN when both are NaN, +0 over −0 on ties.
 pub fn f32_max(a: u32, b: u32) -> u32 {
+    let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
+    // Ordered and unequal, the common case: one host compare decides.
+    if fa > fb {
+        return a;
+    }
+    if fa < fb {
+        return b;
+    }
+    // Equal (a ±0 tie prefers +0) or unordered (a NaN operand).
     match (is_nan(a), is_nan(b)) {
         (true, true) => QNAN,
         (true, false) => b,
         (false, true) => a,
         (false, false) => {
-            let fa = f32::from_bits(a);
-            let fb = f32::from_bits(b);
-            if fa > fb || (fa == fb && sign(a) == 0) {
+            if sign(a) == 0 {
                 a
             } else {
                 b

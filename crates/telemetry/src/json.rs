@@ -381,20 +381,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe
-                // to do by char boundaries).
-                let rest = &bytes[*pos..];
-                let s = match std::str::from_utf8(rest) {
-                    Ok(s) => s,
+                // The run of plain characters up to the next quote or
+                // escape, copied at once. Both delimiters are ASCII, which
+                // never occurs inside a multi-byte scalar, so the run of a
+                // `&str` is whole characters; validating only the run
+                // keeps the parse linear in the document.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                match std::str::from_utf8(&bytes[*pos..*pos + run]) {
+                    Ok(s) => out.push_str(s),
                     Err(_) => return Err(err(*pos, "invalid UTF-8")),
-                };
-                match s.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err(err(*pos, "unterminated string")),
                 }
+                *pos += run;
             }
         }
     }
@@ -468,6 +468,32 @@ mod tests {
         assert_eq!(parsed, doc);
         let pretty = parse(&doc.render_pretty()).expect("pretty round trip");
         assert_eq!(pretty, doc);
+    }
+
+    #[test]
+    fn strings_round_trip_escapes_and_multibyte_runs() {
+        let text = "dpu ½ \"lane\"\\ ✓\n\tend";
+        let doc = Json::Arr(vec![Json::str(text), Json::str(""), Json::str("√")]);
+        assert_eq!(parse(&doc.render()).expect("round trip"), doc);
+        assert_eq!(
+            parse(r#""a\u00e9b\/c""#).expect("escapes").as_str(),
+            Some("aéb/c")
+        );
+        assert!(parse(r#""open"#).is_err());
+        assert!(parse(r#""bad \q""#).is_err());
+    }
+
+    /// A trace-sized document of many short strings: a parse that is not
+    /// linear in the document's length does not finish here.
+    #[test]
+    fn large_documents_parse_quickly() {
+        let span = |i: u32| {
+            Json::obj([("name", Json::str(format!("dpu {i}"))), ("ph", Json::str("X"))])
+        };
+        let doc = Json::Arr((0..50_000).map(span).collect());
+        let rendered = doc.render();
+        assert!(rendered.len() > 1_000_000);
+        assert_eq!(parse(&rendered).expect("parse"), doc);
     }
 
     #[test]

@@ -273,19 +273,18 @@ fn instant(pid: u64, name: &str, ts_us: f64, args: Json) -> Json {
 fn emit_run(out: &mut Vec<Json>, pid: u64, label: &str, events: &[Event], start_us: f64) {
     out.push(metadata(pid, 0, "process_name", label));
     out.push(metadata(pid, 0, "thread_name", "host"));
-    // Name each DPU lane once, in index order, by scanning the stream
-    // for the set of DPUs that ever ran a span.
-    let mut named = Vec::new();
-    for event in events {
-        if let Event::KernelLaunch { dpu_cycles, .. } = event {
-            for &(dpu, _) in dpu_cycles {
-                if !named.contains(&dpu) {
-                    named.push(dpu);
-                }
-            }
-        }
-    }
+    // Name each DPU lane once, in index order: the sorted, deduplicated
+    // set of DPUs that ever ran a span.
+    let mut named: Vec<usize> = events
+        .iter()
+        .flat_map(|event| match event {
+            Event::KernelLaunch { dpu_cycles, .. } => dpu_cycles.as_slice(),
+            _ => &[],
+        })
+        .map(|&(dpu, _)| dpu)
+        .collect();
     named.sort_unstable();
+    named.dedup();
     for &dpu in &named {
         out.push(metadata(
             pid,
@@ -562,6 +561,74 @@ mod tests {
         assert!((durs[1] - 2000.0).abs() < 1e-9);
         // Spans start after load + transfer (3 ms in).
         assert_eq!(spans[0].get("ts").and_then(Json::as_f64), Some(3000.0));
+    }
+
+    /// A many-DPU, multi-launch stream: launches cover overlapping DPU
+    /// ranges, one lists its DPUs out of order, and a late launch adds
+    /// new ones.
+    fn wide_stream(dpus: usize, launches: usize) -> Vec<Event> {
+        (0..launches)
+            .map(|l| {
+                let mut dpu_cycles: Vec<(usize, u64)> = (l..dpus)
+                    .step_by(1 + l % 3)
+                    .map(|d| (d, 100 + d as u64))
+                    .collect();
+                if l == 1 {
+                    dpu_cycles.reverse();
+                }
+                Event::KernelLaunch {
+                    dpus: dpu_cycles.len(),
+                    max_cycles: 100 + dpus as u64,
+                    min_cycles: 100,
+                    mean_cycles: 100.0,
+                    seconds: 0.001,
+                    dpu_cycles,
+                    faulted_dpus: vec![],
+                    classes: CycleClassTotals::default(),
+                    sanitizer_findings: 0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dpu_lanes_are_named_once_in_index_order() {
+        let (dpus, launches) = (3_000, 12);
+        let s = wide_stream(dpus, launches);
+        let rendered = chrome_trace(&[(0, "wide", &s)]);
+        let events = trace_events(&rendered);
+        let lanes: Vec<(u64, &str)> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
+            .map(|e| {
+                let tid = e.get("tid").and_then(Json::as_u64).expect("tid");
+                let name = e
+                    .get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Json::as_str)
+                    .expect("lane name");
+                (tid, name)
+            })
+            .collect();
+        // Launch 0 covers every DPU, so every lane is named: the host
+        // lane, then DPU `d` on lane `d + 1`, each exactly once.
+        assert_eq!(lanes.len(), dpus + 1);
+        assert_eq!(lanes[0], (0, "host"));
+        for (d, &(tid, name)) in lanes[1..].iter().enumerate() {
+            assert_eq!(tid, d as u64 + 1);
+            assert_eq!(name, format!("dpu {d}"));
+        }
+        // The names lead the run (process name, then the lanes), and
+        // every span of every launch is still rendered after them.
+        let ph = |e: &Json| e.get("ph").and_then(Json::as_str).map(str::to_owned);
+        assert!(events[..dpus + 2].iter().all(|e| ph(e).as_deref() == Some("M")));
+        assert!(events[dpus + 2..].iter().all(|e| ph(e).as_deref() != Some("M")));
+        let spans = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("kernel"))
+            .count();
+        let expected: usize = (0..launches).map(|l| (l..dpus).step_by(1 + l % 3).len()).sum();
+        assert_eq!(spans, expected);
     }
 
     #[test]

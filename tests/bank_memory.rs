@@ -124,6 +124,40 @@ fn paper_scale_runs_account_whole_segments_every_time() {
     assert_eq!(first.q_table.to_bytes(), second.q_table.to_bytes());
 }
 
+/// The memory gauges depend on the execution tier, by exactly one WRAM
+/// segment per DPU: an interpreted launch (`Fast`, `Reference`) stages
+/// the Q-table and records through the 64 KiB WRAM bank, which
+/// materializes it, while a batched launch models the WRAM working set
+/// without touching it. Everything else about the runs is identical.
+#[test]
+fn interpreted_runs_count_one_wram_segment_per_dpu_more_than_batched() {
+    let _spares = spare_list();
+    let dpus = 8;
+    let dataset = collect_random(&mut Taxi::new(), 2_000, 3);
+    let cfg = RunConfig::paper_defaults()
+        .with_dpus(dpus)
+        .with_episodes(4)
+        .with_tau(2);
+    let run = |tier| {
+        let platform = PimConfig::builder().dpus(dpus).exec_tier(tier).build();
+        PimRunner::with_platform(WorkloadSpec::q_learning_seq_int32(), cfg, platform)
+            .unwrap()
+            .run(&dataset)
+            .unwrap()
+    };
+    let batched = run(ExecTier::Batched);
+    let one_segment_each = (dpus * SEG) as u64;
+    assert_eq!(batched.memory.bank_peak_bytes, one_segment_each);
+    assert_eq!(batched.memory.arena_peak_bytes, one_segment_each);
+    for tier in [ExecTier::Fast, ExecTier::Reference] {
+        let interpreted = run(tier);
+        assert_eq!(batched.q_table.to_bytes(), interpreted.q_table.to_bytes());
+        assert_eq!(batched.breakdown, interpreted.breakdown);
+        assert_eq!(interpreted.memory.bank_peak_bytes, 2 * one_segment_each, "{tier:?}");
+        assert_eq!(interpreted.memory.arena_peak_bytes, 2 * one_segment_each, "{tier:?}");
+    }
+}
+
 /// MRAM of two full segments plus a sub-granule tail; WRAM of one.
 const MRAM_BYTES: usize = 2 * SEG + 4096;
 const WRAM_BYTES: usize = SEG;

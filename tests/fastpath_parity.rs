@@ -405,6 +405,15 @@ fn wide_dataset() -> ExperienceDataset {
     data
 }
 
+/// FrozenLake's 256-byte table with 4,150 records for each DPU of a
+/// three-DPU set: the table fits the first 64 KiB bank segment, but every
+/// DPU's replay chunk crosses its end, so the batched sweep cannot run
+/// on the bank bytes in place.
+fn straddling_dataset() -> ExperienceDataset {
+    let mut env = FrozenLake::slippery_4x4();
+    collect_random(&mut env, 3 * 4_150, 42)
+}
+
 fn run_tiered(
     spec: WorkloadSpec,
     cfg: RunConfig,
@@ -631,8 +640,9 @@ fn swiftrl_host_outcome(
 /// charging modes, a host-level launch produces identical per-DPU
 /// Q-table bytes, identical `LaunchStats` (merged per-class counters,
 /// max/min/mean cycles, modelled seconds), and identical `SystemStats`.
-/// FrozenLake's small table is swept in place in MRAM; the wide table
-/// crosses a bank segment boundary and takes the staged fallback.
+/// FrozenLake's small table and chunk are swept in place in MRAM; the
+/// wide table, and the straddling set's chunks, cross a bank segment
+/// boundary and take the staged fallback.
 #[test]
 fn batched_launch_stats_identical_at_host_level() {
     use swiftrl::core::layout::Q_TABLE_OFFSET;
@@ -641,7 +651,11 @@ fn batched_launch_stats_identical_at_host_level() {
     let wide = wide_dataset();
     let q_end = Q_TABLE_OFFSET + wide.num_states() * wide.num_actions() * 4;
     assert!(q_end > BANK_SEGMENT_BYTES, "the wide table must cross a segment");
-    for data in [dataset(), wide] {
+    let straddling = straddling_dataset();
+    let q_end = Q_TABLE_OFFSET + straddling.num_states() * straddling.num_actions() * 4;
+    let chunk_end = q_end + straddling.len() / 3 * 16;
+    assert!(q_end < BANK_SEGMENT_BYTES && chunk_end > BANK_SEGMENT_BYTES);
+    for data in [dataset(), wide, straddling] {
         for charging in [EmulationCharging::Calibrated, EmulationCharging::Tally] {
             for spec in WorkloadSpec::paper_variants() {
                 let (ref_q, ref_launch, ref_stats) =
