@@ -28,6 +28,10 @@ use swiftrl_pim::{BatchContext, BatchKernel};
 const SEQ_BATCH: usize = 32;
 /// Bytes per transition record.
 const RECORD_BYTES: usize = 16;
+/// Q-values the interpreter loads from WRAM at a time when it scans a
+/// row: every action of the paper's environments (FrozenLake 4, Taxi 6)
+/// in one chunk.
+const ROW_CHUNK: usize = 8;
 /// Most tasklets a kernel can be configured with — the 24 hardware threads
 /// of an UPMEM DPU. Bounds the static WRAM batch budget below.
 pub const MAX_TASKLETS: usize = 24;
@@ -370,10 +374,9 @@ impl KernelBody {
     /// Reads and validates one staged record from WRAM.
     #[inline(always)]
     fn read_record(&self, ctx: &mut DpuContext<'_>, wram_off: usize) -> Result<Record, KernelError> {
-        let state = ctx.wram_read_u32(wram_off)?;
-        let action_word = ctx.wram_read_u32(wram_off + 4)?;
-        let reward_raw = ctx.wram_read_u32(wram_off + 8)?;
-        let next_state = ctx.wram_read_u32(wram_off + 12)?;
+        let mut words = [0u32; RECORD_BYTES / 4];
+        ctx.wram_read_words(wram_off, &mut words)?;
+        let [state, action_word, reward_raw, next_state] = words;
         // Unpack the terminal flag from bit 31 of the action word.
         let done = action_word & DONE_BIT != 0;
         let action = action_word & !DONE_BIT;
@@ -391,6 +394,31 @@ impl KernelBody {
             )));
         }
         Ok(rec)
+    }
+
+    /// Loads Q-row `state` from WRAM in [`ROW_CHUNK`]-word stack chunks
+    /// (one load per word) and calls `visit` with each action and its
+    /// word, in action order.
+    #[inline(always)]
+    fn scan_row(
+        &self,
+        ctx: &mut DpuContext<'_>,
+        state: u32,
+        mut visit: impl FnMut(&mut DpuContext<'_>, u32, u32),
+    ) -> Result<(), KernelError> {
+        let na = self.hdr.num_actions;
+        let row = self.map.q_entry(na, state, 0);
+        let mut chunk = [0u32; ROW_CHUNK];
+        let mut a = 0u32;
+        while a < na {
+            let words = &mut chunk[..(na - a).min(ROW_CHUNK as u32) as usize];
+            ctx.wram_read_words(row + a as usize * 4, words)?;
+            for &word in words.iter() {
+                visit(ctx, a, word);
+                a += 1;
+            }
+        }
+        Ok(())
     }
 
     #[inline(always)]
@@ -414,14 +442,12 @@ impl KernelBody {
     /// `max_a' Q(s', a')` with emulated comparisons.
     #[inline(always)]
     fn max_next_fp32(&self, ctx: &mut DpuContext<'_>, next_state: u32) -> Result<F32, KernelError> {
-        let na = self.hdr.num_actions;
-        ctx.charge_alu(2); // row base address
-        let mut best = ctx.wram_read_f32(self.map.q_entry(na, next_state, 0))?;
-        for a in 1..na {
-            ctx.charge_alu(1);
-            let v = ctx.wram_read_f32(self.map.q_entry(na, next_state, a))?;
-            best = ctx.fmax(best, v);
-        }
+        // Two for the row base address, one per further action.
+        ctx.charge_alu(1 + u64::from(self.hdr.num_actions));
+        let mut best = F32::ZERO;
+        self.scan_row(ctx, next_state, |ctx, a, word| {
+            best = if a == 0 { F32(word) } else { ctx.fmax(best, F32(word)) };
+        })?;
         Ok(best)
     }
 
@@ -466,17 +492,13 @@ impl KernelBody {
         if draw < self.hdr.epsilon_threshold {
             return Ok(ctx.lcg_below(policy_state, na));
         }
-        ctx.charge_alu(2);
-        let mut best_a = 0u32;
-        let mut best_v = ctx.wram_read_f32(self.map.q_entry(na, state, 0))?;
-        for a in 1..na {
-            ctx.charge_alu(1);
-            let v = ctx.wram_read_f32(self.map.q_entry(na, state, a))?;
-            if ctx.fgt(v, best_v) {
-                best_v = v;
-                best_a = a;
+        ctx.charge_alu(1 + u64::from(na));
+        let (mut best_a, mut best_v) = (0u32, F32::ZERO);
+        self.scan_row(ctx, state, |ctx, a, word| {
+            if a == 0 || ctx.fgt(F32(word), best_v) {
+                (best_a, best_v) = (a, F32(word));
             }
-        }
+        })?;
         Ok(best_a)
     }
 
@@ -518,16 +540,13 @@ impl KernelBody {
     /// on value ties, which is value-identical to any tie choice).
     #[inline(always)]
     fn max_next_int32(&self, ctx: &mut DpuContext<'_>, next_state: u32) -> Result<i32, KernelError> {
-        let na = self.hdr.num_actions;
-        ctx.charge_alu(2);
-        let mut best = ctx.wram_read_i32(self.map.q_entry(na, next_state, 0))?;
-        for a in 1..na {
-            ctx.charge_alu(1);
-            let v = ctx.wram_read_i32(self.map.q_entry(na, next_state, a))?;
-            if ctx.igt(v, best) {
-                best = v;
+        ctx.charge_alu(1 + u64::from(self.hdr.num_actions));
+        let mut best = 0i32;
+        self.scan_row(ctx, next_state, |ctx, a, word| {
+            if a == 0 || ctx.igt(word as i32, best) {
+                best = word as i32;
             }
-        }
+        })?;
         Ok(best)
     }
 
@@ -577,17 +596,13 @@ impl KernelBody {
         if draw < self.hdr.epsilon_threshold {
             return Ok(ctx.lcg_below(policy_state, na));
         }
-        ctx.charge_alu(2);
-        let mut best_a = 0u32;
-        let mut best_v = ctx.wram_read_i32(self.map.q_entry(na, state, 0))?;
-        for a in 1..na {
-            ctx.charge_alu(1);
-            let v = ctx.wram_read_i32(self.map.q_entry(na, state, a))?;
-            if ctx.igt(v, best_v) {
-                best_v = v;
-                best_a = a;
+        ctx.charge_alu(1 + u64::from(na));
+        let (mut best_a, mut best_v) = (0u32, 0i32);
+        self.scan_row(ctx, state, |ctx, a, word| {
+            if a == 0 || ctx.igt(word as i32, best_v) {
+                (best_a, best_v) = (a, word as i32);
             }
-        }
+        })?;
         Ok(best_a)
     }
 

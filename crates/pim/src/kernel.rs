@@ -164,6 +164,10 @@ pub struct DpuContext<'a> {
     cost: &'a CostModel,
     arith: ArithMode,
     counter: CycleCounter,
+    /// The last DMA length charged and its [`CostModel::dma_cycles`]:
+    /// a kernel repeats one transfer size (a record, a batch), so the
+    /// rounding is redone only when the length changes.
+    dma_memo: (usize, u64),
     /// Runtime sanitizer hook; `None` when sanitization is off. Strictly
     /// observation-only — it never alters memory contents or charges.
     san: Option<&'a mut DpuSanitizer>,
@@ -196,6 +200,7 @@ impl<'a> DpuContext<'a> {
             cost,
             arith,
             counter: CycleCounter::new(),
+            dma_memo: (0, cost.dma_cycles(0)),
             san: None,
         }
     }
@@ -672,6 +677,46 @@ impl<'a> DpuContext<'a> {
         Ok(self.mem.wram.read_u32(offset)?)
     }
 
+    /// Loads `dst.len()` consecutive `u32`s from WRAM starting at `offset`
+    /// (1 slot each): exactly `dst.len()` calls of [`Self::wram_read_u32`],
+    /// in values, charges, errors and sanitizer findings.
+    ///
+    /// Without a sanitizer, and with the words inside the written bytes of
+    /// one WRAM segment, the range is checked and charged once; otherwise
+    /// the words are loaded one by one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a memory fault if the access exceeds WRAM capacity; the
+    /// words before the faulting one are loaded and charged.
+    // Forced inline: the interpreter's record read and Q-row scans call
+    // it once per record and per row chunk.
+    #[inline(always)]
+    pub fn wram_read_words(&mut self, offset: usize, dst: &mut [u32]) -> Result<(), KernelError> {
+        if self.san.is_none() {
+            if let Some(bytes) = self.mem.wram.slice(offset, dst.len() * 4) {
+                self.counter.charge(OpClass::WramAccess, dst.len() as u64);
+                for (word, le) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *word = u32::from_le_bytes([le[0], le[1], le[2], le[3]]);
+                }
+                return Ok(());
+            }
+        }
+        self.wram_read_each(offset, dst)
+    }
+
+    /// [`Self::wram_read_words`] one word at a time: under a sanitizer,
+    /// or for words past the written bytes, across a segment boundary or
+    /// out of range. Out of line like [`Self::reference_int`].
+    #[cold]
+    #[inline(never)]
+    fn wram_read_each(&mut self, offset: usize, dst: &mut [u32]) -> Result<(), KernelError> {
+        for (i, word) in dst.iter_mut().enumerate() {
+            *word = self.wram_read_u32(offset + 4 * i)?;
+        }
+        Ok(())
+    }
+
     /// Stores a `u32` to WRAM (1 slot).
     ///
     /// # Errors
@@ -728,6 +773,16 @@ impl<'a> DpuContext<'a> {
 
     // ---- MRAM DMA ------------------------------------------------------
 
+    /// [`CostModel::dma_cycles`] of a `len`-byte transfer, recomputed only
+    /// when `len` differs from the last transfer's.
+    #[inline(always)]
+    fn dma_cost(&mut self, len: usize) -> u64 {
+        if self.dma_memo.0 != len {
+            self.dma_memo = (len, self.cost.dma_cycles(len));
+        }
+        self.dma_memo.1
+    }
+
     /// Enforces the DMA engine's alignment contract: offset and length must
     /// be multiples of the configured granule (8 bytes on UPMEM), exactly
     /// as on real hardware. Also reports the attempt to the sanitizer.
@@ -769,7 +824,7 @@ impl<'a> DpuContext<'a> {
     /// aligned to the DMA granule.
     pub fn mram_read(&mut self, offset: usize, dst: &mut [u8]) -> Result<(), KernelError> {
         self.check_dma_align(MemoryKind::Mram, offset, dst.len())?;
-        let cycles = self.cost.dma_cycles(dst.len());
+        let cycles = self.dma_cost(dst.len());
         self.counter.charge_dma(dst.len() as u64, cycles);
         if let Some(san) = self.san.as_mut() {
             san.note_mram_read(self.tasklet_id, offset, dst.len());
@@ -785,7 +840,7 @@ impl<'a> DpuContext<'a> {
     /// aligned to the DMA granule.
     pub fn mram_write(&mut self, offset: usize, src: &[u8]) -> Result<(), KernelError> {
         self.check_dma_align(MemoryKind::Mram, offset, src.len())?;
-        let cycles = self.cost.dma_cycles(src.len());
+        let cycles = self.dma_cost(src.len());
         self.counter.charge_dma(src.len() as u64, cycles);
         if let Some(san) = self.san.as_mut() {
             san.note_mram_write(self.tasklet_id, offset, src.len());
@@ -799,10 +854,10 @@ impl<'a> DpuContext<'a> {
     ///
     /// Returns a memory fault if either range exceeds its bank capacity or
     /// either offset (or the length) is not aligned to the DMA granule.
-    // Forced inline, with `check_dma_align`, the bank copy and
-    // `CostModel::dma_cycles` inline under it: a kernel issues one per
-    // record on the STR and RAN walks, and out of line each one is a call
-    // across the crate boundary that thin LTO does not inline.
+    // Forced inline, with `check_dma_align`, the bank copy and the memoized
+    // `dma_cost` inline under it: a kernel issues one per record on the
+    // STR and RAN walks, and out of line each one is a call across the
+    // crate boundary that thin LTO does not inline.
     #[inline(always)]
     pub fn mram_to_wram(
         &mut self,
@@ -813,7 +868,7 @@ impl<'a> DpuContext<'a> {
         self.check_dma_align(MemoryKind::Mram, mram_offset, len)?;
         self.check_dma_align(MemoryKind::Wram, wram_offset, len)?;
         self.mem.copy_mram_to_wram(mram_offset, wram_offset, len)?;
-        let cycles = self.cost.dma_cycles(len);
+        let cycles = self.dma_cost(len);
         self.counter.charge_dma(len as u64, cycles);
         if let Some(san) = self.san.as_mut() {
             san.note_mram_read(self.tasklet_id, mram_offset, len);
@@ -837,7 +892,7 @@ impl<'a> DpuContext<'a> {
         self.check_dma_align(MemoryKind::Wram, wram_offset, len)?;
         self.check_dma_align(MemoryKind::Mram, mram_offset, len)?;
         self.mem.copy_wram_to_mram(wram_offset, mram_offset, len)?;
-        let cycles = self.cost.dma_cycles(len);
+        let cycles = self.dma_cost(len);
         self.counter.charge_dma(len as u64, cycles);
         if let Some(san) = self.san.as_mut() {
             san.note_wram_read(self.tasklet_id, wram_offset, len);
@@ -972,6 +1027,108 @@ mod tests {
         // One DMA of 8 bytes + one WRAM load.
         assert_eq!(ctx.counter().dma_bytes, 8);
         assert_eq!(ctx.counter().dma_cycles, cost.dma_cycles(8));
+    }
+
+    /// Runs one wide load of `n` words and `n` single loads, each on a
+    /// fresh memory prepared by `setup`, and asserts equal words, errors
+    /// and counters.
+    fn assert_wide_load_matches_singles(setup: &dyn Fn(&mut DpuMemory), offset: usize, n: usize) {
+        let (mut wide_mem, cost) = ctx_fixture();
+        let (mut single_mem, _) = ctx_fixture();
+        setup(&mut wide_mem);
+        setup(&mut single_mem);
+        let mut wide = DpuContext::new(0, 0, &mut wide_mem, &cost);
+        let mut wide_words = [0xAAAA_AAAAu32; 8];
+        let wide_err = wide.wram_read_words(offset, &mut wide_words[..n]).err();
+        let mut single = DpuContext::new(0, 0, &mut single_mem, &cost);
+        let mut single_words = [0xAAAA_AAAAu32; 8];
+        let single_err = single_words[..n]
+            .iter_mut()
+            .enumerate()
+            .try_for_each(|(i, w)| single.wram_read_u32(offset + 4 * i).map(|v| *w = v))
+            .err();
+        let at = format!("{n} words at {offset}");
+        assert_eq!(wide_err, single_err, "{at}: errors differ");
+        assert_eq!(wide_words, single_words, "{at}: words differ");
+        assert_eq!(wide.counter(), single.counter(), "{at}: counters differ");
+    }
+
+    #[test]
+    fn wide_wram_load_is_n_single_loads() {
+        let cap = 64 << 10;
+        let first_256_bytes = |mem: &mut DpuMemory| {
+            for i in 0..64u32 {
+                mem.wram.write_u32(i as usize * 4, 0x0101_0101 * i + 7).unwrap();
+            }
+        };
+        // Inside the written bytes (one range check), empty, and partly
+        // or wholly past the written length (zero-filled words).
+        for (offset, n) in [(0, 4), (8, 8), (4, 1), (12, 0), (240, 8), (256, 3), (1_000, 5)] {
+            assert_wide_load_matches_singles(&first_256_bytes, offset, n);
+        }
+        // Past the WRAM capacity: the words below it load and are
+        // charged, then the first word past it faults.
+        for (offset, n) in [(cap - 8, 4), (cap, 2), (cap - 2, 1)] {
+            assert_wide_load_matches_singles(&first_256_bytes, offset, n);
+        }
+        // Written up to the capacity: a range that starts inside the
+        // written bytes faults past them.
+        let up_to_capacity = |mem: &mut DpuMemory| {
+            first_256_bytes(mem);
+            mem.wram.write_u32(cap - 4, 0xDEAD_BEEF).unwrap();
+        };
+        assert_wide_load_matches_singles(&up_to_capacity, cap - 12, 6);
+        assert_wide_load_matches_singles(&up_to_capacity, cap - 12, 3);
+    }
+
+    #[test]
+    fn wide_wram_load_reports_what_single_loads_report() {
+        let (_, cost) = ctx_fixture();
+        let findings = |wide: bool| {
+            let (mut mem, _) = ctx_fixture();
+            let mut san = DpuSanitizer::new(0);
+            san.begin_launch(crate::sanitize::SanitizeLevel::Full, 1);
+            let counter = {
+                let mut ctx = DpuContext::new(0, 0, &mut mem, &cost).with_sanitizer(&mut san);
+                // Word 3 is never written.
+                for i in [0usize, 1, 2, 4] {
+                    ctx.wram_write_u32(i * 4, i as u32).unwrap();
+                }
+                let mut dst = [0u32; 5];
+                if wide {
+                    ctx.wram_read_words(0, &mut dst).unwrap();
+                } else {
+                    for (i, w) in dst.iter_mut().enumerate() {
+                        *w = ctx.wram_read_u32(i * 4).unwrap();
+                    }
+                }
+                assert_eq!(dst, [0, 1, 2, 0, 4]);
+                ctx.into_counter()
+            };
+            san.finish_launch();
+            (san.drain(), counter)
+        };
+        let (wide, single) = (findings(true), findings(false));
+        assert_eq!(wide, single);
+        assert!(matches!(
+            wide.0 .0[..],
+            [crate::sanitize::SanitizerFinding {
+                kind: crate::sanitize::FindingKind::UninitWramRead { offset: 12, len: 4 },
+                ..
+            }]
+        ));
+    }
+
+    #[test]
+    fn dma_cost_follows_the_transfer_length() {
+        let (mut mem, cost) = ctx_fixture();
+        let mut ctx = DpuContext::new(0, 0, &mut mem, &cost);
+        let mut expected = 0;
+        for len in [16, 16, 8, 512, 0, 16, 8, 8] {
+            ctx.mram_to_wram(64, 0, len).unwrap();
+            expected += cost.dma_cycles(len);
+            assert_eq!(ctx.counter().dma_cycles, expected, "after a {len}-byte DMA");
+        }
     }
 
     #[test]

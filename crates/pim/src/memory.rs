@@ -438,8 +438,10 @@ impl DpuMemory {
 /// When each range lies inside the written bytes of one materialized
 /// segment (every per-record DMA of a staged replay chunk), the copy is
 /// a single slice copy that grows and materializes nothing, exactly like
-/// the general loop on those ranges. Forced inline, as part of the
-/// kernel's per-record DMA (`DpuContext::mram_to_wram`).
+/// the general loop on those ranges. That path is tried before the
+/// capacity checks: written bytes lie inside the capacity, so the checks
+/// could not fail there. Forced inline, as part of the kernel's
+/// per-record DMA (`DpuContext::mram_to_wram`).
 #[inline(always)]
 fn copy_between(
     src: &Bank,
@@ -448,12 +450,12 @@ fn copy_between(
     dst_offset: usize,
     len: usize,
 ) -> Result<(), MemoryError> {
-    src.check(src_offset, len)?;
-    dst.check(dst_offset, len)?;
     if let (Some(from), Some(to)) = (src.slice(src_offset, len), dst.written_mut(dst_offset, len)) {
         to.copy_from_slice(from);
         return Ok(());
     }
+    src.check(src_offset, len)?;
+    dst.check(dst_offset, len)?;
     let mut done = 0;
     while done < len {
         let s_at = src_offset + done;

@@ -271,6 +271,22 @@ impl QTableSum {
         }
     }
 
+    /// [`Self::mean`] in the MRAM layout ([`QTable::to_bytes`]), written
+    /// in one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no table was added.
+    pub fn mean_bytes(&self) -> Vec<u8> {
+        assert!(self.tables > 0, "cannot average zero Q-tables");
+        let n = self.tables as f32;
+        let mut out = vec![0u8; self.sums.len() * 4];
+        for (o, &s) in out.chunks_exact_mut(4).zip(&self.sums) {
+            o.copy_from_slice(&(s / n).to_bits().to_le_bytes());
+        }
+        out
+    }
+
     /// Empties the sum, keeping its allocation.
     pub fn clear(&mut self) {
         self.sums.fill(0.0);
@@ -563,6 +579,22 @@ impl FixedQTableSum {
         }
     }
 
+    /// [`Self::mean`] in the MRAM layout ([`FixedQTable::to_bytes`]),
+    /// written in one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no table was added.
+    pub fn mean_bytes(&self) -> Vec<u8> {
+        assert!(self.tables > 0, "cannot average zero Q-tables");
+        let n = self.tables as i64;
+        let mut out = vec![0u8; self.sums.len() * 4];
+        for (o, &s) in out.chunks_exact_mut(4).zip(&self.sums) {
+            o.copy_from_slice(&((s / n) as i32).to_le_bytes());
+        }
+        out
+    }
+
     /// Empties the sum, keeping its allocation.
     pub fn clear(&mut self) {
         self.sums.fill(0);
@@ -745,6 +777,7 @@ mod tests {
             fp.iter().for_each(|b| sum.add_bytes(b));
             assert_eq!(sum.tables(), n);
             assert_eq!(sum.mean().to_bytes(), oracle, "FP32 fold, {n} tables");
+            assert_eq!(sum.mean_bytes(), oracle, "FP32 mean_bytes, {n} tables");
             let parsed: Vec<QTable> = fp.iter().map(|b| QTable::from_bytes(ns, na, b)).collect();
             assert_eq!(QTable::mean_of(&parsed).to_bytes(), oracle, "FP32 mean_of, {n} tables");
 
@@ -752,6 +785,7 @@ mod tests {
             let mut sum = FixedQTableSum::new(ns, na, scale);
             int.iter().for_each(|b| sum.add_bytes(b));
             assert_eq!(sum.mean().to_bytes(), oracle, "INT32 fold, {n} tables");
+            assert_eq!(sum.mean_bytes(), oracle, "INT32 mean_bytes, {n} tables");
             let parsed: Vec<FixedQTable> = int
                 .iter()
                 .map(|b| FixedQTable::from_bytes(ns, na, scale, b))

@@ -414,6 +414,26 @@ fn straddling_dataset() -> ExperienceDataset {
     collect_random(&mut env, 3 * 4_150, 42)
 }
 
+/// A replay set over 30 states × 19 actions: the interpreter scans each
+/// Q-row in chunks of 8 words, so a row here takes two full chunks and a
+/// partial one.
+fn many_actions_dataset() -> ExperienceDataset {
+    use swiftrl::env::{Action, State, Transition};
+    let (ns, na) = (30u32, 19u32);
+    let mut data = ExperienceDataset::new("many-actions", ns as usize, na as usize);
+    for i in 0..600u32 {
+        let state = (i * 7) % ns;
+        data.push(Transition {
+            state: State(state),
+            action: Action((i * 5) % na),
+            reward: (i % 9) as f32 * 0.5 - 2.0,
+            next_state: State((state + 11 * i + 1) % ns),
+            done: i % 31 == 0,
+        });
+    }
+    data
+}
+
 fn run_tiered(
     spec: WorkloadSpec,
     cfg: RunConfig,
@@ -642,7 +662,8 @@ fn swiftrl_host_outcome(
 /// max/min/mean cycles, modelled seconds), and identical `SystemStats`.
 /// FrozenLake's small table and chunk are swept in place in MRAM; the
 /// wide table, and the straddling set's chunks, cross a bank segment
-/// boundary and take the staged fallback.
+/// boundary and take the staged fallback; the many-actions set's rows are
+/// longer than the interpreter's row chunk.
 #[test]
 fn batched_launch_stats_identical_at_host_level() {
     use swiftrl::core::layout::Q_TABLE_OFFSET;
@@ -655,7 +676,7 @@ fn batched_launch_stats_identical_at_host_level() {
     let q_end = Q_TABLE_OFFSET + straddling.num_states() * straddling.num_actions() * 4;
     let chunk_end = q_end + straddling.len() / 3 * 16;
     assert!(q_end < BANK_SEGMENT_BYTES && chunk_end > BANK_SEGMENT_BYTES);
-    for data in [dataset(), wide, straddling] {
+    for data in [dataset(), wide, straddling, many_actions_dataset()] {
         for charging in [EmulationCharging::Calibrated, EmulationCharging::Tally] {
             for spec in WorkloadSpec::paper_variants() {
                 let (ref_q, ref_launch, ref_stats) =
