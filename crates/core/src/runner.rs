@@ -820,8 +820,8 @@ impl RoundSums {
     /// The average in its MRAM layout, ready to broadcast.
     fn mean_bytes(&self) -> Vec<u8> {
         match self {
-            Self::Fp32(parts) => parts[0].mean_bytes(),
-            Self::Int32(parts) => parts[0].mean_bytes(),
+            Self::Fp32(parts) => parts[0].mean().to_bytes(),
+            Self::Int32(parts) => parts[0].mean().to_bytes(),
         }
     }
 

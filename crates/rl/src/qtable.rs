@@ -107,9 +107,9 @@ impl QTable {
 
     /// Serializes as little-endian f32 bits (the MRAM layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.values.len() * 4);
-        for v in &self.values {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        let mut out = vec![0u8; self.values.len() * 4];
+        for (o, v) in out.chunks_exact_mut(4).zip(&self.values) {
+            o.copy_from_slice(&v.to_bits().to_le_bytes());
         }
         out
     }
@@ -271,22 +271,6 @@ impl QTableSum {
         }
     }
 
-    /// [`Self::mean`] in the MRAM layout ([`QTable::to_bytes`]), written
-    /// in one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no table was added.
-    pub fn mean_bytes(&self) -> Vec<u8> {
-        assert!(self.tables > 0, "cannot average zero Q-tables");
-        let n = self.tables as f32;
-        let mut out = vec![0u8; self.sums.len() * 4];
-        for (o, &s) in out.chunks_exact_mut(4).zip(&self.sums) {
-            o.copy_from_slice(&(s / n).to_bits().to_le_bytes());
-        }
-        out
-    }
-
     /// Empties the sum, keeping its allocation.
     pub fn clear(&mut self) {
         self.sums.fill(0.0);
@@ -420,9 +404,9 @@ impl FixedQTable {
 
     /// Serializes as little-endian i32 (the MRAM layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.values.len() * 4);
-        for v in &self.values {
-            out.extend_from_slice(&v.to_le_bytes());
+        let mut out = vec![0u8; self.values.len() * 4];
+        for (o, v) in out.chunks_exact_mut(4).zip(&self.values) {
+            o.copy_from_slice(&v.to_le_bytes());
         }
         out
     }
@@ -577,22 +561,6 @@ impl FixedQTableSum {
             scale: self.scale,
             values: self.sums.iter().map(|&s| (s / n) as i32).collect(),
         }
-    }
-
-    /// [`Self::mean`] in the MRAM layout ([`FixedQTable::to_bytes`]),
-    /// written in one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no table was added.
-    pub fn mean_bytes(&self) -> Vec<u8> {
-        assert!(self.tables > 0, "cannot average zero Q-tables");
-        let n = self.tables as i64;
-        let mut out = vec![0u8; self.sums.len() * 4];
-        for (o, &s) in out.chunks_exact_mut(4).zip(&self.sums) {
-            o.copy_from_slice(&((s / n) as i32).to_le_bytes());
-        }
-        out
     }
 
     /// Empties the sum, keeping its allocation.
@@ -777,7 +745,6 @@ mod tests {
             fp.iter().for_each(|b| sum.add_bytes(b));
             assert_eq!(sum.tables(), n);
             assert_eq!(sum.mean().to_bytes(), oracle, "FP32 fold, {n} tables");
-            assert_eq!(sum.mean_bytes(), oracle, "FP32 mean_bytes, {n} tables");
             let parsed: Vec<QTable> = fp.iter().map(|b| QTable::from_bytes(ns, na, b)).collect();
             assert_eq!(QTable::mean_of(&parsed).to_bytes(), oracle, "FP32 mean_of, {n} tables");
 
@@ -785,7 +752,6 @@ mod tests {
             let mut sum = FixedQTableSum::new(ns, na, scale);
             int.iter().for_each(|b| sum.add_bytes(b));
             assert_eq!(sum.mean().to_bytes(), oracle, "INT32 fold, {n} tables");
-            assert_eq!(sum.mean_bytes(), oracle, "INT32 mean_bytes, {n} tables");
             let parsed: Vec<FixedQTable> = int
                 .iter()
                 .map(|b| FixedQTable::from_bytes(ns, na, scale, b))
