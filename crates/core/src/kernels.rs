@@ -15,13 +15,29 @@
 //!    DPU cycle counter;
 //! 4. DMAs the updated Q-table back to MRAM for the host to gather.
 //!
+//! The kernel body — the episode loop, the three sampling walks and the
+//! update rules — is written once, generic over a `Machine` that
+//! supplies what an update touches. Two machines run it: the interpreter
+//! (`Interp`), which goes through the charged `DpuContext` intrinsics in
+//! an arithmetic mode fixed for the whole launch, and the batched tier's
+//! fused sweep (`Sweep`), which sums the same charges in registers over
+//! the bank bytes.
+//!
 //! The arithmetic is bit-identical to the host reference in
 //! `swiftrl_rl::{qlearning, sarsa}`: an integration test trains both ways
 //! and compares Q-tables exactly.
 
 use crate::config::{Algorithm, DataType, WorkloadSpec};
 use crate::layout::{episode_seed, sampling_kind, KernelHeader, HEADER_BYTES, Q_TABLE_OFFSET};
-use swiftrl_pim::kernel::{DpuContext, Kernel, KernelError, F32};
+use std::convert::Infallible;
+use std::fmt;
+use std::marker::PhantomData;
+use std::ops::Range;
+use swiftrl_pim::config::{CostModel, EmulationCharging, OpCosts};
+use swiftrl_pim::cost::CycleCounter;
+use swiftrl_pim::emul::Lcg32;
+use swiftrl_pim::fastpath;
+use swiftrl_pim::kernel::{arith, Arith, ArithMode, DpuContext, Kernel, KernelError, F32};
 use swiftrl_pim::{BatchContext, BatchKernel};
 
 /// Transition records DMA'd per batch in SEQ order (32 records = 512 B).
@@ -109,6 +125,9 @@ impl Kernel for SwiftRlKernel {
         self.tasklets
     }
 
+    /// Loads the header, then runs the interpreted body in the context's
+    /// arithmetic mode: the mode and the update rule are chosen here, once
+    /// per launch, so no emulated op in the loop dispatches on either.
     fn run(&self, ctx: &mut DpuContext<'_>) -> Result<(), KernelError> {
         // Header load: one DMA + field decodes (every tasklet reads it,
         // as UPMEM tasklets each execute main()). Stack buffer: kernels
@@ -119,14 +138,73 @@ impl Kernel for SwiftRlKernel {
         let hdr = KernelHeader::from_bytes(&hdr_buf)
             .map_err(|e| KernelError::Fault(format!("{e}")))?;
 
-        let body = KernelBody::new(self.spec, hdr, ctx.tasklet_id(), self.tasklets);
-        body.run(ctx)
+        let ran = match ctx.arith_mode() {
+            ArithMode::Reference => self.interpret::<arith::Reference>(ctx, hdr),
+            ArithMode::FastCalibrated => self.interpret::<arith::FastCalibrated>(ctx, hdr),
+            ArithMode::FastTally => self.interpret::<arith::FastTally>(ctx, hdr),
+        };
+        ran.map_err(|stop| match stop {
+            Stop::Pim(e) => e,
+            Stop::Kernel(fault) => KernelError::Fault(format!("{fault}")),
+        })
     }
 
     /// Offers the fused whole-launch form to the executor under
     /// [`ExecTier::Batched`](swiftrl_pim::config::ExecTier::Batched).
     fn batch(&self) -> Option<&dyn BatchKernel> {
         Some(self)
+    }
+}
+
+/// A fault of the kernel itself, as plain data; `Kernel::run` renders it
+/// into the text of [`KernelError::Fault`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KernelFault {
+    /// The header's table has no states or no actions.
+    EmptyShape,
+    /// The header names no sampling kind the kernel knows.
+    UnknownSampling(u32),
+    /// A stride walk with stride 0.
+    ZeroStride,
+    /// A record indexes outside the header's table.
+    RecordOutOfSpace {
+        state: u32,
+        action: u32,
+        next_state: u32,
+    },
+}
+
+impl fmt::Display for KernelFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            KernelFault::EmptyShape => f.write_str("empty Q-table shape"),
+            KernelFault::UnknownSampling(kind) => write!(f, "unknown sampling kind {kind}"),
+            KernelFault::ZeroStride => f.write_str("stride must be positive"),
+            KernelFault::RecordOutOfSpace {
+                state,
+                action,
+                next_state,
+            } => write!(f, "record out of space: s={state} a={action} s'={next_state}"),
+        }
+    }
+}
+
+/// Why an interpreted launch stopped: a platform error from an intrinsic
+/// (a memory fault) or a fault of the kernel itself.
+enum Stop {
+    Pim(KernelError),
+    Kernel(KernelFault),
+}
+
+impl From<KernelError> for Stop {
+    fn from(e: KernelError) -> Self {
+        Stop::Pim(e)
+    }
+}
+
+impl From<KernelFault> for Stop {
+    fn from(fault: KernelFault) -> Self {
+        Stop::Kernel(fault)
     }
 }
 
@@ -166,6 +244,32 @@ impl WramMap {
     }
 }
 
+/// The header a launch leaves for the next one: its episode window
+/// advanced past this launch's, so no host-side re-arm is needed between
+/// rounds.
+fn next_header(hdr: &KernelHeader) -> [u8; HEADER_BYTES] {
+    let mut next = *hdr;
+    next.episode_base = hdr.episode_base.wrapping_add(hdr.episodes);
+    let mut out = [0u8; HEADER_BYTES];
+    next.encode_into(&mut out);
+    out
+}
+
+/// Tasklet `t`'s contiguous sub-range of an `n`-record chunk split over
+/// `tasklets`, sizes within one.
+fn tasklet_range(n: usize, tasklets: usize, t: usize) -> Range<usize> {
+    let base = n / tasklets;
+    let extra = n % tasklets;
+    let start = t * base + t.min(extra);
+    start..start + base + usize::from(t < extra)
+}
+
+/// The SEQ walk's DMA batches of an `n`-record range: `(first, count)`
+/// with `count` [`SEQ_BATCH`] records, the last one shorter.
+fn seq_batches(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).step_by(SEQ_BATCH).map(move |first| (first, SEQ_BATCH.min(n - first)))
+}
+
 /// One decoded transition record.
 #[derive(Debug, Clone, Copy)]
 struct Record {
@@ -178,22 +282,25 @@ struct Record {
     done: bool,
 }
 
-// Both `Record` helpers are forced inline: `fits` runs once per record
-// in the interpreter's record read and in the batched tier's validation
-// pass, `decode` once per update of the fused sweep.
+// Every `Record` helper is forced inline: each runs once per record.
 impl Record {
+    /// Decodes a record's four words, unpacking the terminal flag.
+    #[inline(always)]
+    fn from_words([state, action_word, reward_raw, next_state]: [u32; 4]) -> Self {
+        Self {
+            state,
+            action: action_word & !DONE_BIT,
+            reward_raw,
+            next_state,
+            done: action_word & DONE_BIT != 0,
+        }
+    }
+
     /// Decodes one transition record as it lies in MRAM.
     #[inline(always)]
     fn decode(raw: &[u8; RECORD_BYTES]) -> Self {
-        let [s0, s1, s2, s3, a0, a1, a2, a3, r0, r1, r2, r3, n0, n1, n2, n3] = *raw;
-        let action_word = u32::from_le_bytes([a0, a1, a2, a3]);
-        Self {
-            state: u32::from_le_bytes([s0, s1, s2, s3]),
-            action: action_word & !DONE_BIT,
-            reward_raw: u32::from_le_bytes([r0, r1, r2, r3]),
-            next_state: u32::from_le_bytes([n0, n1, n2, n3]),
-            done: action_word & DONE_BIT != 0,
-        }
+        let (words, _) = raw.as_chunks::<4>();
+        Self::from_words([0, 1, 2, 3].map(|i| u32::from_le_bytes(words[i])))
     }
 
     /// Whether every index of the record lies inside the header's table.
@@ -205,137 +312,256 @@ impl Record {
     }
 }
 
-struct KernelBody {
-    spec: WorkloadSpec,
-    hdr: KernelHeader,
-    map: WramMap,
-    /// This tasklet's contiguous sub-range of the DPU's chunk.
-    range: std::ops::Range<usize>,
-    tasklet_id: usize,
-    tasklets: usize,
+/// The order a tasklet walks its records in.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    /// In order, DMA'd [`SEQ_BATCH`] records at a time.
+    Seq,
+    /// The stride walk of `SamplingStrategy::Stride(k)`.
+    Stride(usize),
+    /// Uniform draws with the in-kernel LCG.
+    Random,
 }
 
-// Every `KernelBody` method is forced inline, so the whole interpreted
-// launch (episode loop, record read, update dispatch and the four update
-// rules) is one loop in `<SwiftRlKernel as Kernel>::run` with the
-// per-record intrinsics inlined into it. Left to the heuristics, the
-// record read and the update dispatch stay out of line (three call sites
-// each), and every record then pays two calls plus the spills around them.
-impl KernelBody {
-    #[inline(always)]
-    fn new(spec: WorkloadSpec, hdr: KernelHeader, tasklet_id: usize, tasklets: usize) -> Self {
-        let map = WramMap::new(&hdr);
-        // Contiguous sub-partition of the chunk, sizes within one.
-        let n = hdr.n_transitions as usize;
-        let base = n / tasklets;
-        let extra = n % tasklets;
-        let start = tasklet_id * base + tasklet_id.min(extra);
-        let len = base + usize::from(tasklet_id < extra);
-        Self {
-            spec,
-            hdr,
-            map,
-            range: start..start + len,
-            tasklet_id,
-            tasklets,
+impl Walk {
+    /// The walk a header's sampling fields name.
+    fn of(hdr: &KernelHeader) -> Result<Self, KernelFault> {
+        match hdr.sampling {
+            sampling_kind::SEQ => Ok(Walk::Seq),
+            sampling_kind::STR if hdr.stride == 0 => Err(KernelFault::ZeroStride),
+            sampling_kind::STR => Ok(Walk::Stride(hdr.stride as usize)),
+            sampling_kind::RAN => Ok(Walk::Random),
+            other => Err(KernelFault::UnknownSampling(other)),
         }
     }
+}
 
+// ---- The kernel body, written once ------------------------------------
+//
+// Every function and trait method below is forced inline, so each
+// instance of the body (one per machine, mode and update rule) is one
+// loop over the records with the update rule and the charges in
+// registers. Left to the heuristics, the record fetch and the update stay
+// out of line (three call sites each, one per walk), and every record
+// then pays the calls plus the spills around them.
+
+/// The charges and the emulated arithmetic of one tasklet. FP32 values
+/// travel as raw bits.
+trait Ops {
+    /// Charges `n` native ALU slots.
+    fn alu(&mut self, n: u64);
+    /// Charges `n` control-flow slots.
+    fn control(&mut self, n: u64);
+    /// Emulated FP32 add.
+    fn fadd(&mut self, a: u32, b: u32) -> u32;
+    /// Emulated FP32 subtract.
+    fn fsub(&mut self, a: u32, b: u32) -> u32;
+    /// Emulated FP32 multiply.
+    fn fmul(&mut self, a: u32, b: u32) -> u32;
+    /// Emulated FP32 `maxNum(a, b)`.
+    fn fmax(&mut self, a: u32, b: u32) -> u32;
+    /// Emulated FP32 `a > b`.
+    fn fgt(&mut self, a: u32, b: u32) -> bool;
+    /// The bits an FP32 result is stored as.
+    fn fstored(&self, bits: u32) -> u32;
+    /// Emulated signed 32×32→64 multiply.
+    fn mul_wide(&mut self, a: i32, b: i32) -> i64;
+    /// Emulated 64-bit divide by the header's fixed-point scale.
+    fn descale(&mut self, n: i64) -> i64;
+    /// Advances an LCG state: one emulated multiply and one add.
+    fn lcg_next(&mut self, state: &mut u32) -> u32;
+    /// Uniform draw in `[0, bound)`: an LCG advance and one emulated wide
+    /// multiply.
+    fn lcg_below(&mut self, state: &mut u32, bound: u32) -> u32;
+}
+
+/// What one tasklet's launch touches besides [`Ops`]: the Q-table and the
+/// records, each access charged as the DPU program makes it.
+trait Machine {
+    /// Why a step stopped. The fused sweep's is uninhabited: its inputs
+    /// are validated before it starts.
+    type Err;
+    /// The tasklet's charges and arithmetic.
+    type Ops: Ops;
+    /// The tasklet's charges and arithmetic.
+    fn ops(&mut self) -> &mut Self::Ops;
+    /// Tasklet 0's DMA of the Q-table into WRAM.
+    fn stage_table(&mut self) -> Result<(), Self::Err>;
+    /// The last tasklet's DMA of the Q-table back to MRAM and its write of
+    /// the next launch's header.
+    fn publish_table(&mut self) -> Result<(), Self::Err>;
+    /// The walk of the header's sampling fields.
+    fn walk(&mut self) -> Result<Walk, Self::Err>;
+    /// The SEQ walk: the tasklet's `n` records in order, each handed to
+    /// `each`, DMA'd in the batches of [`seq_batches`].
+    fn walk_seq(
+        &mut self,
+        n: usize,
+        each: impl FnMut(&mut Self, &Record) -> Result<(), Self::Err>,
+    ) -> Result<(), Self::Err>;
+    /// DMAs record `i` of the tasklet's range alone and loads it (the STR
+    /// and RAN walks).
+    fn fetch(&mut self, i: usize) -> Result<Record, Self::Err>;
+    /// Loads Q-row `state` and folds its words in action order: the fold
+    /// starts at `first` of action 0's word, and `step` takes the fold,
+    /// each further action and its word.
+    fn fold_row<T>(
+        &mut self,
+        state: u32,
+        first: impl FnOnce(u32) -> T,
+        step: impl FnMut(&mut Self::Ops, T, u32, u32) -> T,
+    ) -> Result<T, Self::Err>;
+    /// Loads the Q-table word of `(state, action)`.
+    fn load(&mut self, state: u32, action: u32) -> Result<u32, Self::Err>;
+    /// Loads the Q-table word of `(state, action)` and stores the word
+    /// `f` makes of it.
+    fn update_entry(
+        &mut self,
+        state: u32,
+        action: u32,
+        f: impl FnOnce(&mut Self::Ops, u32) -> u32,
+    ) -> Result<(), Self::Err>;
+}
+
+/// The Q-value arithmetic of a workload data type, on table words.
+trait Dtype {
+    /// `a + b`.
+    fn add<O: Ops>(o: &mut O, a: u32, b: u32) -> u32;
+    /// `a - b`.
+    fn sub<O: Ops>(o: &mut O, a: u32, b: u32) -> u32;
+    /// `a × b`; INT32 descales the wide product, like `FixedScale::mul`.
+    fn mul<O: Ops>(o: &mut O, a: u32, b: u32) -> u32;
+    /// The fold step of `max_a' Q(s', a')`.
+    fn max<O: Ops>(o: &mut O, best: u32, v: u32) -> u32;
+    /// `a > b`, the ε-greedy argmax's test.
+    fn gt<O: Ops>(o: &mut O, a: u32, b: u32) -> bool;
+    /// The word an update stores for the value `v`.
+    fn stored<O: Ops>(o: &O, v: u32) -> u32;
+}
+
+/// Soft-float FP32 Q-values.
+struct Fp32;
+/// The paper's scaled INT32 Q-values.
+struct Int32;
+
+impl Dtype for Fp32 {
     #[inline(always)]
-    fn run(&self, ctx: &mut DpuContext<'_>) -> Result<(), KernelError> {
-        let hdr = &self.hdr;
-        if hdr.num_states == 0 || hdr.num_actions == 0 {
-            return Err(KernelError::Fault("empty Q-table shape".into()));
-        }
+    fn add<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 {
+        o.fadd(a, b)
+    }
+    #[inline(always)]
+    fn sub<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 {
+        o.fsub(a, b)
+    }
+    #[inline(always)]
+    fn mul<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 {
+        o.fmul(a, b)
+    }
+    #[inline(always)]
+    fn max<O: Ops>(o: &mut O, best: u32, v: u32) -> u32 {
+        o.fmax(best, v)
+    }
+    #[inline(always)]
+    fn gt<O: Ops>(o: &mut O, a: u32, b: u32) -> bool {
+        o.fgt(a, b)
+    }
+    #[inline(always)]
+    fn stored<O: Ops>(o: &O, v: u32) -> u32 {
+        o.fstored(v)
+    }
+}
 
-        // Tasklet 0 stages the shared Q-table into WRAM; the others
-        // arrive at a barrier (charged as control slots).
-        if self.tasklet_id == 0 {
-            ctx.mram_to_wram(Q_TABLE_OFFSET, self.map.q, self.map.q_dma_bytes())?;
+// The native INT32 ops charge one ALU slot each, like
+// `DpuContext::iadd`, `isub` and `igt`.
+impl Dtype for Int32 {
+    #[inline(always)]
+    fn add<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 {
+        o.alu(1);
+        a.wrapping_add(b)
+    }
+    #[inline(always)]
+    fn sub<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 {
+        o.alu(1);
+        a.wrapping_sub(b)
+    }
+    #[inline(always)]
+    fn mul<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 {
+        let wide = o.mul_wide(a as i32, b as i32);
+        o.descale(wide) as i32 as u32
+    }
+    /// Native compares; the last maximum wins on value ties, which is
+    /// value-identical to any tie choice.
+    #[inline(always)]
+    fn max<O: Ops>(o: &mut O, best: u32, v: u32) -> u32 {
+        if Self::gt(o, v, best) {
+            v
         } else {
-            ctx.charge_control(2); // barrier wait
+            best
         }
+    }
+    #[inline(always)]
+    fn gt<O: Ops>(o: &mut O, a: u32, b: u32) -> bool {
+        o.alu(1);
+        a as i32 > b as i32
+    }
+    #[inline(always)]
+    fn stored<O: Ops>(_: &O, v: u32) -> u32 {
+        v
+    }
+}
 
-        // SARSA's ε-greedy policy stream persists across the launch's
-        // episodes, seeded like the host reference trainer (decorrelated
-        // per tasklet beyond tasklet 0).
-        let mut policy_state = (hdr.seed ^ 0x5A85_AA11)
-            .wrapping_add((self.tasklet_id as u32).wrapping_mul(0x9E37_79B9));
+/// Header-derived parameters of the update rules.
+struct Params {
+    na: u32,
+    alpha: u32,
+    gamma: u32,
+    epsilon_threshold: u32,
+}
 
-        let n = self.range.len();
-        for ep in 0..hdr.episodes {
-            ctx.charge_control(2); // episode loop bookkeeping + barrier
-            if n == 0 {
-                continue;
+/// One tasklet's launch on machine `m`, after the header load: the
+/// Q-table stage, each episode's walk over the tasklet's `n` records with
+/// the update rule (Q-learning, or SARSA when `SARSA`) in the data type
+/// `D`, and the write-back.
+#[inline(always)]
+fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(
+    m: &mut M,
+    hdr: &KernelHeader,
+    t: usize,
+    tasklets: usize,
+    n: usize,
+) -> Result<(), M::Err> {
+    // Tasklet 0 stages the shared Q-table into WRAM; the others
+    // arrive at a barrier (charged as control slots).
+    if t == 0 {
+        m.stage_table()?;
+    } else {
+        m.ops().control(2); // barrier wait
+    }
+    let p = Params {
+        na: hdr.num_actions,
+        alpha: hdr.alpha,
+        gamma: hdr.gamma,
+        epsilon_threshold: hdr.epsilon_threshold,
+    };
+
+    // SARSA's ε-greedy policy stream persists across the launch's
+    // episodes, seeded like the host reference trainer (decorrelated
+    // per tasklet beyond tasklet 0).
+    let mut policy_state =
+        (hdr.seed ^ 0x5A85_AA11).wrapping_add((t as u32).wrapping_mul(0x9E37_79B9));
+
+    for ep in 0..hdr.episodes {
+        m.ops().control(2); // episode loop bookkeeping + barrier
+        if n == 0 {
+            continue;
+        }
+        let ep_seed = episode_seed(hdr.seed, hdr.episode_base + ep).wrapping_add(t as u32);
+        match m.walk()? {
+            Walk::Seq => {
+                m.walk_seq(n, |m, rec| update::<M, D, SARSA>(m, &p, rec, &mut policy_state))?;
             }
-            let ep_seed = episode_seed(hdr.seed, hdr.episode_base + ep)
-                .wrapping_add(self.tasklet_id as u32);
-            self.run_episode(ctx, ep_seed, &mut policy_state)?;
-        }
-
-        // The last tasklet publishes the updated table for the host
-        // gather and advances the header's episode window so the next
-        // launch continues where this one stopped (no host-side header
-        // re-arm between rounds).
-        if self.tasklet_id + 1 == self.tasklets {
-            ctx.wram_to_mram(self.map.q, Q_TABLE_OFFSET, self.map.q_dma_bytes())?;
-            let mut next_hdr = *hdr;
-            next_hdr.episode_base = hdr.episode_base.wrapping_add(hdr.episodes);
-            let mut hdr_out = [0u8; HEADER_BYTES];
-            next_hdr.encode_into(&mut hdr_out);
-            ctx.mram_write(0, &hdr_out)?;
-            ctx.charge_alu(2);
-        }
-        Ok(())
-    }
-
-    /// WRAM offset of this tasklet's private transition staging buffer.
-    #[inline(always)]
-    fn batch_off(&self) -> usize {
-        self.map.batch + self.tasklet_id * SEQ_BATCH * RECORD_BYTES
-    }
-
-    /// MRAM offset of record `i` of this tasklet's sub-range.
-    #[inline(always)]
-    fn record_off(&self, i: usize) -> usize {
-        self.hdr.transition_offset(self.range.start + i)
-    }
-
-    #[inline(always)]
-    fn run_episode(
-        &self,
-        ctx: &mut DpuContext<'_>,
-        ep_seed: u32,
-        policy_state: &mut u32,
-    ) -> Result<(), KernelError> {
-        let n = self.range.len();
-        let batch = self.batch_off();
-        match self.hdr.sampling {
-            sampling_kind::SEQ => {
-                // Stream the chunk in batches.
-                let mut fetched_base = usize::MAX;
-                for i in 0..n {
-                    let batch_base = i - (i % SEQ_BATCH);
-                    if batch_base != fetched_base {
-                        let count = SEQ_BATCH.min(n - batch_base);
-                        ctx.mram_to_wram(
-                            self.record_off(batch_base),
-                            batch,
-                            count * RECORD_BYTES,
-                        )?;
-                        fetched_base = batch_base;
-                    }
-                    let rec = self.read_record(ctx, batch + (i - batch_base) * RECORD_BYTES)?;
-                    self.apply_update(ctx, &rec, policy_state)?;
-                }
-            }
-            sampling_kind::STR => {
-                // The stride walk of SamplingStrategy::Stride, index by
-                // index; each record needs its own DMA.
-                let k = self.hdr.stride as usize;
-                if k == 0 {
-                    return Err(KernelError::Fault("stride must be positive".into()));
-                }
+            Walk::Stride(k) => {
+                // Index by index; each record needs its own DMA.
                 let mut cursor = 0usize;
                 let mut offset = 0usize;
                 for _ in 0..n {
@@ -345,297 +571,329 @@ impl KernelBody {
                         offset += 1;
                         cursor = offset;
                     }
-                    ctx.charge_alu(3); // stride bookkeeping
-                    ctx.mram_to_wram(self.record_off(i), batch, RECORD_BYTES)?;
-                    let rec = self.read_record(ctx, batch)?;
-                    self.apply_update(ctx, &rec, policy_state)?;
+                    m.ops().alu(3); // stride bookkeeping
+                    let rec = m.fetch(i)?;
+                    update::<M, D, SARSA>(m, &p, &rec, &mut policy_state)?;
                 }
             }
-            sampling_kind::RAN => {
+            Walk::Random => {
                 // Uniform draws with the in-kernel LCG, matching the host
                 // SampleIndices stream for the same seed.
                 let mut sample_state = ep_seed;
                 for _ in 0..n {
-                    let i = ctx.lcg_below(&mut sample_state, n as u32) as usize;
-                    ctx.mram_to_wram(self.record_off(i), batch, RECORD_BYTES)?;
-                    let rec = self.read_record(ctx, batch)?;
-                    self.apply_update(ctx, &rec, policy_state)?;
+                    let i = m.ops().lcg_below(&mut sample_state, n as u32) as usize;
+                    let rec = m.fetch(i)?;
+                    update::<M, D, SARSA>(m, &p, &rec, &mut policy_state)?;
                 }
             }
-            other => {
-                return Err(KernelError::Fault(format!(
-                    "unknown sampling kind {other}"
-                )));
-            }
         }
-        Ok(())
     }
 
-    /// Reads and validates one staged record from WRAM.
-    #[inline(always)]
-    fn read_record(&self, ctx: &mut DpuContext<'_>, wram_off: usize) -> Result<Record, KernelError> {
-        let mut words = [0u32; RECORD_BYTES / 4];
-        ctx.wram_read_words(wram_off, &mut words)?;
-        let [state, action_word, reward_raw, next_state] = words;
-        // Unpack the terminal flag from bit 31 of the action word.
-        let done = action_word & DONE_BIT != 0;
-        let action = action_word & !DONE_BIT;
-        ctx.charge_alu(2);
-        let rec = Record {
-            state,
-            action,
-            reward_raw,
-            next_state,
-            done,
+    // The last tasklet publishes the updated table for the host gather
+    // and advances the header's episode window.
+    if t + 1 == tasklets {
+        m.publish_table()?;
+        m.ops().alu(2);
+    }
+    Ok(())
+}
+
+/// One Q-update of record `rec`: the TD target from the next state's
+/// best value (Q-learning) or from the ε-greedy next action's value
+/// (SARSA), then `Q(s, a) += α (target − Q(s, a))`.
+#[inline(always)]
+fn update<M: Machine, D: Dtype, const SARSA: bool>(
+    m: &mut M,
+    p: &Params,
+    rec: &Record,
+    policy_state: &mut u32,
+) -> Result<(), M::Err> {
+    m.ops().alu(2); // unpack the record's terminal flag
+    m.ops().control(2); // update-call overhead + terminal-flag branch
+    let target = if rec.done {
+        rec.reward_raw
+    } else {
+        let q_next = if SARSA {
+            let a_next = epsilon_greedy::<M, D>(m, p, rec.next_state, policy_state)?;
+            m.ops().alu(2);
+            m.load(rec.next_state, a_next)?
+        } else {
+            // Two for the row base address, one per further action.
+            m.ops().alu(1 + u64::from(p.na));
+            m.fold_row(rec.next_state, |v| v, |o, best, _, v| D::max(o, best, v))?
         };
+        let o = m.ops();
+        let discounted = D::mul(o, p.gamma, q_next);
+        D::add(o, rec.reward_raw, discounted)
+    };
+    m.ops().alu(2);
+    m.update_entry(rec.state, rec.action, |o, old| {
+        let diff = D::sub(o, target, old);
+        let delta = D::mul(o, p.alpha, diff);
+        let new = D::add(o, old, delta);
+        D::stored(o, new)
+    })
+}
+
+/// ε-greedy a' over the Q-table, bit-identical to the host's
+/// `epsilon_greedy` (integer threshold draw, then either a uniform action
+/// or a first-max argmax).
+#[inline(always)]
+fn epsilon_greedy<M: Machine, D: Dtype>(
+    m: &mut M,
+    p: &Params,
+    state: u32,
+    policy_state: &mut u32,
+) -> Result<u32, M::Err> {
+    let o = m.ops();
+    let draw = o.lcg_next(policy_state);
+    o.alu(1);
+    if draw < p.epsilon_threshold {
+        return Ok(o.lcg_below(policy_state, p.na));
+    }
+    o.alu(1 + u64::from(p.na));
+    let (best_a, _) = m.fold_row(
+        state,
+        |v| (0, v),
+        |o, (best_a, best_v), a, v| {
+            if D::gt(o, v, best_v) {
+                (a, v)
+            } else {
+                (best_a, best_v)
+            }
+        },
+    )?;
+    Ok(best_a)
+}
+
+// ---- The interpreter ------------------------------------------------------
+
+/// The interpreter's [`Machine`]: one tasklet of a launch, through the
+/// DPU context's intrinsics, with its arithmetic in the mode `A`.
+struct Interp<'c, 'a, A> {
+    ctx: &'c mut DpuContext<'a>,
+    hdr: KernelHeader,
+    map: WramMap,
+    /// Chunk index of the tasklet's first record.
+    start: usize,
+    /// WRAM offset of the tasklet's private staging window.
+    window: usize,
+    mode: PhantomData<A>,
+}
+
+impl<A: Arith> Interp<'_, '_, A> {
+    /// Loads and validates the record staged at WRAM offset `wram_off`.
+    #[inline(always)]
+    fn read_record(&mut self, wram_off: usize) -> Result<Record, Stop> {
+        let mut words = [0u32; RECORD_BYTES / 4];
+        self.ctx.wram_read_words(wram_off, &mut words)?;
+        let rec = Record::from_words(words);
         if !rec.fits(&self.hdr) {
-            return Err(KernelError::Fault(format!(
-                "record out of space: s={state} a={action} s'={next_state}"
-            )));
+            return Err(Stop::Kernel(KernelFault::RecordOutOfSpace {
+                state: rec.state,
+                action: rec.action,
+                next_state: rec.next_state,
+            }));
         }
         Ok(rec)
     }
 
-    /// Loads Q-row `state` from WRAM in [`ROW_CHUNK`]-word stack chunks
-    /// (one load per word) and calls `visit` with each action and its
-    /// word, in action order.
     #[inline(always)]
-    fn scan_row(
-        &self,
-        ctx: &mut DpuContext<'_>,
+    fn entry(&self, state: u32, action: u32) -> usize {
+        self.map.q_entry(self.hdr.num_actions, state, action)
+    }
+}
+
+impl<A: Arith> Ops for Interp<'_, '_, A> {
+    #[inline(always)]
+    fn alu(&mut self, n: u64) {
+        self.ctx.charge_alu(n);
+    }
+    #[inline(always)]
+    fn control(&mut self, n: u64) {
+        self.ctx.charge_control(n);
+    }
+    #[inline(always)]
+    fn fadd(&mut self, a: u32, b: u32) -> u32 {
+        self.ctx.fadd_in::<A>(F32(a), F32(b)).0
+    }
+    #[inline(always)]
+    fn fsub(&mut self, a: u32, b: u32) -> u32 {
+        self.ctx.fsub_in::<A>(F32(a), F32(b)).0
+    }
+    #[inline(always)]
+    fn fmul(&mut self, a: u32, b: u32) -> u32 {
+        self.ctx.fmul_in::<A>(F32(a), F32(b)).0
+    }
+    #[inline(always)]
+    fn fmax(&mut self, a: u32, b: u32) -> u32 {
+        self.ctx.fmax_in::<A>(F32(a), F32(b)).0
+    }
+    #[inline(always)]
+    fn fgt(&mut self, a: u32, b: u32) -> bool {
+        self.ctx.fgt_in::<A>(F32(a), F32(b))
+    }
+    /// The intrinsics' NaNs are already canonical.
+    #[inline(always)]
+    fn fstored(&self, bits: u32) -> u32 {
+        bits
+    }
+    #[inline(always)]
+    fn mul_wide(&mut self, a: i32, b: i32) -> i64 {
+        self.ctx.mul_wide_in::<A>(a, b)
+    }
+    #[inline(always)]
+    fn descale(&mut self, n: i64) -> i64 {
+        self.ctx.div_wide_in::<A>(n, self.hdr.scale as i32)
+    }
+    #[inline(always)]
+    fn lcg_next(&mut self, state: &mut u32) -> u32 {
+        self.ctx.lcg_next_in::<A>(state)
+    }
+    #[inline(always)]
+    fn lcg_below(&mut self, state: &mut u32, bound: u32) -> u32 {
+        self.ctx.lcg_below_in::<A>(state, bound)
+    }
+}
+
+impl<A: Arith> Machine for Interp<'_, '_, A> {
+    type Err = Stop;
+    type Ops = Self;
+
+    #[inline(always)]
+    fn ops(&mut self) -> &mut Self {
+        self
+    }
+
+    #[inline(always)]
+    fn stage_table(&mut self) -> Result<(), Stop> {
+        let map = self.map;
+        Ok(self.ctx.mram_to_wram(Q_TABLE_OFFSET, map.q, map.q_dma_bytes())?)
+    }
+
+    #[inline(always)]
+    fn publish_table(&mut self) -> Result<(), Stop> {
+        let map = self.map;
+        self.ctx.wram_to_mram(map.q, Q_TABLE_OFFSET, map.q_dma_bytes())?;
+        Ok(self.ctx.mram_write(0, &next_header(&self.hdr))?)
+    }
+
+    #[inline(always)]
+    fn walk(&mut self) -> Result<Walk, Stop> {
+        Ok(Walk::of(&self.hdr)?)
+    }
+
+    /// Each batch's DMA, then its records.
+    #[inline(always)]
+    fn walk_seq(
+        &mut self,
+        n: usize,
+        mut each: impl FnMut(&mut Self, &Record) -> Result<(), Stop>,
+    ) -> Result<(), Stop> {
+        for (first, count) in seq_batches(n) {
+            let from = self.hdr.transition_offset(self.start + first);
+            self.ctx.mram_to_wram(from, self.window, count * RECORD_BYTES)?;
+            for j in 0..count {
+                let rec = self.read_record(self.window + j * RECORD_BYTES)?;
+                each(self, &rec)?;
+            }
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn fetch(&mut self, i: usize) -> Result<Record, Stop> {
+        let from = self.hdr.transition_offset(self.start + i);
+        self.ctx.mram_to_wram(from, self.window, RECORD_BYTES)?;
+        self.read_record(self.window)
+    }
+
+    /// Loads the row in [`ROW_CHUNK`]-word stack chunks, one wide WRAM
+    /// load each.
+    #[inline(always)]
+    fn fold_row<T>(
+        &mut self,
         state: u32,
-        mut visit: impl FnMut(&mut DpuContext<'_>, u32, u32),
-    ) -> Result<(), KernelError> {
+        first: impl FnOnce(u32) -> T,
+        mut step: impl FnMut(&mut Self, T, u32, u32) -> T,
+    ) -> Result<T, Stop> {
         let na = self.hdr.num_actions;
-        let row = self.map.q_entry(na, state, 0);
+        let row = self.entry(state, 0);
         let mut chunk = [0u32; ROW_CHUNK];
-        let mut a = 0u32;
+        let words = &mut chunk[..na.min(ROW_CHUNK as u32) as usize];
+        self.ctx.wram_read_words(row, words)?;
+        let mut acc = first(words[0]);
+        for (a, &v) in (1u32..).zip(&words[1..]) {
+            acc = step(self, acc, a, v);
+        }
+        let mut a = words.len() as u32;
         while a < na {
             let words = &mut chunk[..(na - a).min(ROW_CHUNK as u32) as usize];
-            ctx.wram_read_words(row + a as usize * 4, words)?;
-            for &word in words.iter() {
-                visit(ctx, a, word);
+            self.ctx.wram_read_words(row + a as usize * 4, words)?;
+            for &v in words.iter() {
+                acc = step(self, acc, a, v);
                 a += 1;
             }
         }
-        Ok(())
+        Ok(acc)
     }
 
     #[inline(always)]
-    fn apply_update(
-        &self,
-        ctx: &mut DpuContext<'_>,
-        rec: &Record,
-        policy_state: &mut u32,
-    ) -> Result<(), KernelError> {
-        ctx.charge_control(1); // update-call overhead
+    fn load(&mut self, state: u32, action: u32) -> Result<u32, Stop> {
+        let entry = self.entry(state, action);
+        Ok(self.ctx.wram_read_u32(entry)?)
+    }
+
+    #[inline(always)]
+    fn update_entry(
+        &mut self,
+        state: u32,
+        action: u32,
+        f: impl FnOnce(&mut Self, u32) -> u32,
+    ) -> Result<(), Stop> {
+        let entry = self.entry(state, action);
+        let old = self.ctx.wram_read_u32(entry)?;
+        let new = f(self, old);
+        Ok(self.ctx.wram_write_u32(entry, new)?)
+    }
+}
+
+impl SwiftRlKernel {
+    /// One tasklet's interpreted launch in the arithmetic mode `A`, under
+    /// the kernel's update rule.
+    fn interpret<A: Arith>(&self, ctx: &mut DpuContext<'_>, hdr: KernelHeader) -> Result<(), Stop> {
         match (self.spec.algorithm, self.spec.dtype) {
-            (Algorithm::QLearning, DataType::Fp32) => self.q_update_fp32(ctx, rec),
-            (Algorithm::QLearning, DataType::Int32) => self.q_update_int32(ctx, rec),
-            (Algorithm::Sarsa, DataType::Fp32) => self.sarsa_update_fp32(ctx, rec, policy_state),
-            (Algorithm::Sarsa, DataType::Int32) => self.sarsa_update_int32(ctx, rec, policy_state),
+            (Algorithm::QLearning, DataType::Fp32) => self.interpret_rule::<A, Fp32, false>(ctx, hdr),
+            (Algorithm::QLearning, DataType::Int32) => {
+                self.interpret_rule::<A, Int32, false>(ctx, hdr)
+            }
+            (Algorithm::Sarsa, DataType::Fp32) => self.interpret_rule::<A, Fp32, true>(ctx, hdr),
+            (Algorithm::Sarsa, DataType::Int32) => self.interpret_rule::<A, Int32, true>(ctx, hdr),
         }
     }
 
-    // ---- FP32 updates ------------------------------------------------------
-
-    /// `max_a' Q(s', a')` with emulated comparisons.
-    #[inline(always)]
-    fn max_next_fp32(&self, ctx: &mut DpuContext<'_>, next_state: u32) -> Result<F32, KernelError> {
-        // Two for the row base address, one per further action.
-        ctx.charge_alu(1 + u64::from(self.hdr.num_actions));
-        let mut best = F32::ZERO;
-        self.scan_row(ctx, next_state, |ctx, a, word| {
-            best = if a == 0 { F32(word) } else { ctx.fmax(best, F32(word)) };
-        })?;
-        Ok(best)
-    }
-
-    #[inline(always)]
-    fn q_update_fp32(&self, ctx: &mut DpuContext<'_>, rec: &Record) -> Result<(), KernelError> {
-        let na = self.hdr.num_actions;
-        let alpha = F32(self.hdr.alpha);
-        let gamma = F32(self.hdr.gamma);
-        let reward = F32(rec.reward_raw);
-
-        ctx.charge_control(1); // terminal-flag branch
-        let target = if rec.done {
-            reward
-        } else {
-            let max_next = self.max_next_fp32(ctx, rec.next_state)?;
-            let discounted = ctx.fmul(gamma, max_next);
-            ctx.fadd(reward, discounted)
-        };
-        ctx.charge_alu(2);
-        let entry = self.map.q_entry(na, rec.state, rec.action);
-        let old = ctx.wram_read_f32(entry)?;
-        let delta = ctx.fsub(target, old);
-        let scaled = ctx.fmul(alpha, delta);
-        let new = ctx.fadd(old, scaled);
-        ctx.wram_write_f32(entry, new)?;
-        Ok(())
-    }
-
-    /// ε-greedy a' over the WRAM Q-table, bit-identical to the host's
-    /// `epsilon_greedy` (integer threshold draw, then either a uniform
-    /// action or a first-max argmax).
-    #[inline(always)]
-    fn epsilon_greedy_fp32(
+    /// [`Self::interpret`] for one update rule: one instance of the
+    /// kernel body.
+    fn interpret_rule<A: Arith, D: Dtype, const SARSA: bool>(
         &self,
         ctx: &mut DpuContext<'_>,
-        state: u32,
-        policy_state: &mut u32,
-    ) -> Result<u32, KernelError> {
-        let na = self.hdr.num_actions;
-        let draw = ctx.lcg_next(policy_state);
-        ctx.charge_alu(1);
-        if draw < self.hdr.epsilon_threshold {
-            return Ok(ctx.lcg_below(policy_state, na));
+        hdr: KernelHeader,
+    ) -> Result<(), Stop> {
+        if hdr.num_states == 0 || hdr.num_actions == 0 {
+            return Err(Stop::Kernel(KernelFault::EmptyShape));
         }
-        ctx.charge_alu(1 + u64::from(na));
-        let (mut best_a, mut best_v) = (0u32, F32::ZERO);
-        self.scan_row(ctx, state, |ctx, a, word| {
-            if a == 0 || ctx.fgt(F32(word), best_v) {
-                (best_a, best_v) = (a, F32(word));
-            }
-        })?;
-        Ok(best_a)
-    }
-
-    #[inline(always)]
-    fn sarsa_update_fp32(
-        &self,
-        ctx: &mut DpuContext<'_>,
-        rec: &Record,
-        policy_state: &mut u32,
-    ) -> Result<(), KernelError> {
-        let na = self.hdr.num_actions;
-        let alpha = F32(self.hdr.alpha);
-        let gamma = F32(self.hdr.gamma);
-        let reward = F32(rec.reward_raw);
-
-        ctx.charge_control(1); // terminal-flag branch
-        let target = if rec.done {
-            reward
-        } else {
-            let a_next = self.epsilon_greedy_fp32(ctx, rec.next_state, policy_state)?;
-            ctx.charge_alu(2);
-            let q_next = ctx.wram_read_f32(self.map.q_entry(na, rec.next_state, a_next))?;
-            let discounted = ctx.fmul(gamma, q_next);
-            ctx.fadd(reward, discounted)
+        let t = ctx.tasklet_id();
+        let range = tasklet_range(hdr.n_transitions as usize, self.tasklets, t);
+        let map = WramMap::new(&hdr);
+        let mut m = Interp {
+            ctx,
+            hdr,
+            map,
+            start: range.start,
+            window: map.batch + t * SEQ_BATCH * RECORD_BYTES,
+            mode: PhantomData::<A>,
         };
-        ctx.charge_alu(2);
-        let entry = self.map.q_entry(na, rec.state, rec.action);
-        let old = ctx.wram_read_f32(entry)?;
-        let delta = ctx.fsub(target, old);
-        let scaled = ctx.fmul(alpha, delta);
-        let new = ctx.fadd(old, scaled);
-        ctx.wram_write_f32(entry, new)?;
-        Ok(())
-    }
-
-    // ---- INT32 fixed-point updates -------------------------------------
-
-    /// `max_a' Q(s', a')` with native integer comparisons (last max wins
-    /// on value ties, which is value-identical to any tie choice).
-    #[inline(always)]
-    fn max_next_int32(&self, ctx: &mut DpuContext<'_>, next_state: u32) -> Result<i32, KernelError> {
-        ctx.charge_alu(1 + u64::from(self.hdr.num_actions));
-        let mut best = 0i32;
-        self.scan_row(ctx, next_state, |ctx, a, word| {
-            if a == 0 || ctx.igt(word as i32, best) {
-                best = word as i32;
-            }
-        })?;
-        Ok(best)
-    }
-
-    /// `(a * b) / scale` with the emulated wide multiply + divide, exactly
-    /// like `FixedScale::mul`.
-    #[inline(always)]
-    fn fixed_mul(&self, ctx: &mut DpuContext<'_>, a: i32, b: i32) -> i32 {
-        let wide = ctx.mul_wide(a, b);
-        ctx.div_wide(wide, self.hdr.scale as i32) as i32
-    }
-
-    #[inline(always)]
-    fn q_update_int32(&self, ctx: &mut DpuContext<'_>, rec: &Record) -> Result<(), KernelError> {
-        let na = self.hdr.num_actions;
-        let alpha_s = self.hdr.alpha as i32;
-        let gamma_s = self.hdr.gamma as i32;
-        let reward_s = rec.reward_raw as i32;
-
-        ctx.charge_control(1); // terminal-flag branch
-        let target = if rec.done {
-            reward_s
-        } else {
-            let max_next = self.max_next_int32(ctx, rec.next_state)?;
-            let discounted = self.fixed_mul(ctx, gamma_s, max_next);
-            ctx.iadd(reward_s, discounted)
-        };
-        ctx.charge_alu(2);
-        let entry = self.map.q_entry(na, rec.state, rec.action);
-        let old = ctx.wram_read_i32(entry)?;
-        let diff = ctx.isub(target, old);
-        let delta = self.fixed_mul(ctx, alpha_s, diff);
-        let new = ctx.iadd(old, delta);
-        ctx.wram_write_i32(entry, new)?;
-        Ok(())
-    }
-
-    #[inline(always)]
-    fn epsilon_greedy_int32(
-        &self,
-        ctx: &mut DpuContext<'_>,
-        state: u32,
-        policy_state: &mut u32,
-    ) -> Result<u32, KernelError> {
-        let na = self.hdr.num_actions;
-        let draw = ctx.lcg_next(policy_state);
-        ctx.charge_alu(1);
-        if draw < self.hdr.epsilon_threshold {
-            return Ok(ctx.lcg_below(policy_state, na));
-        }
-        ctx.charge_alu(1 + u64::from(na));
-        let (mut best_a, mut best_v) = (0u32, 0i32);
-        self.scan_row(ctx, state, |ctx, a, word| {
-            if a == 0 || ctx.igt(word as i32, best_v) {
-                (best_a, best_v) = (a, word as i32);
-            }
-        })?;
-        Ok(best_a)
-    }
-
-    #[inline(always)]
-    fn sarsa_update_int32(
-        &self,
-        ctx: &mut DpuContext<'_>,
-        rec: &Record,
-        policy_state: &mut u32,
-    ) -> Result<(), KernelError> {
-        let na = self.hdr.num_actions;
-        let alpha_s = self.hdr.alpha as i32;
-        let gamma_s = self.hdr.gamma as i32;
-        let reward_s = rec.reward_raw as i32;
-
-        ctx.charge_control(1); // terminal-flag branch
-        let target = if rec.done {
-            reward_s
-        } else {
-            let a_next = self.epsilon_greedy_int32(ctx, rec.next_state, policy_state)?;
-            ctx.charge_alu(2);
-            let q_next = ctx.wram_read_i32(self.map.q_entry(na, rec.next_state, a_next))?;
-            let discounted = self.fixed_mul(ctx, gamma_s, q_next);
-            ctx.iadd(reward_s, discounted)
-        };
-        ctx.charge_alu(2);
-        let entry = self.map.q_entry(na, rec.state, rec.action);
-        let old = ctx.wram_read_i32(entry)?;
-        let diff = ctx.isub(target, old);
-        let delta = self.fixed_mul(ctx, alpha_s, diff);
-        let new = ctx.iadd(old, delta);
-        ctx.wram_write_i32(entry, new)?;
-        Ok(())
+        tasklet::<_, D, SARSA>(&mut m, &hdr, t, self.tasklets, range.len())
     }
 }
 
@@ -643,490 +901,297 @@ impl KernelBody {
 //
 // Under `ExecTier::Batched` the executor offers the whole launch to the
 // kernel as one host-native sweep per DPU instead of interpreting it one
-// charged intrinsic at a time per tasklet. Values are computed with the
-// same `swiftrl_pim::fastpath` bit-exact routines the fast tier uses
-// (FP32 add, subtract and multiply as host ops whose NaNs are
-// canonicalized at the store, see `Em::fadd`), so Q-tables stay
-// bit-identical; charges are deposited per tasklet as
-// *aggregates* — loop-trip counts multiplied by the pinned per-intrinsic
-// slot costs under calibrated charging, or summed data-dependent tallies
-// (plus the per-call FP overhead) under tally charging. The parity suite
-// (`tests/fastpath_parity.rs`, `tests/engine_determinism.rs`) proves both
-// the bytes and the cycle accounting identical to the per-intrinsic
-// tiers; any launch this sweep cannot reproduce exactly is declined
-// (`Ok(false)`), which falls back to the canonical interpreter.
+// charged intrinsic at a time per tasklet. The sweep runs the same kernel
+// body on the `Sweep` machine, over the Q-table image and the records
+// where they lie in the bank. Values are computed with the same
+// `swiftrl_pim::fastpath` bit-exact routines the fast tier uses (FP32
+// add, subtract and multiply as host ops whose NaNs are canonicalized at
+// the store, see `Em::fadd`), so Q-tables stay bit-identical; charges
+// are summed per tasklet in registers and deposited once. The parity
+// suite (`tests/fastpath_parity.rs`, `tests/engine_determinism.rs`)
+// proves both the bytes and the cycle accounting identical to the
+// per-intrinsic tiers; any launch this sweep cannot reproduce exactly is
+// declined (`Ok(false)`), which falls back to the canonical interpreter.
 
-use swiftrl_pim::config::{CostModel, EmulationCharging, OpCosts};
-use swiftrl_pim::cost::CycleCounter;
-use swiftrl_pim::emul::Lcg32;
-use swiftrl_pim::fastpath;
-
-/// Aggregate charge accumulator for one tasklet of a fused launch.
-///
-/// Mirrors every charging intrinsic of `DpuContext`, but instead of
-/// touching a cycle counter per operation it counts operations by charge
-/// class (`TALLY = false`, calibrated charging: the closed form is
-/// `count × slots` per class) or sums the exact data-dependent fastpath
-/// tallies (`TALLY = true`). `flush_into` deposits the totals.
+/// Aggregate charge accumulator for one tasklet of a fused launch: the
+/// sweep's [`Ops`]. It sums native charges and exact data-dependent
+/// fastpath tallies (`TALLY = true`, FP ops plus the runtime library's
+/// call overhead) in registers, and under calibrated charging counts the
+/// emulated ops by kind, to be multiplied by their costs once
+/// (`flush_into`).
 struct Em<'a, const TALLY: bool> {
     ops: &'a OpCosts,
-    alu: u64,
-    control: u64,
-    wram: u64,
-    /// Calibrated-mode loop-trip counts per op kind.
-    n_fadd: u64,
-    n_fmul: u64,
-    n_fcmp: u64,
-    n_mul32: u64,
-    n_mul64: u64,
-    n_div64: u64,
-    /// Tally-mode slot sums (FP sums include the per-call overhead).
-    int_slots: u64,
-    float_slots: u64,
+    /// The launch-constant fixed-point scale, as a reciprocal.
+    scale: fastpath::Reciprocal,
+    sum: CycleCounter,
+    /// Calibrated-mode op counts, indexed by [`kind`].
+    n: [u64; 6],
 }
 
-impl<'a, const TALLY: bool> Em<'a, TALLY> {
-    fn new(ops: &'a OpCosts) -> Self {
-        Self {
-            ops,
-            alu: 0,
-            control: 0,
-            wram: 0,
-            n_fadd: 0,
-            n_fmul: 0,
-            n_fcmp: 0,
-            n_mul32: 0,
-            n_mul64: 0,
-            n_div64: 0,
-            int_slots: 0,
-            float_slots: 0,
+/// The kinds of emulated op by calibrated cost, as indices of `Em::n`.
+mod kind {
+    /// FP32 add and subtract.
+    pub const FADD: usize = 0;
+    pub const FMUL: usize = 1;
+    /// FP32 compare and max.
+    pub const FCMP: usize = 2;
+    pub const MUL32: usize = 3;
+    pub const MUL64: usize = 4;
+    pub const DIV64: usize = 5;
+}
+
+impl<const TALLY: bool> Em<'_, TALLY> {
+    /// Charges an emulated integer op: one more of kind `k`, or its tally.
+    #[inline(always)]
+    fn int(&mut self, k: usize, tally: impl FnOnce() -> u64) {
+        if TALLY {
+            self.sum.int_emul_slots += tally();
+        } else {
+            self.n[k] += 1;
         }
     }
 
-    #[inline]
+    /// Charges an emulated float op: one more of kind `k`, or its tally
+    /// plus the call overhead.
+    #[inline(always)]
+    fn float(&mut self, k: usize, tally: impl FnOnce() -> u64) {
+        if TALLY {
+            self.sum.float_emul_slots += tally() + self.ops.fp_call_overhead_slots;
+        } else {
+            self.n[k] += 1;
+        }
+    }
+
+    /// Deposits the aggregate charges into a tasklet's cycle counter.
+    fn flush_into(&self, counter: &mut CycleCounter) {
+        let [fadd, fmul, fcmp, mul32, mul64, div64] = self.n;
+        let o = self.ops;
+        counter.merge(&self.sum);
+        counter.float_emul_slots += fadd * o.fadd_slots + fmul * o.fmul_slots + fcmp * o.fcmp_slots;
+        counter.int_emul_slots += mul32 * o.mul32_slots + mul64 * o.mul64_slots + div64 * o.div64_slots;
+    }
+}
+
+impl<const TALLY: bool> Ops for Em<'_, TALLY> {
+    #[inline(always)]
     fn alu(&mut self, n: u64) {
-        self.alu += n;
+        self.sum.alu_slots += n;
     }
 
-    #[inline]
+    #[inline(always)]
     fn control(&mut self, n: u64) {
-        self.control += n;
-    }
-
-    #[inline]
-    fn wram(&mut self, n: u64) {
-        self.wram += n;
+        self.sum.control_slots += n;
     }
 
     /// FP32 add. Unlike `fastpath::f32_add`, and like `fsub` and `fmul`,
     /// the result keeps the host's NaN encoding: within an update every
     /// such result feeds further adds and multiplies until the update
     /// stores it, and a NaN in is a NaN out, so only the stored value is
-    /// canonicalized (`fastpath::f32_canonical`). The tallies classify a
-    /// NaN operand whatever its encoding.
-    #[inline]
+    /// canonicalized (`fstored`). The tallies classify a NaN operand
+    /// whatever its encoding.
+    #[inline(always)]
     fn fadd(&mut self, a: u32, b: u32) -> u32 {
-        if TALLY {
-            self.float_slots += fastpath::f32_add_tally(a, b) + self.ops.fp_call_overhead_slots;
-        } else {
-            self.n_fadd += 1;
-        }
+        self.float(kind::FADD, || fastpath::f32_add_tally(a, b));
         (f32::from_bits(a) + f32::from_bits(b)).to_bits()
     }
 
-    #[inline]
+    /// FP32 subtract, charged at the add cost like `DpuContext::fsub`.
+    #[inline(always)]
     fn fsub(&mut self, a: u32, b: u32) -> u32 {
-        if TALLY {
-            self.float_slots += fastpath::f32_sub_tally(a, b) + self.ops.fp_call_overhead_slots;
-        } else {
-            // Charged at the add cost, exactly like `DpuContext::fsub`.
-            self.n_fadd += 1;
-        }
+        self.float(kind::FADD, || fastpath::f32_sub_tally(a, b));
         (f32::from_bits(a) - f32::from_bits(b)).to_bits()
     }
 
-    #[inline]
+    #[inline(always)]
     fn fmul(&mut self, a: u32, b: u32) -> u32 {
-        if TALLY {
-            self.float_slots += fastpath::f32_mul_tally(a, b) + self.ops.fp_call_overhead_slots;
-        } else {
-            self.n_fmul += 1;
-        }
+        self.float(kind::FMUL, || fastpath::f32_mul_tally(a, b));
         (f32::from_bits(a) * f32::from_bits(b)).to_bits()
     }
 
-    #[inline]
+    #[inline(always)]
     fn fmax(&mut self, a: u32, b: u32) -> u32 {
-        if TALLY {
-            self.float_slots += fastpath::f32_max_tally(a, b) + self.ops.fp_call_overhead_slots;
-        } else {
-            self.n_fcmp += 1;
-        }
+        self.float(kind::FCMP, || fastpath::f32_max_tally(a, b));
         fastpath::f32_max(a, b)
     }
 
-    #[inline]
+    #[inline(always)]
     fn fgt(&mut self, a: u32, b: u32) -> bool {
-        if TALLY {
-            self.float_slots += fastpath::f32_cmp_tally(a, b) + self.ops.fp_call_overhead_slots;
-        } else {
-            self.n_fcmp += 1;
-        }
+        self.float(kind::FCMP, || fastpath::f32_cmp_tally(a, b));
         fastpath::f32_gt(a, b)
     }
 
-    #[inline]
-    fn iadd(&mut self, a: i32, b: i32) -> i32 {
-        self.alu += 1;
-        a.wrapping_add(b)
+    #[inline(always)]
+    fn fstored(&self, bits: u32) -> u32 {
+        fastpath::f32_canonical(bits)
     }
 
-    #[inline]
-    fn isub(&mut self, a: i32, b: i32) -> i32 {
-        self.alu += 1;
-        a.wrapping_sub(b)
-    }
-
-    #[inline]
-    fn igt(&mut self, a: i32, b: i32) -> bool {
-        self.alu += 1;
-        a > b
-    }
-
-    #[inline]
+    #[inline(always)]
     fn mul_wide(&mut self, a: i32, b: i32) -> i64 {
-        if TALLY {
-            self.int_slots += fastpath::imul32_wide_tally(a, b);
-        } else {
-            self.n_mul64 += 1;
-        }
+        self.int(kind::MUL64, || fastpath::imul32_wide_tally(a, b));
         fastpath::imul32_wide(a, b)
     }
 
-    #[inline]
-    fn div_wide(&mut self, n: i64, d: &fastpath::Reciprocal) -> i64 {
-        if TALLY {
-            self.int_slots += fastpath::idiv64_tally(n, d.divisor());
-        } else {
-            self.n_div64 += 1;
-        }
+    #[inline(always)]
+    fn descale(&mut self, n: i64) -> i64 {
+        let d = self.scale;
+        self.int(kind::DIV64, || fastpath::idiv64_tally(n, d.divisor()));
         d.idiv64(n)
     }
 
     /// LCG advance: one mul32-class emulated multiply + one native add,
     /// exactly like `DpuContext::lcg_next`.
-    #[inline]
+    #[inline(always)]
     fn lcg_next(&mut self, state: &mut u32) -> u32 {
-        if TALLY {
-            self.int_slots += fastpath::umul32_wide_tally(*state, Lcg32::MULTIPLIER);
-        } else {
-            self.n_mul32 += 1;
-        }
-        let m = fastpath::umul32_wide(*state, Lcg32::MULTIPLIER) as u32;
-        self.alu += 1;
-        *state = m.wrapping_add(Lcg32::INCREMENT);
+        let s = *state;
+        self.int(kind::MUL32, || fastpath::umul32_wide_tally(s, Lcg32::MULTIPLIER));
+        self.alu(1);
+        *state = (fastpath::umul32_wide(s, Lcg32::MULTIPLIER) as u32).wrapping_add(Lcg32::INCREMENT);
         *state
     }
 
     /// Uniform draw in `[0, bound)`: `lcg_next` plus one mul64-class
     /// emulated wide multiply, exactly like `DpuContext::lcg_below`.
-    #[inline]
+    #[inline(always)]
     fn lcg_below(&mut self, state: &mut u32, bound: u32) -> u32 {
         let raw = self.lcg_next(state);
-        if TALLY {
-            self.int_slots += fastpath::umul32_wide_tally(raw, bound);
-        } else {
-            self.n_mul64 += 1;
-        }
-        self.alu += 1;
-        let wide = fastpath::umul32_wide(raw, bound);
-        (wide >> 32) as u32
-    }
-
-    /// Deposits the aggregate charges into a tasklet's cycle counter.
-    fn flush_into(&self, counter: &mut CycleCounter) {
-        counter.alu_slots += self.alu;
-        counter.control_slots += self.control;
-        counter.wram_slots += self.wram;
-        if TALLY {
-            counter.int_emul_slots += self.int_slots;
-            counter.float_emul_slots += self.float_slots;
-        } else {
-            counter.int_emul_slots += self.n_mul32 * self.ops.mul32_slots
-                + self.n_mul64 * self.ops.mul64_slots
-                + self.n_div64 * self.ops.div64_slots;
-            counter.float_emul_slots += self.n_fadd * self.ops.fadd_slots
-                + self.n_fmul * self.ops.fmul_slots
-                + self.n_fcmp * self.ops.fcmp_slots;
-        }
+        self.int(kind::MUL64, || fastpath::umul32_wide_tally(raw, bound));
+        self.alu(1);
+        (fastpath::umul32_wide(raw, bound) >> 32) as u32
     }
 }
 
-/// Little-endian `u32` word view of a Q-table image in bank bytes: the
-/// fused sweep reads and writes table words where they lie, with no
-/// decode or encode pass, and walks a whole row behind one range check.
-struct LeWords<'a> {
-    words: &'a mut [[u8; 4]],
-    /// Words per row (the action count).
+/// DMA cycle costs of one fused launch, hoisted per transfer length.
+#[derive(Debug, Clone, Copy)]
+struct DmaCycles {
+    header: u64,
+    table: u64,
+    record: u64,
+    batch: u64,
+}
+
+/// The fused sweep's [`Machine`]: one tasklet of a launch. It reads and
+/// writes Q-table words where they lie in the bank, little-endian, with
+/// no decode or encode pass, and walks a whole row behind one range check.
+struct Sweep<'s, 'c, const TALLY: bool> {
+    em: Em<'c, TALLY>,
+    /// The Q-table image's words, pad bytes included.
+    q: &'s mut [[u8; 4]],
+    /// Words per Q-row (the action count).
     na: usize,
+    /// The tasklet's records, validated and still encoded.
+    records: &'s [[u8; RECORD_BYTES]],
+    walk: Walk,
+    cost: &'c CostModel,
+    dma: DmaCycles,
 }
 
-impl LeWords<'_> {
-    /// The row of `state`'s action values.
+impl<const TALLY: bool> Sweep<'_, '_, TALLY> {
+    /// The record read: four WRAM words.
     #[inline(always)]
-    fn row(&self, state: u32) -> &[[u8; 4]] {
-        let start = state as usize * self.na;
-        &self.words[start..start + self.na]
+    fn read(&mut self, raw: &[u8; RECORD_BYTES]) -> Record {
+        self.em.sum.wram_slots += 4;
+        Record::decode(raw)
     }
 
-    /// The word of `(state, action)`, for a read-modify-write.
     #[inline(always)]
     fn entry(&mut self, state: u32, action: u32) -> &mut [u8; 4] {
-        &mut self.words[state as usize * self.na + action as usize]
+        &mut self.q[state as usize * self.na + action as usize]
     }
 }
 
-/// The four update rules, as the `RULE` const parameter of
-/// `fused_sweep`: each rule gets its own sweep loop, with no per-record
-/// dispatch and register allocation for that rule alone.
-mod rule {
-    pub const Q_FP32: u8 = 0;
-    pub const Q_INT32: u8 = 1;
-    pub const SARSA_FP32: u8 = 2;
-    pub const SARSA_INT32: u8 = 3;
-}
+impl<'c, const TALLY: bool> Machine for Sweep<'_, 'c, TALLY> {
+    type Err = Infallible;
+    type Ops = Em<'c, TALLY>;
 
-/// Header-derived parameters of one fused launch, shared by all tasklets.
-struct FusedParams {
-    na: u32,
-    alpha: u32,
-    gamma: u32,
-    epsilon_threshold: u32,
-    /// The launch-constant fixed-point scale, as a reciprocal.
-    scale: fastpath::Reciprocal,
-}
-
-// Every `FusedParams` method is forced inline, so each `fused_sweep`
-// instance (one per `TALLY` and `RULE`) is one loop over the records with
-// the update rule and the `Em` charges in registers. `update` has three
-// call sites per instance (SEQ, STR, RAN), which keeps it out of line
-// under the heuristics, and a call per update spills the accumulators.
-impl FusedParams {
-    /// One Q-update on the shared table image: the record read, then
-    /// `apply_update` and the per-variant update routines charge for
-    /// charge. The record is decoded here, where it is used.
     #[inline(always)]
-    fn update<const TALLY: bool, const RULE: u8>(
-        &self,
-        em: &mut Em<'_, TALLY>,
-        q: &mut LeWords<'_>,
-        raw: &[u8; RECORD_BYTES],
-        policy_state: &mut u32,
-    ) {
-        // `read_record`: four WRAM words and the flag unpack.
-        em.wram(4);
-        em.alu(2);
-        let rec = Record::decode(raw);
-        em.control(1); // update-call overhead
-        match RULE {
-            rule::Q_FP32 => self.q_update_fp32(em, q, &rec),
-            rule::Q_INT32 => self.q_update_int32(em, q, &rec),
-            rule::SARSA_FP32 => self.sarsa_update_fp32(em, q, &rec, policy_state),
-            _ => self.sarsa_update_int32(em, q, &rec, policy_state), // rule::SARSA_INT32
+    fn ops(&mut self) -> &mut Self::Ops {
+        &mut self.em
+    }
+
+    #[inline(always)]
+    fn stage_table(&mut self) -> Result<(), Infallible> {
+        self.em.sum.charge_dma(self.q.len() as u64 * 4, self.dma.table);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn publish_table(&mut self) -> Result<(), Infallible> {
+        self.em.sum.charge_dma(self.q.len() as u64 * 4, self.dma.table);
+        self.em.sum.charge_dma(HEADER_BYTES as u64, self.dma.header);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn walk(&mut self) -> Result<Walk, Infallible> {
+        Ok(self.walk)
+    }
+
+    /// Every batch's DMA charge first, then one loop over the records:
+    /// the charges sum the same.
+    #[inline(always)]
+    fn walk_seq(
+        &mut self,
+        n: usize,
+        mut each: impl FnMut(&mut Self, &Record) -> Result<(), Infallible>,
+    ) -> Result<(), Infallible> {
+        for (_, count) in seq_batches(n) {
+            let len = count * RECORD_BYTES;
+            let cycles = if count == SEQ_BATCH {
+                self.dma.batch
+            } else {
+                self.cost.dma_cycles(len)
+            };
+            self.em.sum.charge_dma(len as u64, cycles);
         }
+        let records = self.records;
+        for raw in records {
+            let rec = self.read(raw);
+            each(self, &rec)?;
+        }
+        Ok(())
     }
 
     #[inline(always)]
-    fn q_update_fp32<const TALLY: bool>(
-        &self,
-        em: &mut Em<'_, TALLY>,
-        q: &mut LeWords<'_>,
-        rec: &Record,
-    ) {
-        em.control(1); // terminal-flag branch
-        let target = if rec.done {
-            rec.reward_raw
-        } else {
-            // max_next_fp32
-            em.alu(2);
-            em.wram(1);
-            let row = q.row(rec.next_state);
-            let mut best = u32::from_le_bytes(row[0]);
-            for w in &row[1..] {
-                em.alu(1);
-                em.wram(1);
-                best = em.fmax(best, u32::from_le_bytes(*w));
-            }
-            let discounted = em.fmul(self.gamma, best);
-            em.fadd(rec.reward_raw, discounted)
-        };
-        em.alu(2);
-        em.wram(2);
-        let e = q.entry(rec.state, rec.action);
-        let old = u32::from_le_bytes(*e);
-        let delta = em.fsub(target, old);
-        let scaled = em.fmul(self.alpha, delta);
-        *e = fastpath::f32_canonical(em.fadd(old, scaled)).to_le_bytes();
+    fn fetch(&mut self, i: usize) -> Result<Record, Infallible> {
+        self.em.sum.charge_dma(RECORD_BYTES as u64, self.dma.record);
+        let records = self.records;
+        Ok(self.read(&records[i]))
     }
 
     #[inline(always)]
-    fn epsilon_greedy_fp32<const TALLY: bool>(
-        &self,
-        em: &mut Em<'_, TALLY>,
-        q: &LeWords<'_>,
+    fn fold_row<T>(
+        &mut self,
         state: u32,
-        policy_state: &mut u32,
-    ) -> u32 {
-        let draw = em.lcg_next(policy_state);
-        em.alu(1);
-        if draw < self.epsilon_threshold {
-            return em.lcg_below(policy_state, self.na);
+        first: impl FnOnce(u32) -> T,
+        mut step: impl FnMut(&mut Self::Ops, T, u32, u32) -> T,
+    ) -> Result<T, Infallible> {
+        let start = state as usize * self.na;
+        let row = &self.q[start..start + self.na];
+        self.em.sum.wram_slots += row.len() as u64;
+        let mut acc = first(u32::from_le_bytes(row[0]));
+        for (a, v) in (1u32..).zip(&row[1..]) {
+            acc = step(&mut self.em, acc, a, u32::from_le_bytes(*v));
         }
-        em.alu(2);
-        em.wram(1);
-        let row = q.row(state);
-        let mut best_a = 0u32;
-        let mut best_v = u32::from_le_bytes(row[0]);
-        for (a, w) in (1u32..).zip(&row[1..]) {
-            em.alu(1);
-            em.wram(1);
-            let v = u32::from_le_bytes(*w);
-            if em.fgt(v, best_v) {
-                best_v = v;
-                best_a = a;
-            }
-        }
-        best_a
+        Ok(acc)
     }
 
     #[inline(always)]
-    fn sarsa_update_fp32<const TALLY: bool>(
-        &self,
-        em: &mut Em<'_, TALLY>,
-        q: &mut LeWords<'_>,
-        rec: &Record,
-        policy_state: &mut u32,
-    ) {
-        em.control(1); // terminal-flag branch
-        let target = if rec.done {
-            rec.reward_raw
-        } else {
-            let a_next = self.epsilon_greedy_fp32(em, q, rec.next_state, policy_state);
-            em.alu(2);
-            em.wram(1);
-            let q_next = u32::from_le_bytes(*q.entry(rec.next_state, a_next));
-            let discounted = em.fmul(self.gamma, q_next);
-            em.fadd(rec.reward_raw, discounted)
-        };
-        em.alu(2);
-        em.wram(2);
-        let e = q.entry(rec.state, rec.action);
-        let old = u32::from_le_bytes(*e);
-        let delta = em.fsub(target, old);
-        let scaled = em.fmul(self.alpha, delta);
-        *e = fastpath::f32_canonical(em.fadd(old, scaled)).to_le_bytes();
-    }
-
-    /// `(a * b) / scale` with the emulated wide multiply + divide,
-    /// exactly like `KernelBody::fixed_mul`.
-    #[inline(always)]
-    fn fixed_mul<const TALLY: bool>(&self, em: &mut Em<'_, TALLY>, a: i32, b: i32) -> i32 {
-        let wide = em.mul_wide(a, b);
-        em.div_wide(wide, &self.scale) as i32
+    fn load(&mut self, state: u32, action: u32) -> Result<u32, Infallible> {
+        self.em.sum.wram_slots += 1;
+        Ok(u32::from_le_bytes(*self.entry(state, action)))
     }
 
     #[inline(always)]
-    fn q_update_int32<const TALLY: bool>(
-        &self,
-        em: &mut Em<'_, TALLY>,
-        q: &mut LeWords<'_>,
-        rec: &Record,
-    ) {
-        em.control(1); // terminal-flag branch
-        let target = if rec.done {
-            rec.reward_raw as i32
-        } else {
-            // max_next_int32
-            em.alu(2);
-            em.wram(1);
-            let row = q.row(rec.next_state);
-            let mut best = i32::from_le_bytes(row[0]);
-            for w in &row[1..] {
-                em.alu(1);
-                em.wram(1);
-                let v = i32::from_le_bytes(*w);
-                if em.igt(v, best) {
-                    best = v;
-                }
-            }
-            let discounted = self.fixed_mul(em, self.gamma as i32, best);
-            em.iadd(rec.reward_raw as i32, discounted)
-        };
-        em.alu(2);
-        em.wram(2);
-        let e = q.entry(rec.state, rec.action);
-        let old = i32::from_le_bytes(*e);
-        let diff = em.isub(target, old);
-        let delta = self.fixed_mul(em, self.alpha as i32, diff);
-        *e = em.iadd(old, delta).to_le_bytes();
-    }
-
-    #[inline(always)]
-    fn epsilon_greedy_int32<const TALLY: bool>(
-        &self,
-        em: &mut Em<'_, TALLY>,
-        q: &LeWords<'_>,
+    fn update_entry(
+        &mut self,
         state: u32,
-        policy_state: &mut u32,
-    ) -> u32 {
-        let draw = em.lcg_next(policy_state);
-        em.alu(1);
-        if draw < self.epsilon_threshold {
-            return em.lcg_below(policy_state, self.na);
-        }
-        em.alu(2);
-        em.wram(1);
-        let row = q.row(state);
-        let mut best_a = 0u32;
-        let mut best_v = i32::from_le_bytes(row[0]);
-        for (a, w) in (1u32..).zip(&row[1..]) {
-            em.alu(1);
-            em.wram(1);
-            let v = i32::from_le_bytes(*w);
-            if em.igt(v, best_v) {
-                best_v = v;
-                best_a = a;
-            }
-        }
-        best_a
-    }
-
-    #[inline(always)]
-    fn sarsa_update_int32<const TALLY: bool>(
-        &self,
-        em: &mut Em<'_, TALLY>,
-        q: &mut LeWords<'_>,
-        rec: &Record,
-        policy_state: &mut u32,
-    ) {
-        em.control(1); // terminal-flag branch
-        let target = if rec.done {
-            rec.reward_raw as i32
-        } else {
-            let a_next = self.epsilon_greedy_int32(em, q, rec.next_state, policy_state);
-            em.alu(2);
-            em.wram(1);
-            let q_next = i32::from_le_bytes(*q.entry(rec.next_state, a_next));
-            let discounted = self.fixed_mul(em, self.gamma as i32, q_next);
-            em.iadd(rec.reward_raw as i32, discounted)
-        };
-        em.alu(2);
-        em.wram(2);
-        let e = q.entry(rec.state, rec.action);
-        let old = i32::from_le_bytes(*e);
-        let diff = em.isub(target, old);
-        let delta = self.fixed_mul(em, self.alpha as i32, diff);
-        *e = em.iadd(old, delta).to_le_bytes();
+        action: u32,
+        f: impl FnOnce(&mut Self::Ops, u32) -> u32,
+    ) -> Result<(), Infallible> {
+        self.em.sum.wram_slots += 2;
+        let entry = &mut self.q[state as usize * self.na + action as usize];
+        *entry = f(&mut self.em, u32::from_le_bytes(*entry)).to_le_bytes();
+        Ok(())
     }
 }
 
@@ -1144,6 +1209,7 @@ impl SwiftRlKernel {
         cost: &CostModel,
         counters: &mut [CycleCounter],
         hdr: &KernelHeader,
+        walk: Walk,
         bytes: &mut [u8],
         q_dma_bytes: usize,
     ) -> bool {
@@ -1152,174 +1218,83 @@ impl SwiftRlKernel {
         if !records.iter().all(|raw| Record::decode(raw).fits(hdr)) {
             return false;
         }
-        let q = &mut LeWords {
-            words: image.as_chunks_mut::<4>().0,
-            na: hdr.num_actions as usize,
-        };
-        match (self.spec.algorithm, self.spec.dtype) {
-            (Algorithm::QLearning, DataType::Fp32) => {
-                self.sweep_rule::<{ rule::Q_FP32 }>(cost, counters, hdr, q, records)
+        let q = image.as_chunks_mut::<4>().0;
+        let tally = cost.emulation_charging == EmulationCharging::Tally;
+        let (c, h, w, r) = (counters, hdr, walk, records);
+        // One instance per update rule and charging mode.
+        match (self.spec.algorithm, self.spec.dtype, tally) {
+            (Algorithm::QLearning, DataType::Fp32, false) => {
+                self.fused_sweep::<false, Fp32, false>(cost, c, h, w, q, r)
             }
-            (Algorithm::QLearning, DataType::Int32) => {
-                self.sweep_rule::<{ rule::Q_INT32 }>(cost, counters, hdr, q, records)
+            (Algorithm::QLearning, DataType::Fp32, true) => {
+                self.fused_sweep::<true, Fp32, false>(cost, c, h, w, q, r)
             }
-            (Algorithm::Sarsa, DataType::Fp32) => {
-                self.sweep_rule::<{ rule::SARSA_FP32 }>(cost, counters, hdr, q, records)
+            (Algorithm::QLearning, DataType::Int32, false) => {
+                self.fused_sweep::<false, Int32, false>(cost, c, h, w, q, r)
             }
-            (Algorithm::Sarsa, DataType::Int32) => {
-                self.sweep_rule::<{ rule::SARSA_INT32 }>(cost, counters, hdr, q, records)
+            (Algorithm::QLearning, DataType::Int32, true) => {
+                self.fused_sweep::<true, Int32, false>(cost, c, h, w, q, r)
+            }
+            (Algorithm::Sarsa, DataType::Fp32, false) => {
+                self.fused_sweep::<false, Fp32, true>(cost, c, h, w, q, r)
+            }
+            (Algorithm::Sarsa, DataType::Fp32, true) => {
+                self.fused_sweep::<true, Fp32, true>(cost, c, h, w, q, r)
+            }
+            (Algorithm::Sarsa, DataType::Int32, false) => {
+                self.fused_sweep::<false, Int32, true>(cost, c, h, w, q, r)
+            }
+            (Algorithm::Sarsa, DataType::Int32, true) => {
+                self.fused_sweep::<true, Int32, true>(cost, c, h, w, q, r)
             }
         }
         true
     }
 
-    /// [`Self::fused_sweep`] for one rule in the cost model's charging
-    /// mode: the two instances of that rule's loop.
-    fn sweep_rule<const RULE: u8>(
-        &self,
-        cost: &CostModel,
-        counters: &mut [CycleCounter],
-        hdr: &KernelHeader,
-        q: &mut LeWords<'_>,
-        records: &[[u8; RECORD_BYTES]],
-    ) {
-        match cost.emulation_charging {
-            EmulationCharging::Tally => {
-                self.fused_sweep::<true, RULE>(cost, counters, hdr, q, records)
-            }
-            EmulationCharging::Calibrated => {
-                self.fused_sweep::<false, RULE>(cost, counters, hdr, q, records)
-            }
-        }
-    }
-
     /// The fused per-DPU sweep: every tasklet's episodes, in tasklet
     /// order (the per-intrinsic executor serializes tasklet bodies over
-    /// the shared WRAM Q-table), charging per-tasklet aggregates. `q`
-    /// spans the whole Q-table DMA image, pad bytes included; `records`
-    /// is the DPU's chunk, validated and still encoded.
-    fn fused_sweep<const TALLY: bool, const RULE: u8>(
+    /// the shared WRAM Q-table), charging per-tasklet aggregates.
+    fn fused_sweep<const TALLY: bool, D: Dtype, const SARSA: bool>(
         &self,
         cost: &CostModel,
         counters: &mut [CycleCounter],
         hdr: &KernelHeader,
-        q: &mut LeWords<'_>,
+        walk: Walk,
+        q: &mut [[u8; 4]],
         records: &[[u8; RECORD_BYTES]],
     ) {
-        let q_dma_bytes = q.words.len() * 4;
-        let p = FusedParams {
-            na: hdr.num_actions,
-            alpha: hdr.alpha,
-            gamma: hdr.gamma,
-            epsilon_threshold: hdr.epsilon_threshold,
-            // The preflight declines an INT32 launch with scale 0, and
-            // FP32 never descales, so 1 only stands in for an unused scale.
-            scale: fastpath::Reciprocal::new(hdr.scale.max(1) as i32),
+        // The preflight declines an INT32 launch with scale 0, and FP32
+        // never descales, so 1 only stands in for an unused scale.
+        let scale = fastpath::Reciprocal::new(hdr.scale.max(1) as i32);
+        let dma = DmaCycles {
+            header: cost.dma_cycles(HEADER_BYTES),
+            table: cost.dma_cycles(q.len() * 4),
+            record: cost.dma_cycles(RECORD_BYTES),
+            batch: cost.dma_cycles(SEQ_BATCH * RECORD_BYTES),
         };
-        // DMA cycle costs, hoisted per transfer length.
-        let c_hdr = cost.dma_cycles(HEADER_BYTES);
-        let c_rec = cost.dma_cycles(RECORD_BYTES);
-        let c_batch = cost.dma_cycles(SEQ_BATCH * RECORD_BYTES);
-        let c_q = cost.dma_cycles(q_dma_bytes);
-
         let n = hdr.n_transitions as usize;
-        let tasklets = self.tasklets;
-        for (t, counter) in counters[..tasklets].iter_mut().enumerate() {
-            // This tasklet's contiguous sub-range (as in `KernelBody::new`).
-            let base = n / tasklets;
-            let extra = n % tasklets;
-            let start = t * base + t.min(extra);
-            let rn = base + usize::from(t < extra);
-
-            let mut em = Em::<TALLY>::new(&cost.ops);
-            let mut dma_bytes = 0u64;
-            let mut dma_cycles = 0u64;
-
+        for (t, counter) in counters[..self.tasklets].iter_mut().enumerate() {
+            let range = tasklet_range(n, self.tasklets, t);
+            let rn = range.len();
+            let mut m = Sweep {
+                em: Em::<TALLY> {
+                    ops: &cost.ops,
+                    scale,
+                    sum: CycleCounter::new(),
+                    n: [0; 6],
+                },
+                q: &mut *q,
+                na: hdr.num_actions as usize,
+                records: &records[range],
+                walk,
+                cost,
+                dma,
+            };
             // Header load + field decodes.
-            dma_bytes += HEADER_BYTES as u64;
-            dma_cycles += c_hdr;
-            em.alu(13);
-
-            // Tasklet 0 stages the Q-table; the others hit the barrier.
-            if t == 0 {
-                dma_bytes += q_dma_bytes as u64;
-                dma_cycles += c_q;
-            } else {
-                em.control(2);
-            }
-
-            let mut policy_state = (hdr.seed ^ 0x5A85_AA11)
-                .wrapping_add((t as u32).wrapping_mul(0x9E37_79B9));
-
-            for ep in 0..hdr.episodes {
-                em.control(2); // episode loop bookkeeping + barrier
-                if rn == 0 {
-                    continue;
-                }
-                let ep_seed = episode_seed(hdr.seed, hdr.episode_base + ep)
-                    .wrapping_add(t as u32);
-                match hdr.sampling {
-                    sampling_kind::SEQ => {
-                        // Batched streaming: one DMA per 32-record window.
-                        let mut i = 0usize;
-                        while i < rn {
-                            let count = SEQ_BATCH.min(rn - i);
-                            let len = count * RECORD_BYTES;
-                            dma_bytes += len as u64;
-                            dma_cycles += if count == SEQ_BATCH {
-                                c_batch
-                            } else {
-                                cost.dma_cycles(len)
-                            };
-                            i += count;
-                        }
-                        for raw in &records[start..start + rn] {
-                            p.update::<TALLY, RULE>(&mut em, q, raw, &mut policy_state);
-                        }
-                    }
-                    sampling_kind::STR => {
-                        let k = hdr.stride as usize;
-                        let mut cursor = 0usize;
-                        let mut offset = 0usize;
-                        for _ in 0..rn {
-                            let i = cursor;
-                            cursor += k;
-                            if cursor >= rn {
-                                offset += 1;
-                                cursor = offset;
-                            }
-                            em.alu(3); // stride bookkeeping
-                            dma_bytes += RECORD_BYTES as u64;
-                            dma_cycles += c_rec;
-                            let raw = &records[start + i];
-                            p.update::<TALLY, RULE>(&mut em, q, raw, &mut policy_state);
-                        }
-                    }
-                    _ => {
-                        // RAN (preflight rejected every other kind).
-                        let mut sample_state = ep_seed;
-                        for _ in 0..rn {
-                            let i = em.lcg_below(&mut sample_state, rn as u32) as usize;
-                            dma_bytes += RECORD_BYTES as u64;
-                            dma_cycles += c_rec;
-                            let raw = &records[start + i];
-                            p.update::<TALLY, RULE>(&mut em, q, raw, &mut policy_state);
-                        }
-                    }
-                }
-            }
-
-            // The last tasklet publishes the table and re-arms the header.
-            if t + 1 == tasklets {
-                dma_bytes += q_dma_bytes as u64;
-                dma_cycles += c_q;
-                dma_bytes += HEADER_BYTES as u64;
-                dma_cycles += c_hdr;
-                em.alu(2);
-            }
-
-            em.flush_into(counter);
-            counter.charge_dma(dma_bytes, dma_cycles);
+            m.em.sum.charge_dma(HEADER_BYTES as u64, dma.header);
+            m.em.alu(13);
+            let Ok(()) = tasklet::<_, D, SARSA>(&mut m, hdr, t, self.tasklets, rn);
+            m.em.flush_into(counter);
         }
     }
 }
@@ -1352,15 +1327,9 @@ impl BatchKernel for SwiftRlKernel {
         if hdr.num_states == 0 || hdr.num_actions == 0 {
             return Ok(false);
         }
-        match hdr.sampling {
-            sampling_kind::SEQ | sampling_kind::RAN => {}
-            sampling_kind::STR => {
-                if hdr.stride == 0 {
-                    return Ok(false);
-                }
-            }
-            _ => return Ok(false),
-        }
+        let Ok(walk) = Walk::of(&hdr) else {
+            return Ok(false);
+        };
         if self.spec.dtype == DataType::Int32 && hdr.scale == 0 {
             return Ok(false);
         }
@@ -1390,14 +1359,14 @@ impl BatchKernel for SwiftRlKernel {
         let (bank, cost, counters) = ctx.split_mut();
         match bank.slice_mut(Q_TABLE_OFFSET, span) {
             Some(bytes) => {
-                if !self.sweep(cost, counters, &hdr, bytes, q_dma_bytes) {
+                if !self.sweep(cost, counters, &hdr, walk, bytes, q_dma_bytes) {
                     return Ok(false);
                 }
             }
             None => {
                 let mut staged = vec![0u8; span];
                 if bank.read(Q_TABLE_OFFSET, &mut staged).is_err()
-                    || !self.sweep(cost, counters, &hdr, &mut staged, q_dma_bytes)
+                    || !self.sweep(cost, counters, &hdr, walk, &mut staged, q_dma_bytes)
                 {
                     return Ok(false);
                 }
@@ -1408,11 +1377,7 @@ impl BatchKernel for SwiftRlKernel {
         }
 
         // Re-arm the header for the next launch's episode window.
-        let mut next_hdr = hdr;
-        next_hdr.episode_base = hdr.episode_base.wrapping_add(hdr.episodes);
-        let mut hdr_out = [0u8; HEADER_BYTES];
-        next_hdr.encode_into(&mut hdr_out);
-        if bank.write(0, &hdr_out).is_err() {
+        if bank.write(0, &next_header(&hdr)).is_err() {
             return Ok(false);
         }
         Ok(true)

@@ -140,11 +140,17 @@ pub trait Kernel: Sync {
     }
 }
 
-/// Pre-resolved arithmetic dispatch mode: the cross product of
-/// [`ExecTier`] and [`EmulationCharging`] that matters per op, computed
-/// once per context so the per-intrinsic hot path is one enum match.
-#[derive(Debug, Clone, Copy)]
-enum ArithMode {
+/// The arithmetic mode of the emulated intrinsics: the cross product of
+/// [`ExecTier`] and [`EmulationCharging`] that matters per op.
+///
+/// A context resolves its mode once. Each public emulated intrinsic
+/// (`fadd`, `mul_wide`, `lcg_next`, ...) matches on it and calls its
+/// mode-fixed version (`fadd_in`, `mul_wide_in`, ...), whose mode is a
+/// type parameter. A kernel can instead match on
+/// [`DpuContext::arith_mode`] once per launch and call the mode-fixed
+/// versions, so that its loop makes no per-op dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArithMode {
     /// Instrumented reference loops; charging per [`EmulationCharging`].
     Reference,
     /// Fast tier under calibrated charging: native result, constant
@@ -152,6 +158,69 @@ enum ArithMode {
     FastCalibrated,
     /// Fast tier under tally charging: native result, closed-form tally.
     FastTally,
+}
+
+impl ArithMode {
+    /// The mode a cost model selects.
+    ///
+    /// Under the batched tier, any launch that does not (or cannot) take
+    /// the fused path — ineligible kernel, sanitizer on, fault plan
+    /// touching the launch, or a declined batch — executes per-intrinsic
+    /// on the fast modes, which are proven bit- and cycle-identical to
+    /// the reference.
+    pub fn of(cost: &CostModel) -> Self {
+        match (cost.arith_tier, cost.emulation_charging) {
+            (ExecTier::Reference, _) => ArithMode::Reference,
+            (ExecTier::Fast | ExecTier::Batched, EmulationCharging::Calibrated) => {
+                ArithMode::FastCalibrated
+            }
+            (ExecTier::Fast | ExecTier::Batched, EmulationCharging::Tally) => ArithMode::FastTally,
+        }
+    }
+}
+
+/// An [`ArithMode`] fixed at compile time: the type parameter of the
+/// mode-fixed intrinsics. The three markers in [`arith`] implement it.
+pub trait Arith {
+    /// The mode.
+    const MODE: ArithMode;
+}
+
+/// One marker type per [`ArithMode`], for the mode-fixed intrinsics.
+pub mod arith {
+    use super::{Arith, ArithMode};
+
+    /// [`ArithMode::Reference`].
+    #[derive(Debug, Clone, Copy)]
+    pub struct Reference;
+    /// [`ArithMode::FastCalibrated`].
+    #[derive(Debug, Clone, Copy)]
+    pub struct FastCalibrated;
+    /// [`ArithMode::FastTally`].
+    #[derive(Debug, Clone, Copy)]
+    pub struct FastTally;
+
+    impl Arith for Reference {
+        const MODE: ArithMode = ArithMode::Reference;
+    }
+    impl Arith for FastCalibrated {
+        const MODE: ArithMode = ArithMode::FastCalibrated;
+    }
+    impl Arith for FastTally {
+        const MODE: ArithMode = ArithMode::FastTally;
+    }
+}
+
+/// Calls the mode-fixed intrinsic `$op` for the context's runtime mode:
+/// the body of every public emulated intrinsic.
+macro_rules! in_mode {
+    ($ctx:ident . $op:ident ( $($arg:expr),* )) => {
+        match $ctx.arith {
+            ArithMode::Reference => $ctx.$op::<arith::Reference>($($arg),*),
+            ArithMode::FastCalibrated => $ctx.$op::<arith::FastCalibrated>($($arg),*),
+            ArithMode::FastTally => $ctx.$op::<arith::FastTally>($($arg),*),
+        }
+    };
 }
 
 /// Execution context handed to a kernel tasklet: the gateway to the DPU's
@@ -181,24 +250,12 @@ impl<'a> DpuContext<'a> {
         mem: &'a mut DpuMemory,
         cost: &'a CostModel,
     ) -> Self {
-        // Under the batched tier, any launch that does not (or cannot)
-        // take the fused path — ineligible kernel, sanitizer on, fault
-        // plan touching the launch, or a declined batch — executes
-        // per-intrinsic on the fast modes, which are proven bit- and
-        // cycle-identical to the reference.
-        let arith = match (cost.arith_tier, cost.emulation_charging) {
-            (ExecTier::Reference, _) => ArithMode::Reference,
-            (ExecTier::Fast | ExecTier::Batched, EmulationCharging::Calibrated) => {
-                ArithMode::FastCalibrated
-            }
-            (ExecTier::Fast | ExecTier::Batched, EmulationCharging::Tally) => ArithMode::FastTally,
-        };
         Self {
             dpu_id,
             tasklet_id,
             mem,
             cost,
-            arith,
+            arith: ArithMode::of(cost),
             counter: CycleCounter::new(),
             dma_memo: (0, cost.dma_cycles(0)),
             san: None,
@@ -228,6 +285,12 @@ impl<'a> DpuContext<'a> {
         self.cost
     }
 
+    /// The arithmetic mode of the emulated intrinsics, resolved from the
+    /// cost model when the context was made.
+    pub fn arith_mode(&self) -> ArithMode {
+        self.arith
+    }
+
     /// Cycle counter accumulated so far by this tasklet.
     pub fn counter(&self) -> &CycleCounter {
         &self.counter
@@ -251,14 +314,12 @@ impl<'a> DpuContext<'a> {
         self.counter.charge(OpClass::Control, n);
     }
 
-    // The intrinsics a kernel's per-update path calls (`mul_wide`,
-    // `div_wide`, `fadd`/`fsub`/`fmul`/`fmax`/`fgt`, `lcg_next`,
-    // `lcg_below`) are forced inline: once the kernel's update loop is one
-    // function, the heuristics leave the larger of them out of line, and
-    // each emulated op then costs a call. Their Reference-tier arms go
-    // through the two helpers below, kept out of line like
-    // `Bank::read_u32_slow`, so each inlined intrinsic is its Fast-tier
-    // arms plus one call.
+    // The mode-fixed intrinsics a kernel's per-update path calls are
+    // forced inline: once the kernel's update loop is one function, the
+    // heuristics leave the larger of them out of line, and each emulated
+    // op then costs a call. Their Reference-tier arms go through the two
+    // helpers below, kept out of line like `Bank::read_u32_slow`, so an
+    // inlined Reference-mode op is one call.
 
     /// An emulated integer op on the Reference tier: runs the instrumented
     /// routine, then charges the calibrated constant or what it executed.
@@ -361,11 +422,20 @@ impl<'a> DpuContext<'a> {
     }
 
     // ---- emulated integer ops ----------------------------------------------
+    //
+    // Each emulated op is a public intrinsic that dispatches on the
+    // context's mode, and its mode-fixed `_in` version ([`ArithMode`]).
 
     /// Emulated signed 32×32→32 multiply (runtime-library shift-and-add).
     #[inline]
     pub fn mul32(&mut self, a: i32, b: i32) -> i32 {
-        match self.arith {
+        in_mode!(self.mul32_in(a, b))
+    }
+
+    /// [`Self::mul32`] in the mode `A`.
+    #[inline(always)]
+    pub fn mul32_in<A: Arith>(&mut self, a: i32, b: i32) -> i32 {
+        match A::MODE {
             ArithMode::Reference => {
                 self.reference_int(self.cost.ops.mul32_slots, |t| emul::imul32(a, b, t))
             }
@@ -381,9 +451,15 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated signed 32×32→64 multiply.
-    #[inline(always)]
+    #[inline]
     pub fn mul_wide(&mut self, a: i32, b: i32) -> i64 {
-        match self.arith {
+        in_mode!(self.mul_wide_in(a, b))
+    }
+
+    /// [`Self::mul_wide`] in the mode `A`.
+    #[inline(always)]
+    pub fn mul_wide_in<A: Arith>(&mut self, a: i32, b: i32) -> i64 {
+        match A::MODE {
             ArithMode::Reference => {
                 self.reference_int(self.cost.ops.mul64_slots, |t| emul::imul32_wide(a, b, t))
             }
@@ -405,7 +481,18 @@ impl<'a> DpuContext<'a> {
     /// Panics if `d == 0`, mirroring the hardware trap.
     #[inline]
     pub fn div32(&mut self, n: i32, d: i32) -> i32 {
-        match self.arith {
+        in_mode!(self.div32_in(n, d))
+    }
+
+    /// [`Self::div32`] in the mode `A`. The fast modes compute the
+    /// quotient before charging, so a division by zero charges nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
+    #[inline(always)]
+    pub fn div32_in<A: Arith>(&mut self, n: i32, d: i32) -> i32 {
+        match A::MODE {
             ArithMode::Reference => {
                 self.reference_int(self.cost.ops.div32_slots, |t| emul::idiv32(n, d, t).0)
             }
@@ -428,9 +515,19 @@ impl<'a> DpuContext<'a> {
     /// # Panics
     ///
     /// Panics if `d == 0`.
-    #[inline(always)]
+    #[inline]
     pub fn div_wide(&mut self, n: i64, d: i32) -> i64 {
-        match self.arith {
+        in_mode!(self.div_wide_in(n, d))
+    }
+
+    /// [`Self::div_wide`] in the mode `A`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
+    #[inline(always)]
+    pub fn div_wide_in<A: Arith>(&mut self, n: i64, d: i32) -> i64 {
+        match A::MODE {
             ArithMode::Reference => {
                 self.reference_int(self.cost.ops.div64_slots, |t| emul::idiv64(n, d, t))
             }
@@ -450,9 +547,15 @@ impl<'a> DpuContext<'a> {
     // ---- emulated floating point -------------------------------------------
 
     /// Emulated FP32 add.
-    #[inline(always)]
+    #[inline]
     pub fn fadd(&mut self, a: F32, b: F32) -> F32 {
-        match self.arith {
+        in_mode!(self.fadd_in(a, b))
+    }
+
+    /// [`Self::fadd`] in the mode `A`.
+    #[inline(always)]
+    pub fn fadd_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
+        match A::MODE {
             ArithMode::Reference => F32(self.reference_float(self.cost.ops.fadd_slots, |t| {
                 softfloat::f32_add(a.0, b.0, t)
             })),
@@ -470,9 +573,15 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 subtract.
-    #[inline(always)]
+    #[inline]
     pub fn fsub(&mut self, a: F32, b: F32) -> F32 {
-        match self.arith {
+        in_mode!(self.fsub_in(a, b))
+    }
+
+    /// [`Self::fsub`] in the mode `A`.
+    #[inline(always)]
+    pub fn fsub_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
+        match A::MODE {
             ArithMode::Reference => F32(self.reference_float(self.cost.ops.fadd_slots, |t| {
                 softfloat::f32_sub(a.0, b.0, t)
             })),
@@ -490,9 +599,15 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 multiply.
-    #[inline(always)]
+    #[inline]
     pub fn fmul(&mut self, a: F32, b: F32) -> F32 {
-        match self.arith {
+        in_mode!(self.fmul_in(a, b))
+    }
+
+    /// [`Self::fmul`] in the mode `A`.
+    #[inline(always)]
+    pub fn fmul_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
+        match A::MODE {
             ArithMode::Reference => F32(self.reference_float(self.cost.ops.fmul_slots, |t| {
                 softfloat::f32_mul(a.0, b.0, t)
             })),
@@ -512,7 +627,13 @@ impl<'a> DpuContext<'a> {
     /// Emulated FP32 divide.
     #[inline]
     pub fn fdiv(&mut self, a: F32, b: F32) -> F32 {
-        match self.arith {
+        in_mode!(self.fdiv_in(a, b))
+    }
+
+    /// [`Self::fdiv`] in the mode `A`.
+    #[inline(always)]
+    pub fn fdiv_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
+        match A::MODE {
             ArithMode::Reference => F32(self.reference_float(self.cost.ops.fdiv_slots, |t| {
                 softfloat::f32_div(a.0, b.0, t)
             })),
@@ -530,9 +651,15 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 `a > b` (false on NaN).
-    #[inline(always)]
+    #[inline]
     pub fn fgt(&mut self, a: F32, b: F32) -> bool {
-        match self.arith {
+        in_mode!(self.fgt_in(a, b))
+    }
+
+    /// [`Self::fgt`] in the mode `A`.
+    #[inline(always)]
+    pub fn fgt_in<A: Arith>(&mut self, a: F32, b: F32) -> bool {
+        match A::MODE {
             ArithMode::Reference => {
                 self.reference_float(self.cost.ops.fcmp_slots, |t| softfloat::f32_gt(a.0, b.0, t))
             }
@@ -550,9 +677,15 @@ impl<'a> DpuContext<'a> {
     }
 
     /// Emulated FP32 `maxNum(a, b)`.
-    #[inline(always)]
+    #[inline]
     pub fn fmax(&mut self, a: F32, b: F32) -> F32 {
-        match self.arith {
+        in_mode!(self.fmax_in(a, b))
+    }
+
+    /// [`Self::fmax`] in the mode `A`.
+    #[inline(always)]
+    pub fn fmax_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
+        match A::MODE {
             ArithMode::Reference => F32(self.reference_float(self.cost.ops.fcmp_slots, |t| {
                 softfloat::f32_max(a.0, b.0, t)
             })),
@@ -572,7 +705,13 @@ impl<'a> DpuContext<'a> {
     /// Emulated i32 → FP32 conversion.
     #[inline]
     pub fn i32_to_f32(&mut self, v: i32) -> F32 {
-        match self.arith {
+        in_mode!(self.i32_to_f32_in(v))
+    }
+
+    /// [`Self::i32_to_f32`] in the mode `A`.
+    #[inline(always)]
+    pub fn i32_to_f32_in<A: Arith>(&mut self, v: i32) -> F32 {
+        match A::MODE {
             ArithMode::Reference => {
                 F32(self
                     .reference_float(self.cost.ops.fconv_slots, |t| softfloat::i32_to_f32(v, t)))
@@ -592,7 +731,13 @@ impl<'a> DpuContext<'a> {
     /// Emulated FP32 → i32 conversion (truncating; 0 on NaN, saturating).
     #[inline]
     pub fn f32_to_i32(&mut self, v: F32) -> i32 {
-        match self.arith {
+        in_mode!(self.f32_to_i32_in(v))
+    }
+
+    /// [`Self::f32_to_i32`] in the mode `A`.
+    #[inline(always)]
+    pub fn f32_to_i32_in<A: Arith>(&mut self, v: F32) -> i32 {
+        match A::MODE {
             ArithMode::Reference => {
                 self.reference_float(self.cost.ops.fconv_slots, |t| softfloat::f32_to_i32(v.0, t))
             }
@@ -612,9 +757,15 @@ impl<'a> DpuContext<'a> {
 
     /// Advances an LCG state in-register: one emulated multiply + one add,
     /// exactly the custom `rand()` replacement SwiftRL implements (§3.2.1).
-    #[inline(always)]
+    #[inline]
     pub fn lcg_next(&mut self, state: &mut u32) -> u32 {
-        let m = match self.arith {
+        in_mode!(self.lcg_next_in(state))
+    }
+
+    /// [`Self::lcg_next`] in the mode `A`.
+    #[inline(always)]
+    pub fn lcg_next_in<A: Arith>(&mut self, state: &mut u32) -> u32 {
+        let m = match A::MODE {
             ArithMode::Reference => self.reference_int(self.cost.ops.mul32_slots, |t| {
                 emul::umul32_wide(*state, emul::Lcg32::MULTIPLIER, t) as u32
             }),
@@ -639,11 +790,21 @@ impl<'a> DpuContext<'a> {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
-    #[inline(always)]
+    #[inline]
     pub fn lcg_below(&mut self, state: &mut u32, bound: u32) -> u32 {
+        in_mode!(self.lcg_below_in(state, bound))
+    }
+
+    /// [`Self::lcg_below`] in the mode `A`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound == 0`.
+    #[inline(always)]
+    pub fn lcg_below_in<A: Arith>(&mut self, state: &mut u32, bound: u32) -> u32 {
         assert!(bound > 0, "lcg_below bound must be positive");
-        let raw = self.lcg_next(state);
-        let wide = match self.arith {
+        let raw = self.lcg_next_in::<A>(state);
+        let wide = match A::MODE {
             ArithMode::Reference => self.reference_int(self.cost.ops.mul64_slots, |t| {
                 emul::umul32_wide(raw, bound, t)
             }),
@@ -1220,5 +1381,103 @@ mod tests {
             }
         ));
         assert_eq!(san.wram_initialized_bytes(), 4);
+    }
+
+    /// The special-value lattices of `tests/fastpath_parity.rs`: signed
+    /// zeros, units, infinities, NaN payloads, subnormal boundaries, the
+    /// `f32 → i32` saturation edges, and integer sign and width edges.
+    #[rustfmt::skip]
+    const F32_LATTICE: &[u32] = &[
+        0x0000_0000, 0x8000_0000, 0x3F80_0000, 0xBF80_0000, 0x7F80_0000, 0xFF80_0000,
+        0x7FC0_0000, 0x7F80_0001, 0xFFC0_0001, 0x0000_0001, 0x0020_0000, 0x007F_FFFF,
+        0x0080_0000, 0x7F7F_FFFF, 0x3DCC_CCCD, 0x4048_F5C3, 0xC2F6_E979, 0x3400_0000,
+        0x4EFF_FFFF, 0x4F00_0000, 0xCF00_0000, 0xCF00_0001,
+    ];
+    #[rustfmt::skip]
+    const U32_LATTICE: &[u32] = &[
+        0, 1, 2, 3, 7, 255, 256, 9_500, 65_535, 0x0001_0000, 0x7FFF_FFFF, 0x8000_0000,
+        0xFFFF_FFFE, u32::MAX,
+    ];
+
+    /// Runs `op` on a fresh context over `mem` under `cost`: its result
+    /// and the counter it leaves.
+    fn run<R>(
+        mem: &mut DpuMemory,
+        cost: &CostModel,
+        op: impl FnOnce(&mut DpuContext<'_>) -> R,
+    ) -> (R, CycleCounter) {
+        let mut ctx = DpuContext::new(0, 0, mem, cost);
+        let r = op(&mut ctx);
+        (r, ctx.into_counter())
+    }
+
+    /// Every emulated op under `charging`, with the public intrinsic on a
+    /// Reference-tier context as the oracle: its mode-fixed Reference
+    /// version, and the public intrinsic and the mode-fixed version `F`
+    /// on a Fast-tier context, must each return the oracle's bits and
+    /// leave its counter. The LCG ops also return the state they leave.
+    fn assert_mode_fixed_ops_match<F: Arith>(charging: EmulationCharging) {
+        let (mut mem, mut reference) = ctx_fixture();
+        (reference.arith_tier, reference.emulation_charging) = (ExecTier::Reference, charging);
+        let mut fast = reference.clone();
+        fast.arith_tier = ExecTier::Fast;
+        assert_eq!(ArithMode::of(&fast), F::MODE);
+        macro_rules! same {
+            ($op:ident, $op_in:ident(&mut $state:expr $(, $arg:expr)*)) => {
+                same!(@ $op,
+                    |c| { let mut s = $state; (c.$op(&mut s $(, $arg)*), s) },
+                    |c| { let mut s = $state; (c.$op_in::<arith::Reference>(&mut s $(, $arg)*), s) },
+                    |c| { let mut s = $state; (c.$op_in::<F>(&mut s $(, $arg)*), s) },
+                    ($state, $($arg,)*))
+            };
+            ($op:ident, $op_in:ident($($arg:expr),*)) => {
+                same!(@ $op, |c| c.$op($($arg),*), |c| c.$op_in::<arith::Reference>($($arg),*),
+                    |c| c.$op_in::<F>($($arg),*), ($($arg,)*))
+            };
+            (@ $op:ident, $public:expr, $reference_in:expr, $fast_in:expr, $args:expr) => {{
+                let want = run(&mut mem, &reference, $public);
+                let what = |ctx: &str| format!("{}{:?} on {ctx}", stringify!($op), $args);
+                assert_eq!(run(&mut mem, &reference, $reference_in), want, "{}", what("Reference, fixed"));
+                assert_eq!(run(&mut mem, &fast, $public), want, "{}", what("Fast"));
+                assert_eq!(run(&mut mem, &fast, $fast_in), want, "{}", what("Fast, fixed"));
+            }};
+        }
+        for &a in F32_LATTICE {
+            let (fa, ia) = (F32(a), a as i32);
+            for fb in F32_LATTICE.iter().map(|&b| F32(b)) {
+                same!(fadd, fadd_in(fa, fb));
+                same!(fsub, fsub_in(fa, fb));
+                same!(fmul, fmul_in(fa, fb));
+                same!(fdiv, fdiv_in(fa, fb));
+                same!(fgt, fgt_in(fa, fb));
+                same!(fmax, fmax_in(fa, fb));
+            }
+            same!(f32_to_i32, f32_to_i32_in(fa));
+            same!(i32_to_f32, i32_to_f32_in(ia));
+        }
+        for &a in U32_LATTICE {
+            let ia = a as i32;
+            same!(lcg_next, lcg_next_in(&mut a));
+            for &b in U32_LATTICE {
+                let ib = b as i32;
+                same!(mul32, mul32_in(ia, ib));
+                same!(mul_wide, mul_wide_in(ia, ib));
+                if b != 0 {
+                    let wide = (i64::from(ia) << 16) ^ i64::from(b);
+                    same!(div32, div32_in(ia, ib));
+                    same!(div_wide, div_wide_in(wide, ib));
+                    same!(lcg_below, lcg_below_in(&mut a, b));
+                }
+            }
+        }
+    }
+
+    /// The public emulated intrinsics dispatch on the context's mode to
+    /// their mode-fixed versions; in every mode both must return the
+    /// Reference tier's bits and leave its counter.
+    #[test]
+    fn public_intrinsics_match_their_mode_fixed_versions() {
+        assert_mode_fixed_ops_match::<arith::FastCalibrated>(EmulationCharging::Calibrated);
+        assert_mode_fixed_ops_match::<arith::FastTally>(EmulationCharging::Tally);
     }
 }
