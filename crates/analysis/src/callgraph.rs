@@ -4,8 +4,10 @@
 //! resolves each call site into edges, and computes the set of functions
 //! transitively reachable from *kernel entry points*:
 //!
-//! * every method of an `impl Kernel for ...` block, and
-//! * every function taking a `DpuContext` parameter.
+//! * every method of an `impl Kernel for ...` block,
+//! * every function taking a `DpuContext` parameter, and
+//! * every method of a type with a `DpuContext` field (a kernel-side
+//!   wrapper that reaches the context through `self`).
 //!
 //! Inherent methods of the platform types (`DpuContext`, `F32`) are the
 //! charged simulator substrate itself — they are covered by K003, may
@@ -149,8 +151,16 @@ pub fn build(ws: &Workspace<'_>) -> CallGraph {
         }
     }
 
-    // Entry points: impl-Kernel methods and DpuContext-taking functions,
-    // excluding the platform boundary itself.
+    // Entry points: impl-Kernel methods, DpuContext-taking functions and
+    // methods of types holding a DpuContext, excluding the platform
+    // boundary itself.
+    let holds_ctx: Vec<&str> = ws
+        .files
+        .iter()
+        .flat_map(|file| &file.structs)
+        .filter(|s| s.fields.iter().any(|(_, ty)| *ty == "DpuContext"))
+        .map(|s| s.name)
+        .collect();
     let mut entries: Vec<FnId> = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
         for (ni, f) in file.fns.iter().enumerate() {
@@ -158,7 +168,10 @@ pub fn build(ws: &Workspace<'_>) -> CallGraph {
             if is_platform(ws, id) {
                 continue;
             }
-            if f.trait_name == Some("Kernel") || f.takes_ctx {
+            if f.trait_name == Some("Kernel")
+                || f.takes_ctx
+                || f.owner.is_some_and(|o| holds_ctx.contains(&o))
+            {
                 entries.push(id);
             }
         }
@@ -269,6 +282,39 @@ mod tests {
             .reachable
             .values()
             .all(|r| r.chain.last().unwrap() != "DpuContext::fadd"));
+    }
+
+    #[test]
+    fn methods_of_context_holders_and_turbofish_callees_are_reachable() {
+        let sources = ws_of(&[(
+            "crates/core/src/kernels.rs",
+            r#"
+            struct Interp<'c, 'a, A> { ctx: &'c mut DpuContext<'a>, hdr: KernelHeader }
+            impl<A: Arith> Machine for Interp<'_, '_, A> {
+                fn fetch(&mut self, i: usize) -> Record { self.ctx.wram_read_u32(i) }
+            }
+            struct Sweep { q: Vec<u32> }
+            impl Machine for Sweep {
+                fn fetch(&mut self, i: usize) -> Record { self.q[i] }
+            }
+            fn interpret(ctx: &mut DpuContext<'_>) { tasklet::<_, Fp32, true>(m); }
+            fn tasklet<M: Machine, D, const SARSA: bool>(m: &mut M) { update::<M, D, SARSA>(m); }
+            fn update<M: Machine, D, const SARSA: bool>(m: &mut M) {}
+            "#,
+        )]);
+        let ws = Workspace::build(&sources);
+        let g = build(&ws);
+        let names: Vec<String> = g
+            .reachable
+            .values()
+            .map(|r| r.chain.last().unwrap().clone())
+            .collect();
+        for reached in ["Interp::fetch", "tasklet", "update"] {
+            assert!(names.contains(&reached.to_string()), "{reached}: {names:?}");
+        }
+        assert!(!names.contains(&"Sweep::fetch".to_string()), "{names:?}");
+        let update = g.reachable.values().find(|r| r.chain.last().unwrap() == "update");
+        assert_eq!(update.unwrap().witness(), "interpret → tasklet → update");
     }
 
     #[test]

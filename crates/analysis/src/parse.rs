@@ -4,7 +4,8 @@
 //! shapes the workspace analyzer needs — `impl` / `trait` blocks, `fn`
 //! definitions with their parameter types and bodies, and `struct` field
 //! types — and extracts, per function, the outgoing
-//! call sites with a best-effort receiver type. Everything borrows from the
+//! call sites (`name(` or a turbofish `name::<...>(`) with a best-effort
+//! receiver type. Everything borrows from the
 //! source buffer; the [`crate::callgraph`] module resolves the calls into a
 //! workspace-wide graph.
 //!
@@ -361,6 +362,32 @@ fn local_types<'s>(
     map
 }
 
+/// True if the tokens from `at` open a call's argument list: `(`, or a
+/// turbofish `::<...>` followed by `(` (`tasklet::<_, D, SARSA>(`).
+fn opens_call(tokens: &[Token<'_>], at: usize, close: usize) -> bool {
+    let punct = |i: usize, c: char| tokens.get(i).is_some_and(|t| t.is_punct(c));
+    if punct(at, '(') {
+        return true;
+    }
+    if !(punct(at, ':') && punct(at + 1, ':') && punct(at + 2, '<')) {
+        return false;
+    }
+    let mut depth = 0i32;
+    for k in at + 2..close {
+        if tokens[k].is_punct('<') {
+            depth += 1;
+        } else if tokens[k].is_punct('>') && !is_arrow_close(tokens, k) {
+            depth -= 1;
+            if depth == 0 {
+                return punct(k + 1, '(');
+            }
+        } else if tokens[k].is_punct(';') || tokens[k].is_punct('{') {
+            return false;
+        }
+    }
+    false
+}
+
 /// Extracts the outgoing call sites of one function body.
 fn extract_calls<'s>(
     tokens: &[Token<'s>],
@@ -384,7 +411,7 @@ fn extract_calls<'s>(
     for k in open + 1..close {
         let t = &tokens[k];
         if t.kind != TokenKind::Ident
-            || !tokens.get(k + 1).is_some_and(|n| n.is_punct('('))
+            || !opens_call(tokens, k + 1, close)
             || CALL_KEYWORDS.contains(&t.text)
         {
             continue;
@@ -657,6 +684,29 @@ mod tests {
         assert_eq!(call("charge_alu").recv, Recv::Typed("DpuContext"));
         assert_eq!(call("chain").recv, Recv::Unknown);
         assert_eq!(call("opaque").recv, Recv::Free);
+    }
+
+    #[test]
+    fn turbofish_calls_are_recorded() {
+        let src = r#"
+            struct Interp<'c, 'a, A> { ctx: &'c mut DpuContext<'a>, mode: PhantomData<A> }
+            impl<A: Arith> Interp<'_, '_, A> {
+                fn go(&mut self, m: &mut M) {
+                    tasklet::<_, D, SARSA>(m, 1);
+                    self.ctx.fadd_in::<A>(a, b);
+                    Self::walk::<Vec<u8>>(2);
+                    let n = xs.iter().collect::<Vec<_>>;
+                }
+            }
+        "#;
+        let idx = parse(src);
+        let go = idx.fns.iter().find(|f| f.name == "go").unwrap();
+        let call = |n: &str| go.calls.iter().find(|c| c.name == n);
+        assert_eq!(call("tasklet").unwrap().recv, Recv::Free);
+        assert_eq!(call("fadd_in").unwrap().recv, Recv::Typed("DpuContext"));
+        assert_eq!(call("walk").unwrap().recv, Recv::Typed("Interp"));
+        // A turbofish path that is not called is no call.
+        assert!(call("collect").is_none());
     }
 
     #[test]

@@ -510,22 +510,16 @@ impl Dtype for Int32 {
     }
 }
 
-/// Header-derived parameters of the update rules.
-struct Params {
-    na: u32,
-    alpha: u32,
-    gamma: u32,
-    epsilon_threshold: u32,
-}
-
 /// One tasklet's launch on machine `m`, after the header load: the
 /// Q-table stage, each episode's walk over the tasklet's `n` records with
 /// the update rule (Q-learning, or SARSA when `SARSA`) in the data type
-/// `D`, and the write-back.
+/// `D`, and the write-back. The header comes by value: the update rules
+/// read its fields from this copy, which nothing else can write, so they
+/// stay in registers across the loop.
 #[inline(always)]
 fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(
     m: &mut M,
-    hdr: &KernelHeader,
+    hdr: KernelHeader,
     t: usize,
     tasklets: usize,
     n: usize,
@@ -537,13 +531,6 @@ fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(
     } else {
         m.ops().control(2); // barrier wait
     }
-    let p = Params {
-        na: hdr.num_actions,
-        alpha: hdr.alpha,
-        gamma: hdr.gamma,
-        epsilon_threshold: hdr.epsilon_threshold,
-    };
-
     // SARSA's ε-greedy policy stream persists across the launch's
     // episodes, seeded like the host reference trainer (decorrelated
     // per tasklet beyond tasklet 0).
@@ -558,7 +545,7 @@ fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(
         let ep_seed = episode_seed(hdr.seed, hdr.episode_base + ep).wrapping_add(t as u32);
         match m.walk()? {
             Walk::Seq => {
-                m.walk_seq(n, |m, rec| update::<M, D, SARSA>(m, &p, rec, &mut policy_state))?;
+                m.walk_seq(n, |m, rec| update::<M, D, SARSA>(m, &hdr, rec, &mut policy_state))?;
             }
             Walk::Stride(k) => {
                 // Index by index; each record needs its own DMA.
@@ -573,7 +560,7 @@ fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(
                     }
                     m.ops().alu(3); // stride bookkeeping
                     let rec = m.fetch(i)?;
-                    update::<M, D, SARSA>(m, &p, &rec, &mut policy_state)?;
+                    update::<M, D, SARSA>(m, &hdr, &rec, &mut policy_state)?;
                 }
             }
             Walk::Random => {
@@ -583,7 +570,7 @@ fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(
                 for _ in 0..n {
                     let i = m.ops().lcg_below(&mut sample_state, n as u32) as usize;
                     let rec = m.fetch(i)?;
-                    update::<M, D, SARSA>(m, &p, &rec, &mut policy_state)?;
+                    update::<M, D, SARSA>(m, &hdr, &rec, &mut policy_state)?;
                 }
             }
         }
@@ -604,7 +591,7 @@ fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(
 #[inline(always)]
 fn update<M: Machine, D: Dtype, const SARSA: bool>(
     m: &mut M,
-    p: &Params,
+    hdr: &KernelHeader,
     rec: &Record,
     policy_state: &mut u32,
 ) -> Result<(), M::Err> {
@@ -614,22 +601,22 @@ fn update<M: Machine, D: Dtype, const SARSA: bool>(
         rec.reward_raw
     } else {
         let q_next = if SARSA {
-            let a_next = epsilon_greedy::<M, D>(m, p, rec.next_state, policy_state)?;
+            let a_next = epsilon_greedy::<M, D>(m, hdr, rec.next_state, policy_state)?;
             m.ops().alu(2);
             m.load(rec.next_state, a_next)?
         } else {
             // Two for the row base address, one per further action.
-            m.ops().alu(1 + u64::from(p.na));
+            m.ops().alu(1 + u64::from(hdr.num_actions));
             m.fold_row(rec.next_state, |v| v, |o, best, _, v| D::max(o, best, v))?
         };
         let o = m.ops();
-        let discounted = D::mul(o, p.gamma, q_next);
+        let discounted = D::mul(o, hdr.gamma, q_next);
         D::add(o, rec.reward_raw, discounted)
     };
     m.ops().alu(2);
     m.update_entry(rec.state, rec.action, |o, old| {
         let diff = D::sub(o, target, old);
-        let delta = D::mul(o, p.alpha, diff);
+        let delta = D::mul(o, hdr.alpha, diff);
         let new = D::add(o, old, delta);
         D::stored(o, new)
     })
@@ -641,17 +628,17 @@ fn update<M: Machine, D: Dtype, const SARSA: bool>(
 #[inline(always)]
 fn epsilon_greedy<M: Machine, D: Dtype>(
     m: &mut M,
-    p: &Params,
+    hdr: &KernelHeader,
     state: u32,
     policy_state: &mut u32,
 ) -> Result<u32, M::Err> {
     let o = m.ops();
     let draw = o.lcg_next(policy_state);
     o.alu(1);
-    if draw < p.epsilon_threshold {
-        return Ok(o.lcg_below(policy_state, p.na));
+    if draw < hdr.epsilon_threshold {
+        return Ok(o.lcg_below(policy_state, hdr.num_actions));
     }
-    o.alu(1 + u64::from(p.na));
+    o.alu(1 + u64::from(hdr.num_actions));
     let (best_a, _) = m.fold_row(
         state,
         |v| (0, v),
@@ -809,7 +796,9 @@ impl<A: Arith> Machine for Interp<'_, '_, A> {
     }
 
     /// Loads the row in [`ROW_CHUNK`]-word stack chunks, one wide WRAM
-    /// load each.
+    /// load each. The first chunk is peeled, so the paper's rows (one
+    /// chunk) run a plain slice loop: one loop that reloads on every
+    /// chunk boundary costs 26–42 more host instructions per update.
     #[inline(always)]
     fn fold_row<T>(
         &mut self,
@@ -893,7 +882,7 @@ impl SwiftRlKernel {
             window: map.batch + t * SEQ_BATCH * RECORD_BYTES,
             mode: PhantomData::<A>,
         };
-        tasklet::<_, D, SARSA>(&mut m, &hdr, t, self.tasklets, range.len())
+        tasklet::<_, D, SARSA>(&mut m, hdr, t, self.tasklets, range.len())
     }
 }
 
@@ -1293,7 +1282,7 @@ impl SwiftRlKernel {
             // Header load + field decodes.
             m.em.sum.charge_dma(HEADER_BYTES as u64, dma.header);
             m.em.alu(13);
-            let Ok(()) = tasklet::<_, D, SARSA>(&mut m, hdr, t, self.tasklets, rn);
+            let Ok(()) = tasklet::<_, D, SARSA>(&mut m, *hdr, t, self.tasklets, rn);
             m.em.flush_into(counter);
         }
     }
@@ -1389,7 +1378,7 @@ mod tests {
     use super::*;
     use crate::layout::dpu_seed;
     use swiftrl_env::{Action, State, Transition};
-    use swiftrl_pim::config::PimConfig;
+    use swiftrl_pim::config::{ExecTier, PimConfig};
     use swiftrl_pim::host::PimSystem;
     use swiftrl_rl::fixed::FixedScale;
     use swiftrl_rl::policy::epsilon_threshold;
@@ -1430,7 +1419,18 @@ mod tests {
         transitions: &[Transition],
         int32_scale: Option<i32>,
     ) -> Vec<u8> {
-        let mut sys = PimSystem::new(PimConfig::builder().dpus(1).mram_bytes(1 << 20).build());
+        run_kernel_on(PimConfig::builder(), spec, hdr, transitions, int32_scale)
+    }
+
+    /// [`run_kernel_once`] on a platform built from `platform`.
+    fn run_kernel_on(
+        platform: swiftrl_pim::config::PimConfigBuilder,
+        spec: WorkloadSpec,
+        hdr: KernelHeader,
+        transitions: &[Transition],
+        int32_scale: Option<i32>,
+    ) -> Vec<u8> {
+        let mut sys = PimSystem::new(platform.dpus(1).mram_bytes(1 << 20).build());
         let mut set = sys.alloc(1).unwrap();
         set.copy_to(0, 0, &hdr.to_bytes()).unwrap();
         let q_bytes = vec![0u8; hdr.q_table_bytes()];
@@ -1617,6 +1617,64 @@ mod tests {
             seed,
         );
         assert_eq!(pim_q, host_q);
+    }
+
+    /// Rows wider than the interpreter's [`ROW_CHUNK`]-word load take
+    /// several loads per scan; every tier still trains the host
+    /// reference's table.
+    #[test]
+    fn rows_wider_than_a_load_chunk_match_the_host_reference() {
+        let (states, actions) = (3, 2 * ROW_CHUNK + 3);
+        let data: Vec<Transition> = (0..40)
+            .map(|i| Transition {
+                state: State((i % states) as u32),
+                action: Action(((i * 7) % actions) as u32),
+                reward: (i % 5) as f32 - 1.5,
+                next_state: State(((i + 1) % states) as u32),
+                done: i % 11 == 10,
+            })
+            .collect();
+        let mut d = swiftrl_env::ExperienceDataset::new("wide", states, actions);
+        d.extend(data.clone());
+        let (q_seed, sarsa_seed) = (dpu_seed(17, 0), dpu_seed(19, 0));
+        let q_cfg = swiftrl_rl::qlearning::QLearningConfig {
+            alpha: 0.1,
+            gamma: 0.95,
+            episodes: 4,
+        };
+        let mut host_q = QTable::zeros(states, actions);
+        swiftrl_rl::qlearning::train_offline_into(
+            &mut host_q,
+            &data,
+            &q_cfg,
+            SamplingStrategy::Sequential,
+            q_seed,
+        );
+        let sarsa_cfg = swiftrl_rl::sarsa::SarsaConfig {
+            alpha: 0.1,
+            gamma: 0.95,
+            episodes: 4,
+            epsilon: 0.1,
+        };
+        let host_sarsa =
+            swiftrl_rl::sarsa::train_offline(&d, &sarsa_cfg, SamplingStrategy::Sequential, sarsa_seed);
+        for tier in [ExecTier::Reference, ExecTier::Fast, ExecTier::Batched] {
+            for (spec, seed, host) in [
+                (WorkloadSpec::q_learning_seq_fp32(), q_seed, &host_q),
+                (WorkloadSpec::sarsa_seq_fp32(), sarsa_seed, &host_sarsa),
+            ] {
+                let hdr = KernelHeader {
+                    num_states: states as u32,
+                    num_actions: actions as u32,
+                    ..header_for(spec, data.len(), 4, seed)
+                };
+                let platform = PimConfig::builder().exec_tier(tier);
+                let bytes = run_kernel_on(platform, spec, hdr, &data, None);
+                let pim_q = QTable::from_bytes(states, actions, &bytes);
+                assert_eq!(&pim_q, host, "{spec} on the {tier:?} tier");
+            }
+        }
+        assert!(host_q.values().iter().any(|&v| v != 0.0), "training happened");
     }
 
     #[test]

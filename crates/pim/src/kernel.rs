@@ -168,7 +168,7 @@ impl ArithMode {
     /// touching the launch, or a declined batch — executes per-intrinsic
     /// on the fast modes, which are proven bit- and cycle-identical to
     /// the reference.
-    pub fn of(cost: &CostModel) -> Self {
+    fn of(cost: &CostModel) -> Self {
         match (cost.arith_tier, cost.emulation_charging) {
             (ExecTier::Reference, _) => ArithMode::Reference,
             (ExecTier::Fast | ExecTier::Batched, EmulationCharging::Calibrated) => {
@@ -317,9 +317,53 @@ impl<'a> DpuContext<'a> {
     // The mode-fixed intrinsics a kernel's per-update path calls are
     // forced inline: once the kernel's update loop is one function, the
     // heuristics leave the larger of them out of line, and each emulated
-    // op then costs a call. Their Reference-tier arms go through the two
-    // helpers below, kept out of line like `Bank::read_u32_slow`, so an
-    // inlined Reference-mode op is one call.
+    // op then costs a call. Each is one call of `int_op` or `float_op`,
+    // whose mode match folds away for a constant mode; their Reference
+    // arms go through the two helpers after them, kept out of line like
+    // `Bank::read_u32_slow`, so an inlined Reference-mode op is one call.
+
+    /// An emulated integer op in `mode`: the Reference tier runs the
+    /// instrumented routine `reference`; the fast modes charge the
+    /// calibrated constant or the closed-form `tally`, then compute `fast`.
+    #[inline(always)]
+    fn int_op<R>(
+        &mut self,
+        mode: ArithMode,
+        calibrated: u64,
+        reference: impl FnOnce(&mut OpTally) -> R,
+        fast: impl FnOnce() -> R,
+        tally: impl FnOnce() -> u64,
+    ) -> R {
+        if mode == ArithMode::Reference {
+            return self.reference_int(calibrated, reference);
+        }
+        let n = if mode == ArithMode::FastTally { tally() } else { calibrated };
+        self.counter.charge(OpClass::IntEmul, n);
+        fast()
+    }
+
+    /// [`Self::int_op`] for an emulated float op, whose executed charge
+    /// includes the runtime library's call overhead.
+    #[inline(always)]
+    fn float_op<R>(
+        &mut self,
+        mode: ArithMode,
+        calibrated: u64,
+        reference: impl FnOnce(&mut OpTally) -> R,
+        fast: impl FnOnce() -> R,
+        tally: impl FnOnce() -> u64,
+    ) -> R {
+        if mode == ArithMode::Reference {
+            return self.reference_float(calibrated, reference);
+        }
+        let n = if mode == ArithMode::FastTally {
+            tally() + self.cost.ops.fp_call_overhead_slots
+        } else {
+            calibrated
+        };
+        self.counter.charge(OpClass::FloatEmul, n);
+        fast()
+    }
 
     /// An emulated integer op on the Reference tier: runs the instrumented
     /// routine, then charges the calibrated constant or what it executed.
@@ -335,8 +379,7 @@ impl<'a> DpuContext<'a> {
         r
     }
 
-    /// [`Self::reference_int`] for an emulated float op, whose executed
-    /// charge includes the runtime library's call overhead.
+    /// [`Self::reference_int`] for an emulated float op.
     #[inline(never)]
     fn reference_float<R>(&mut self, calibrated: u64, op: impl FnOnce(&mut OpTally) -> R) -> R {
         let mut t = OpTally::new();
@@ -347,20 +390,6 @@ impl<'a> DpuContext<'a> {
         };
         self.counter.charge(OpClass::FloatEmul, n);
         r
-    }
-
-    /// Fast-tier integer charge: the slot count is already fully resolved
-    /// (calibrated constant or closed-form tally).
-    #[inline]
-    fn charge_int_slots(&mut self, n: u64) {
-        self.counter.charge(OpClass::IntEmul, n);
-    }
-
-    /// Fast-tier float charge; callers in tally mode have already added
-    /// [`crate::config::OpCosts::fp_call_overhead_slots`].
-    #[inline]
-    fn charge_float_slots(&mut self, n: u64) {
-        self.counter.charge(OpClass::FloatEmul, n);
     }
 
     // ---- native integer ops ------------------------------------------------
@@ -435,19 +464,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::mul32`] in the mode `A`.
     #[inline(always)]
     pub fn mul32_in<A: Arith>(&mut self, a: i32, b: i32) -> i32 {
-        match A::MODE {
-            ArithMode::Reference => {
-                self.reference_int(self.cost.ops.mul32_slots, |t| emul::imul32(a, b, t))
-            }
-            ArithMode::FastCalibrated => {
-                self.charge_int_slots(self.cost.ops.mul32_slots);
-                fastpath::imul32(a, b)
-            }
-            ArithMode::FastTally => {
-                self.charge_int_slots(fastpath::imul32_tally(a, b));
-                fastpath::imul32(a, b)
-            }
-        }
+        self.int_op(
+            A::MODE,
+            self.cost.ops.mul32_slots,
+            |t| emul::imul32(a, b, t),
+            || fastpath::imul32(a, b),
+            || fastpath::imul32_tally(a, b),
+        )
     }
 
     /// Emulated signed 32×32→64 multiply.
@@ -459,19 +482,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::mul_wide`] in the mode `A`.
     #[inline(always)]
     pub fn mul_wide_in<A: Arith>(&mut self, a: i32, b: i32) -> i64 {
-        match A::MODE {
-            ArithMode::Reference => {
-                self.reference_int(self.cost.ops.mul64_slots, |t| emul::imul32_wide(a, b, t))
-            }
-            ArithMode::FastCalibrated => {
-                self.charge_int_slots(self.cost.ops.mul64_slots);
-                fastpath::imul32_wide(a, b)
-            }
-            ArithMode::FastTally => {
-                self.charge_int_slots(fastpath::imul32_wide_tally(a, b));
-                fastpath::imul32_wide(a, b)
-            }
-        }
+        self.int_op(
+            A::MODE,
+            self.cost.ops.mul64_slots,
+            |t| emul::imul32_wide(a, b, t),
+            || fastpath::imul32_wide(a, b),
+            || fastpath::imul32_wide_tally(a, b),
+        )
     }
 
     /// Emulated signed 32-bit divide (truncating).
@@ -484,29 +501,20 @@ impl<'a> DpuContext<'a> {
         in_mode!(self.div32_in(n, d))
     }
 
-    /// [`Self::div32`] in the mode `A`. The fast modes compute the
-    /// quotient before charging, so a division by zero charges nothing.
+    /// [`Self::div32`] in the mode `A`.
     ///
     /// # Panics
     ///
     /// Panics if `d == 0`.
     #[inline(always)]
     pub fn div32_in<A: Arith>(&mut self, n: i32, d: i32) -> i32 {
-        match A::MODE {
-            ArithMode::Reference => {
-                self.reference_int(self.cost.ops.div32_slots, |t| emul::idiv32(n, d, t).0)
-            }
-            ArithMode::FastCalibrated => {
-                let (q, _) = fastpath::idiv32(n, d);
-                self.charge_int_slots(self.cost.ops.div32_slots);
-                q
-            }
-            ArithMode::FastTally => {
-                let (q, _) = fastpath::idiv32(n, d);
-                self.charge_int_slots(fastpath::idiv32_tally(n, d));
-                q
-            }
-        }
+        self.int_op(
+            A::MODE,
+            self.cost.ops.div32_slots,
+            |t| emul::idiv32(n, d, t).0,
+            || fastpath::idiv32(n, d).0,
+            || fastpath::idiv32_tally(n, d),
+        )
     }
 
     /// Emulated signed 64-by-32 divide (truncating), used to descale wide
@@ -527,21 +535,13 @@ impl<'a> DpuContext<'a> {
     /// Panics if `d == 0`.
     #[inline(always)]
     pub fn div_wide_in<A: Arith>(&mut self, n: i64, d: i32) -> i64 {
-        match A::MODE {
-            ArithMode::Reference => {
-                self.reference_int(self.cost.ops.div64_slots, |t| emul::idiv64(n, d, t))
-            }
-            ArithMode::FastCalibrated => {
-                let q = fastpath::idiv64(n, d);
-                self.charge_int_slots(self.cost.ops.div64_slots);
-                q
-            }
-            ArithMode::FastTally => {
-                let q = fastpath::idiv64(n, d);
-                self.charge_int_slots(fastpath::idiv64_tally(n, d));
-                q
-            }
-        }
+        self.int_op(
+            A::MODE,
+            self.cost.ops.div64_slots,
+            |t| emul::idiv64(n, d, t),
+            || fastpath::idiv64(n, d),
+            || fastpath::idiv64_tally(n, d),
+        )
     }
 
     // ---- emulated floating point -------------------------------------------
@@ -555,21 +555,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::fadd`] in the mode `A`.
     #[inline(always)]
     pub fn fadd_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
-        match A::MODE {
-            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fadd_slots, |t| {
-                softfloat::f32_add(a.0, b.0, t)
-            })),
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fadd_slots);
-                F32(fastpath::f32_add(a.0, b.0))
-            }
-            ArithMode::FastTally => {
-                let slots =
-                    fastpath::f32_add_tally(a.0, b.0) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                F32(fastpath::f32_add(a.0, b.0))
-            }
-        }
+        F32(self.float_op(
+            A::MODE,
+            self.cost.ops.fadd_slots,
+            |t| softfloat::f32_add(a.0, b.0, t),
+            || fastpath::f32_add(a.0, b.0),
+            || fastpath::f32_add_tally(a.0, b.0),
+        ))
     }
 
     /// Emulated FP32 subtract.
@@ -581,21 +573,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::fsub`] in the mode `A`.
     #[inline(always)]
     pub fn fsub_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
-        match A::MODE {
-            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fadd_slots, |t| {
-                softfloat::f32_sub(a.0, b.0, t)
-            })),
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fadd_slots);
-                F32(fastpath::f32_sub(a.0, b.0))
-            }
-            ArithMode::FastTally => {
-                let slots =
-                    fastpath::f32_sub_tally(a.0, b.0) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                F32(fastpath::f32_sub(a.0, b.0))
-            }
-        }
+        F32(self.float_op(
+            A::MODE,
+            self.cost.ops.fadd_slots,
+            |t| softfloat::f32_sub(a.0, b.0, t),
+            || fastpath::f32_sub(a.0, b.0),
+            || fastpath::f32_sub_tally(a.0, b.0),
+        ))
     }
 
     /// Emulated FP32 multiply.
@@ -607,21 +591,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::fmul`] in the mode `A`.
     #[inline(always)]
     pub fn fmul_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
-        match A::MODE {
-            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fmul_slots, |t| {
-                softfloat::f32_mul(a.0, b.0, t)
-            })),
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fmul_slots);
-                F32(fastpath::f32_mul(a.0, b.0))
-            }
-            ArithMode::FastTally => {
-                let slots =
-                    fastpath::f32_mul_tally(a.0, b.0) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                F32(fastpath::f32_mul(a.0, b.0))
-            }
-        }
+        F32(self.float_op(
+            A::MODE,
+            self.cost.ops.fmul_slots,
+            |t| softfloat::f32_mul(a.0, b.0, t),
+            || fastpath::f32_mul(a.0, b.0),
+            || fastpath::f32_mul_tally(a.0, b.0),
+        ))
     }
 
     /// Emulated FP32 divide.
@@ -633,21 +609,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::fdiv`] in the mode `A`.
     #[inline(always)]
     pub fn fdiv_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
-        match A::MODE {
-            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fdiv_slots, |t| {
-                softfloat::f32_div(a.0, b.0, t)
-            })),
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fdiv_slots);
-                F32(fastpath::f32_div(a.0, b.0))
-            }
-            ArithMode::FastTally => {
-                let slots =
-                    fastpath::f32_div_tally(a.0, b.0) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                F32(fastpath::f32_div(a.0, b.0))
-            }
-        }
+        F32(self.float_op(
+            A::MODE,
+            self.cost.ops.fdiv_slots,
+            |t| softfloat::f32_div(a.0, b.0, t),
+            || fastpath::f32_div(a.0, b.0),
+            || fastpath::f32_div_tally(a.0, b.0),
+        ))
     }
 
     /// Emulated FP32 `a > b` (false on NaN).
@@ -659,21 +627,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::fgt`] in the mode `A`.
     #[inline(always)]
     pub fn fgt_in<A: Arith>(&mut self, a: F32, b: F32) -> bool {
-        match A::MODE {
-            ArithMode::Reference => {
-                self.reference_float(self.cost.ops.fcmp_slots, |t| softfloat::f32_gt(a.0, b.0, t))
-            }
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fcmp_slots);
-                fastpath::f32_gt(a.0, b.0)
-            }
-            ArithMode::FastTally => {
-                let slots =
-                    fastpath::f32_cmp_tally(a.0, b.0) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                fastpath::f32_gt(a.0, b.0)
-            }
-        }
+        self.float_op(
+            A::MODE,
+            self.cost.ops.fcmp_slots,
+            |t| softfloat::f32_gt(a.0, b.0, t),
+            || fastpath::f32_gt(a.0, b.0),
+            || fastpath::f32_cmp_tally(a.0, b.0),
+        )
     }
 
     /// Emulated FP32 `maxNum(a, b)`.
@@ -685,21 +645,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::fmax`] in the mode `A`.
     #[inline(always)]
     pub fn fmax_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
-        match A::MODE {
-            ArithMode::Reference => F32(self.reference_float(self.cost.ops.fcmp_slots, |t| {
-                softfloat::f32_max(a.0, b.0, t)
-            })),
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fcmp_slots);
-                F32(fastpath::f32_max(a.0, b.0))
-            }
-            ArithMode::FastTally => {
-                let slots =
-                    fastpath::f32_max_tally(a.0, b.0) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                F32(fastpath::f32_max(a.0, b.0))
-            }
-        }
+        F32(self.float_op(
+            A::MODE,
+            self.cost.ops.fcmp_slots,
+            |t| softfloat::f32_max(a.0, b.0, t),
+            || fastpath::f32_max(a.0, b.0),
+            || fastpath::f32_max_tally(a.0, b.0),
+        ))
     }
 
     /// Emulated i32 → FP32 conversion.
@@ -711,21 +663,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::i32_to_f32`] in the mode `A`.
     #[inline(always)]
     pub fn i32_to_f32_in<A: Arith>(&mut self, v: i32) -> F32 {
-        match A::MODE {
-            ArithMode::Reference => {
-                F32(self
-                    .reference_float(self.cost.ops.fconv_slots, |t| softfloat::i32_to_f32(v, t)))
-            }
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fconv_slots);
-                F32(fastpath::i32_to_f32(v))
-            }
-            ArithMode::FastTally => {
-                let slots = fastpath::i32_to_f32_tally(v) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                F32(fastpath::i32_to_f32(v))
-            }
-        }
+        F32(self.float_op(
+            A::MODE,
+            self.cost.ops.fconv_slots,
+            |t| softfloat::i32_to_f32(v, t),
+            || fastpath::i32_to_f32(v),
+            || fastpath::i32_to_f32_tally(v),
+        ))
     }
 
     /// Emulated FP32 → i32 conversion (truncating; 0 on NaN, saturating).
@@ -737,20 +681,13 @@ impl<'a> DpuContext<'a> {
     /// [`Self::f32_to_i32`] in the mode `A`.
     #[inline(always)]
     pub fn f32_to_i32_in<A: Arith>(&mut self, v: F32) -> i32 {
-        match A::MODE {
-            ArithMode::Reference => {
-                self.reference_float(self.cost.ops.fconv_slots, |t| softfloat::f32_to_i32(v.0, t))
-            }
-            ArithMode::FastCalibrated => {
-                self.charge_float_slots(self.cost.ops.fconv_slots);
-                fastpath::f32_to_i32(v.0)
-            }
-            ArithMode::FastTally => {
-                let slots = fastpath::f32_to_i32_tally(v.0) + self.cost.ops.fp_call_overhead_slots;
-                self.charge_float_slots(slots);
-                fastpath::f32_to_i32(v.0)
-            }
-        }
+        self.float_op(
+            A::MODE,
+            self.cost.ops.fconv_slots,
+            |t| softfloat::f32_to_i32(v.0, t),
+            || fastpath::f32_to_i32(v.0),
+            || fastpath::f32_to_i32_tally(v.0),
+        )
     }
 
     // ---- random numbers ----------------------------------------------------
@@ -765,20 +702,14 @@ impl<'a> DpuContext<'a> {
     /// [`Self::lcg_next`] in the mode `A`.
     #[inline(always)]
     pub fn lcg_next_in<A: Arith>(&mut self, state: &mut u32) -> u32 {
-        let m = match A::MODE {
-            ArithMode::Reference => self.reference_int(self.cost.ops.mul32_slots, |t| {
-                emul::umul32_wide(*state, emul::Lcg32::MULTIPLIER, t) as u32
-            }),
-            ArithMode::FastCalibrated => {
-                self.charge_int_slots(self.cost.ops.mul32_slots);
-                fastpath::umul32_wide(*state, emul::Lcg32::MULTIPLIER) as u32
-            }
-            ArithMode::FastTally => {
-                let slots = fastpath::umul32_wide_tally(*state, emul::Lcg32::MULTIPLIER);
-                self.charge_int_slots(slots);
-                fastpath::umul32_wide(*state, emul::Lcg32::MULTIPLIER) as u32
-            }
-        };
+        let s = *state;
+        let m = self.int_op(
+            A::MODE,
+            self.cost.ops.mul32_slots,
+            |t| emul::umul32_wide(s, emul::Lcg32::MULTIPLIER, t) as u32,
+            || fastpath::umul32_wide(s, emul::Lcg32::MULTIPLIER) as u32,
+            || fastpath::umul32_wide_tally(s, emul::Lcg32::MULTIPLIER),
+        );
         self.charge_alu(1);
         *state = m.wrapping_add(emul::Lcg32::INCREMENT);
         *state
@@ -804,20 +735,13 @@ impl<'a> DpuContext<'a> {
     pub fn lcg_below_in<A: Arith>(&mut self, state: &mut u32, bound: u32) -> u32 {
         assert!(bound > 0, "lcg_below bound must be positive");
         let raw = self.lcg_next_in::<A>(state);
-        let wide = match A::MODE {
-            ArithMode::Reference => self.reference_int(self.cost.ops.mul64_slots, |t| {
-                emul::umul32_wide(raw, bound, t)
-            }),
-            ArithMode::FastCalibrated => {
-                self.charge_int_slots(self.cost.ops.mul64_slots);
-                fastpath::umul32_wide(raw, bound)
-            }
-            ArithMode::FastTally => {
-                let slots = fastpath::umul32_wide_tally(raw, bound);
-                self.charge_int_slots(slots);
-                fastpath::umul32_wide(raw, bound)
-            }
-        };
+        let wide = self.int_op(
+            A::MODE,
+            self.cost.ops.mul64_slots,
+            |t| emul::umul32_wide(raw, bound, t),
+            || fastpath::umul32_wide(raw, bound),
+            || fastpath::umul32_wide_tally(raw, bound),
+        );
         self.charge_alu(1);
         (wide >> 32) as u32
     }

@@ -7,7 +7,8 @@
 use std::path::{Path, PathBuf};
 
 use swiftrl::env::rng::{for_each_case, Rng, SplitMix64};
-use swiftrl_analysis::{analyze_workspace, check_file, find_workspace_root, scanner};
+use swiftrl_analysis::parse::{SourceFile, Workspace};
+use swiftrl_analysis::{analyze_workspace, callgraph, check_file, find_workspace_root, scanner};
 
 fn repo_root() -> PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -152,6 +153,98 @@ fn transitive_violation_is_caught_through_a_helper() {
             .contains("kernel-reachable via Sneaky::run → decay_bits"),
         "finding lacks its witness chain: {k001:?}"
     );
+}
+
+/// The shared kernel body is kernel code: the interpreter's machine
+/// (`Interp`, which holds the `DpuContext`) and the generic functions the
+/// launch reaches through turbofish calls are scanned, so a heap
+/// allocation in `update` and a host float in `Interp::fetch` are flagged,
+/// while the batched tier's `Sweep`, which holds no context, is not.
+#[test]
+fn generic_kernel_body_and_context_holder_are_scanned() {
+    let src = r#"
+        impl Kernel for SwiftRlKernel {
+            fn run(&self, ctx: &mut DpuContext<'_>) -> Result<(), KernelError> {
+                self.interpret_rule::<arith::Reference, Fp32, false>(ctx, hdr)
+            }
+        }
+        impl SwiftRlKernel {
+            fn interpret_rule<A: Arith, D: Dtype, const SARSA: bool>(
+                &self,
+                ctx: &mut DpuContext<'_>,
+                hdr: KernelHeader,
+            ) -> Result<(), Stop> {
+                tasklet::<_, D, SARSA>(&mut m, &hdr)
+            }
+        }
+        fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(m: &mut M, hdr: &KernelHeader) {
+            update::<M, D, SARSA>(m, hdr, &rec);
+        }
+        fn update<M: Machine, D: Dtype, const SARSA: bool>(m: &mut M, hdr: &KernelHeader) {
+            let scratch: Vec<u32> = Vec::new();
+        }
+        struct Interp<'c, 'a, A> { ctx: &'c mut DpuContext<'a>, mode: PhantomData<A> }
+        impl<A: Arith> Machine for Interp<'_, '_, A> {
+            fn fetch(&mut self, i: usize) -> Result<Record, Stop> {
+                let r = self.ctx.wram_read_u32(i)? as f32;
+            }
+        }
+        struct Sweep<'s> { q: &'s mut [[u8; 4]] }
+        impl Machine for Sweep<'_> {
+            fn fetch(&mut self, i: usize) -> Result<Record, Infallible> {
+                let r = f32::from_bits(self.q[i]);
+            }
+        }
+    "#;
+    let findings = check_file(Path::new("crates/core/src/kernels.rs"), src);
+    let lines = |rule: &str| -> Vec<u32> {
+        findings.iter().filter(|f| f.rule == rule).map(|f| f.line).collect()
+    };
+    assert_eq!(lines("K002"), [20, 20], "`Vec` twice in `update`: {findings:?}");
+    assert_eq!(lines("K001"), [25], "the host float in `Interp::fetch` only: {findings:?}");
+    assert!(
+        findings[0]
+            .message
+            .contains("via SwiftRlKernel::interpret_rule → tasklet → update"),
+        "{findings:?}"
+    );
+}
+
+/// The workspace's own kernel body is in the kernel-reachable set, so the
+/// clean gate above covers the per-update path.
+#[test]
+fn swiftrl_kernel_body_is_kernel_reachable() {
+    let root = repo_root();
+    let sources: Vec<SourceFile> = ["crates/core/src/kernels.rs", "crates/core/src/layout.rs"]
+        .iter()
+        .map(|rel| SourceFile {
+            rel: PathBuf::from(rel),
+            src: std::fs::read_to_string(root.join(rel)).expect("kernel source"),
+        })
+        .collect();
+    let ws = Workspace::build(&sources);
+    let graph = callgraph::build(&ws);
+    let reached: Vec<String> = graph
+        .reachable
+        .values()
+        .map(|r| r.chain.last().expect("non-empty chain").clone())
+        .collect();
+    for f in [
+        "tasklet",
+        "update",
+        "epsilon_greedy",
+        "Interp::fetch",
+        "Interp::fold_row",
+        "Interp::walk_seq",
+        "Interp::update_entry",
+        "Interp::fadd",
+        "Interp::lcg_below",
+    ] {
+        assert!(reached.iter().any(|r| r == f), "{f} is not kernel-reachable: {reached:?}");
+    }
+    for f in ["Sweep::fetch", "Em::fadd"] {
+        assert!(!reached.iter().any(|r| r == f), "{f} is kernel-reachable");
+    }
 }
 
 /// K011 fixture: a kernel reaching into the batched tier is flagged; the
