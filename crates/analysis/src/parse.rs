@@ -364,7 +364,7 @@ fn local_types<'s>(
 
 /// True if the tokens from `at` open a call's argument list: `(`, or a
 /// turbofish `::<...>` followed by `(` (`tasklet::<_, D, SARSA>(`).
-fn opens_call(tokens: &[Token<'_>], at: usize, close: usize) -> bool {
+pub(crate) fn opens_call(tokens: &[Token<'_>], at: usize, close: usize) -> bool {
     let punct = |i: usize, c: char| tokens.get(i).is_some_and(|t| t.is_punct(c));
     if punct(at, '(') {
         return true;

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 use crate::budget;
 use crate::callgraph;
-use crate::parse::{SourceFile, Workspace};
+use crate::parse::{opens_call, SourceFile, Workspace};
 use crate::scanner::{matching_brace, matching_delim, tokenize, Token, TokenKind};
 
 /// One diagnostic produced by a rule.
@@ -613,20 +613,21 @@ fn charge_coverage_tokens(
         .map(|m| m.name)
         .collect();
 
-    // Transitive: a method that calls `self.<charged>(...)` is charged too.
+    // Transitive: a method that calls `self.<charged>(...)` (or
+    // `self.<charged>::<..>(...)`) is charged too.
     loop {
         let mut grew = false;
         for m in &methods {
             if charged.contains(m.name) {
                 continue;
             }
-            let body = &tokens[m.body.0..=m.body.1.min(tokens.len() - 1)];
-            let delegates = body.windows(4).any(|w| {
-                w[0].is_ident("self")
-                    && w[1].is_punct('.')
-                    && w[2].kind == TokenKind::Ident
-                    && charged.contains(w[2].text)
-                    && w[3].is_punct('(')
+            let (open, close) = (m.body.0, m.body.1.min(tokens.len() - 1));
+            let delegates = (open..close.saturating_sub(2)).any(|k| {
+                tokens[k].is_ident("self")
+                    && tokens[k + 1].is_punct('.')
+                    && tokens[k + 2].kind == TokenKind::Ident
+                    && charged.contains(tokens[k + 2].text)
+                    && opens_call(tokens, k + 3, close)
             });
             if delegates {
                 charged.insert(m.name);
@@ -1112,6 +1113,30 @@ mod tests {
         assert!(!msgs.iter().any(|m| m.contains("tasklet_id")), "{msgs:?}");
         assert!(!msgs.iter().any(|m| m.contains("internal")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("unused_slots")), "{msgs:?}");
+    }
+
+    #[test]
+    fn k003_sees_a_turbofish_delegation() {
+        let kernel_src = r#"
+            impl<'a> DpuContext<'a> {
+                fn fadd_in<A: Arith>(&mut self, a: F32, b: F32) -> F32 {
+                    self.counter.charge(OpClass::FloatEmul, 1);
+                    a
+                }
+                pub fn fadd(&mut self, a: F32, b: F32) -> F32 { self.fadd_in::<Fast>(a, b) }
+                pub fn fsub(&mut self, a: F32, b: F32) -> F32 { self.fadd_in::<Fast>; a }
+            }
+        "#;
+        let findings = check_charge_coverage(
+            Path::new("k.rs"),
+            kernel_src,
+            Path::new("c.rs"),
+            "pub struct OpCosts {}",
+        );
+        let msgs: Vec<_> = findings.iter().map(|f| f.message.as_str()).collect();
+        assert!(!msgs.iter().any(|m| m.contains("fadd")), "{msgs:?}");
+        // A turbofish path that is not called charges nothing.
+        assert!(msgs.iter().any(|m| m.contains("fsub")), "{msgs:?}");
     }
 
     #[test]
