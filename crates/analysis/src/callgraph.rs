@@ -17,6 +17,11 @@
 //! Resolution is deliberately conservative (an under-approximation):
 //!
 //! * typed receivers resolve to methods of that owner type;
+//! * a path call on a type parameter bounded by a trait (`D::mul(..)` in
+//!   a fn generic over `D: Dtype`) resolves to that method of every
+//!   `impl Trait for ...` block; a method call on a *value* of a type
+//!   parameter (`o.fadd(..)` with `o: &mut O`, `O: Ops`) does not, since
+//!   `Ops` is also implemented by the batched tier's host-side emulator;
 //! * bare calls resolve to free functions — same file first, then a unique
 //!   workspace-wide match;
 //! * untyped method receivers resolve only when the method name is unique
@@ -87,9 +92,13 @@ pub fn build(ws: &Workspace<'_>) -> CallGraph {
     let mut methods: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new(); // (owner, name)
     let mut by_method_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
     let mut free_by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
+    let mut impls: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new(); // (trait, name)
     for (fi, file) in ws.files.iter().enumerate() {
         for (ni, f) in file.fns.iter().enumerate() {
             let id = (fi, ni);
+            if let Some(trait_name) = f.trait_name {
+                impls.entry((trait_name, f.name)).or_default().push(id);
+            }
             match f.owner {
                 Some(owner) => {
                     methods.entry((owner, f.name)).or_default().push(id);
@@ -109,6 +118,10 @@ pub fn build(ws: &Workspace<'_>) -> CallGraph {
                 let targets: Vec<FnId> = match call.recv {
                     Recv::Typed(ty) => methods
                         .get(&(ty, call.name))
+                        .cloned()
+                        .unwrap_or_default(),
+                    Recv::Bound(trait_name) => impls
+                        .get(&(trait_name, call.name))
                         .cloned()
                         .unwrap_or_default(),
                     Recv::Free => {
@@ -315,6 +328,30 @@ mod tests {
         assert!(!names.contains(&"Sweep::fetch".to_string()), "{names:?}");
         let update = g.reachable.values().find(|r| r.chain.last().unwrap() == "update");
         assert_eq!(update.unwrap().witness(), "interpret → tasklet → update");
+    }
+
+    #[test]
+    fn bounded_type_parameter_calls_reach_every_implementation() {
+        let sources = ws_of(&[(
+            "crates/core/src/kernels.rs",
+            r#"
+            fn update<D: Dtype>(ctx: &mut DpuContext<'_>, o: &mut Interp) { D::mul(o, 1, 2); }
+            impl Dtype for Fp32 { fn mul<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 { o.fmul(a, b) } }
+            impl Dtype for Int32 { fn mul<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 { o.mul_wide(a, b) } }
+            impl Ops for Em { fn fmul(&mut self, a: u32, b: u32) -> u32 { a } }
+            impl Int32 { fn mul(&self) -> u32 { 0 } }
+            "#,
+        )]);
+        let ws = Workspace::build(&sources);
+        let g = build(&ws);
+        let names: Vec<String> = g
+            .reachable
+            .values()
+            .map(|r| r.chain.last().unwrap().clone())
+            .collect();
+        // Both `Dtype` implementations, neither the inherent `Int32::mul`
+        // (the second `Int32::mul` listed would be it) nor `Em`.
+        assert_eq!(names, ["update", "Fp32::mul", "Int32::mul"], "{names:?}");
     }
 
     #[test]

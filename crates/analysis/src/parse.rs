@@ -39,6 +39,9 @@ pub enum Recv<'s> {
     /// (enclosing impl type), a single-level `self.field.name(...)` with a
     /// known field type, or `local.name(...)` with an inferred local type.
     Typed(&'s str),
+    /// `Param::name(...)` on a type parameter of the enclosing fn bounded
+    /// by this trait (`D::mul(..)` with `D: Dtype`).
+    Bound(&'s str),
     /// A method call whose receiver could not be typed.
     Unknown,
 }
@@ -74,6 +77,10 @@ pub struct FnDef<'s> {
     pub body: Option<(usize, usize)>,
     /// True if some parameter's type mentions `DpuContext`.
     pub takes_ctx: bool,
+    /// `(type parameter, trait)` for each type parameter of the fn's own
+    /// generic list bounded inline by a trait (`<D: Dtype>` →
+    /// `("D", "Dtype")`, the first trait of a `+` list).
+    pub bounds: Vec<(&'s str, &'s str)>,
     /// Outgoing call sites extracted from the body.
     pub calls: Vec<Call<'s>>,
 }
@@ -388,11 +395,37 @@ pub(crate) fn opens_call(tokens: &[Token<'_>], at: usize, close: usize) -> bool 
     false
 }
 
+/// The inline trait bounds of a fn's generic list, the tokens strictly
+/// between `open` (its `<`) and `close` (its `>`): each parameter that
+/// starts `Name: Trait`, so lifetimes and `const` generics are skipped.
+fn generic_bounds<'s>(tokens: &[Token<'s>], open: usize, close: usize) -> Vec<(&'s str, &'s str)> {
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    let mut param_start = true;
+    for k in open + 1..close {
+        let t = &tokens[k];
+        let ident = |at: usize| tokens.get(at).filter(|x| x.kind == TokenKind::Ident);
+        if depth == 0 && param_start && !t.is_ident("const") && ident(k).is_some() {
+            if let (true, Some(bound)) = (tokens[k + 1].is_punct(':'), ident(k + 2)) {
+                out.push((t.text, bound.text));
+            }
+        }
+        if t.is_punct('<') || t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(')') || (t.is_punct('>') && !is_arrow_close(tokens, k)) {
+            depth -= 1;
+        }
+        param_start = depth == 0 && t.is_punct(',');
+    }
+    out
+}
+
 /// Extracts the outgoing call sites of one function body.
 fn extract_calls<'s>(
     tokens: &[Token<'s>],
     body: (usize, usize),
     owner: Option<&'s str>,
+    bounds: &[(&'s str, &'s str)],
     locals: &std::collections::HashMap<&'s str, &'s str>,
     structs: &[StructDef<'s>],
 ) -> Vec<Call<'s>> {
@@ -451,15 +484,19 @@ fn extract_calls<'s>(
             }
         } else if prev.is_punct(':') && tokens.get(k.wrapping_sub(2)).is_some_and(|b| b.is_punct(':'))
         {
-            // `Seg::name(` — a type receiver when the segment starts
-            // uppercase; a module path otherwise (treated as a free call).
+            // `Seg::name(` — a bounded type parameter, or a type receiver
+            // when the segment starts uppercase; a module path otherwise
+            // (treated as a free call).
             match tokens.get(k.wrapping_sub(3)) {
                 Some(seg) if seg.kind == TokenKind::Ident => {
+                    let bound = bounds.iter().find(|(param, _)| *param == seg.text);
                     if seg.is_ident("Self") {
                         match owner {
                             Some(o) => Recv::Typed(o),
                             None => Recv::Unknown,
                         }
+                    } else if let Some((_, trait_name)) = bound {
+                        Recv::Bound(trait_name)
                     } else if seg.text.starts_with(char::is_uppercase) {
                         Recv::Typed(seg.text)
                     } else {
@@ -602,10 +639,17 @@ pub fn parse_file<'s>(rel: &'s Path, src: &'s str) -> FileIndex<'s> {
         let trait_name = block.and_then(|bl| bl.trait_name);
         let params = param_types(&tokens, p, params_end.min(tokens.len()));
         let takes_ctx = params.iter().any(|(_, t)| *t == Some("DpuContext"));
+        // The generic list, if any, runs from the `<` after the name to
+        // the token before the parameter list.
+        let bounds = if tokens[i + 2].is_punct('<') {
+            generic_bounds(&tokens, i + 2, p - 1)
+        } else {
+            Vec::new()
+        };
         let calls = match body {
             Some(range) => {
                 let locals = local_types(&tokens, range, &params);
-                extract_calls(&tokens, range, owner, &locals, &structs)
+                extract_calls(&tokens, range, owner, &bounds, &locals, &structs)
             }
             None => Vec::new(),
         };
@@ -617,6 +661,7 @@ pub fn parse_file<'s>(rel: &'s Path, src: &'s str) -> FileIndex<'s> {
             sig: (p, body.map_or(b, |(open, _)| open)),
             body,
             takes_ctx,
+            bounds,
             calls,
         });
         i = body.map_or(b + 1, |(_, end)| end + 1);
@@ -707,6 +752,30 @@ mod tests {
         assert_eq!(call("walk").unwrap().recv, Recv::Typed("Interp"));
         // A turbofish path that is not called is no call.
         assert!(call("collect").is_none());
+    }
+
+    #[test]
+    fn path_calls_on_bounded_type_parameters_name_the_trait() {
+        let src = r#"
+            fn update<'a, M: Machine + Send, D: Dtype, const SARSA: bool, F: Fn(u32) -> u32>(
+                m: &mut M,
+                o: &mut D,
+            ) {
+                D::mul(o, 1, 2);
+                o.add(3);
+                M::Err::from(4);
+                Int32::gt(o, 5, 6);
+            }
+        "#;
+        let idx = parse(src);
+        let update = &idx.fns[0];
+        assert_eq!(update.bounds, [("M", "Machine"), ("D", "Dtype"), ("F", "Fn")]);
+        let call = |n: &str| update.calls.iter().find(|c| c.name == n).unwrap();
+        assert_eq!(call("mul").recv, Recv::Bound("Dtype"));
+        // A value of a type parameter is typed by the parameter only.
+        assert_eq!(call("add").recv, Recv::Typed("D"));
+        assert_eq!(call("from").recv, Recv::Typed("Err"));
+        assert_eq!(call("gt").recv, Recv::Typed("Int32"));
     }
 
     #[test]

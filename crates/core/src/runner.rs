@@ -14,6 +14,17 @@
 //! the bits, events and accounting of the equivalent stepwise
 //! [`DpuSet`] calls (`tests/sync_round.rs`).
 //!
+//! A fault-free INT32 round folds sparsely. Every DPU of such a round
+//! starts from the same Q-table image B (zeros or the initial table at
+//! round 0, the broadcast average later), and every kernel tier writes
+//! only `Q(s, a)` of the DPU's own records. So the round's sum is N·B
+//! plus each DPU's `q − B` over the distinct entries its records name,
+//! and since integer sums do not depend on order, that is the dense
+//! sum bit for bit. FP32 sums depend on order, so FP32 stays dense; so
+//! does any run with a fault plan, where a corrupted or dropped
+//! delivery or an MRAM bit flip can change entries no record names, and
+//! any round after a degrade, whose survivors hold remapped records.
+//!
 //! The runner is execution-tier agnostic: it stages headers and replay
 //! chunks the same way under every [`ExecTier`](swiftrl_pim::config::ExecTier),
 //! and [`SwiftRlKernel`] advertises its fused batched implementation via
@@ -196,6 +207,11 @@ impl PimRunner {
     /// configured private platform (only fleet-wide memory accounting
     /// is shared).
     ///
+    /// `set` must be fresh, as [`PimSystem::alloc`] returns it: round 0
+    /// relies on fresh MRAM reading as zero, both for a zero initial
+    /// Q-table, which is not transferred, and for the fault-free INT32
+    /// fold, which adds only the entries each DPU's records can write.
+    ///
     /// When `cancel` is given, the token is checked at every round
     /// boundary; a cancelled run stops before its next launch and
     /// returns [`PimError::Cancelled`], leaving `set` consistent (and
@@ -376,6 +392,11 @@ impl PimRunner {
         // count explicit periodic checkpoints only).
         let initial_q = stage.initial_q.clone().unwrap_or_else(|| vec![0u8; q_bytes]);
         let mut checkpoint: (u32, Vec<u8>) = (0, initial_q);
+        // A fault-free INT32 round folds only the entries each DPU's
+        // records can write (`RoundSums::Int32`), until a degrade remaps
+        // records onto the survivors.
+        let mut written = (self.spec.dtype == DataType::Int32 && set.config().faults.is_none())
+            .then(|| WriteSets::new(dataset, &stage.ranges, stage.ns, stage.na));
         let mut avg: Option<Vec<u8>> = None;
         let mut staged = false;
         // The round in flight and its opening clocks, until it is closed.
@@ -396,6 +417,10 @@ impl PimRunner {
                 }
                 None => &[],
             };
+            // The Q-table every DPU of the round starts from: the initial
+            // table, the previous round's average, or the rollback's
+            // snapshot.
+            let base: &[u8] = avg.as_deref().unwrap_or(&checkpoint.1);
             sums.clear();
             let mut started = None;
             let on_delivered = |stats: &SystemStats| {
@@ -430,7 +455,10 @@ impl PimRunner {
                     q_range.clone(),
                     on_delivered,
                     parts,
-                    FixedQTableSum::add_bytes,
+                    |sum, dpu, table| match &written {
+                        Some(written) => sum.add_written(table, base, written.of(dpu)),
+                        None => sum.add_bytes(table),
+                    },
                 ),
                 RoundSums::Fp32(parts) => set.sync_round(
                     deliveries,
@@ -439,7 +467,7 @@ impl PimRunner {
                     q_range.clone(),
                     on_delivered,
                     parts,
-                    |sum, table| {
+                    |sum, _, table| {
                         if fold_in_pass {
                             sum.add_bytes(table);
                         }
@@ -459,7 +487,8 @@ impl PimRunner {
                 Err(e) => return Err(e),
             };
             if dead.is_empty() {
-                sums.gather(set, subset, q_bytes, &faulted, fold_in_pass)?;
+                let base = written.is_some().then_some(base);
+                sums.gather(set, subset, q_bytes, &faulted, fold_in_pass, base)?;
             }
             if let Some(started) = started {
                 tally.host_kernel_s += started.elapsed().as_secs_f64();
@@ -482,6 +511,7 @@ impl PimRunner {
                     stage.trans_offset,
                     &mut tally.res,
                 )?;
+                written = None;
                 // The rolled-back round ends here, its repair traffic
                 // charged to synchronization, and emits no `SyncRound`.
                 if let Some((_, start)) = open.take() {
@@ -713,6 +743,48 @@ impl Staging {
     }
 }
 
+/// Each DPU's Q-table entries its own records can write, for the
+/// fault-free INT32 fold: the kernel writes only `Q(s, a)` of the
+/// records it holds, so a DPU's table differs from the round's base at
+/// most there. One flat buffer for the whole set.
+struct WriteSets {
+    /// DPU `d`'s entries are `entries[starts[d]..starts[d + 1]]`.
+    starts: Vec<usize>,
+    /// Each DPU's sorted, distinct `s · num_actions + a`.
+    entries: Vec<u32>,
+}
+
+impl WriteSets {
+    /// The write sets of the DPUs holding `ranges` of `dataset` on an
+    /// `ns × na` table. A record outside the table faults its launch
+    /// before any fold, so its entry is left out.
+    fn new(dataset: &ExperienceDataset, ranges: &[Range<usize>], ns: usize, na: usize) -> Self {
+        let mut starts = Vec::with_capacity(ranges.len() + 1);
+        let mut entries = Vec::with_capacity(dataset.len());
+        let mut own = Vec::new();
+        starts.push(0);
+        for range in ranges {
+            own.clear();
+            own.extend(
+                dataset.transitions()[range.clone()]
+                    .iter()
+                    .filter(|t| t.state.index() < ns && t.action.index() < na)
+                    .map(|t| (t.state.index() * na + t.action.index()) as u32),
+            );
+            own.sort_unstable();
+            own.dedup();
+            entries.extend_from_slice(&own);
+            starts.push(entries.len());
+        }
+        Self { starts, entries }
+    }
+
+    /// DPU `dpu`'s entries.
+    fn of(&self, dpu: usize) -> &[u32] {
+        &self.entries[self.starts[dpu]..self.starts[dpu + 1]]
+    }
+}
+
 /// What a run accumulates besides its Q-table.
 #[derive(Default)]
 struct RunTally {
@@ -762,16 +834,21 @@ enum RoundSums {
     /// empty.
     Fp32(Vec<QTableSum>),
     /// Exact sums: each worker folds the DPUs it ran, and the parts add
-    /// up in any order.
+    /// up in any order. A fault-free round folds each DPU as its
+    /// [`WriteSets`] entries' differences from the round's base
+    /// ([`FixedQTableSum::add_written`]) and adds the base once per
+    /// folded DPU at the gather; any other round folds whole tables.
     Int32(Vec<FixedQTableSum>),
 }
 
 impl RoundSums {
     /// Completes the round's sum and records its one `Gather` from the
     /// DPUs of `subset` (`None` = all). The pass folded every DPU but the
-    /// `faulted` ones, since relaunched: INT32 adds their tables to the
-    /// merged parts; an FP32 sum that one worker could not fold in DPU
-    /// order is rebuilt over element ranges by the engine.
+    /// `faulted` ones, since relaunched: INT32 adds `base` once per DPU
+    /// the pass folded when the pass added written entries only
+    /// (`base` is `Some`), then the relaunched DPUs' whole tables; an
+    /// FP32 sum that one worker could not fold in DPU order is rebuilt
+    /// over element ranges by the engine.
     fn gather(
         &mut self,
         set: &mut DpuSet,
@@ -779,12 +856,16 @@ impl RoundSums {
         q_bytes: usize,
         faulted: &[usize],
         fold_in_pass: bool,
+        base: Option<&[u8]>,
     ) -> Result<(), PimError> {
         match self {
             RoundSums::Int32(parts) => {
                 let (total, rest) = parts.split_at_mut(1);
                 let total = &mut total[0];
                 rest.iter().for_each(|part| total.merge(part));
+                if let Some(base) = base {
+                    total.add_base(base, total.tables());
+                }
                 set.gather_folded(Q_TABLE_OFFSET, q_bytes, subset, faulted, |table| {
                     total.add_bytes(table)
                 })

@@ -1104,9 +1104,10 @@ impl DpuSet {
     /// One synchronization round as a single engine pass over the DPUs
     /// of `indices` (strictly increasing; `None` = the whole set). For
     /// each DPU the pass writes `deliveries` into its bank, executes
-    /// `kernel`, and, unless the DPU faulted, folds its MRAM bytes
-    /// `fold_bytes` into its worker's slot of `sums` with `fold` while
-    /// the bank is still in cache.
+    /// `kernel`, and, unless the DPU faulted, calls `fold` with its
+    /// worker's slot of `sums`, its index in the set and its MRAM bytes
+    /// `fold_bytes` while the bank is still in cache. The index lets a
+    /// fold read only what that DPU can have changed.
     ///
     /// Every observable — bank bytes, [`SystemStats`], `last_launch`,
     /// ledger, transfer sequence, sanitizer report, telemetry — is the one
@@ -1141,7 +1142,7 @@ impl DpuSet {
         fold_bytes: Range<usize>,
         on_delivered: impl FnOnce(&SystemStats) -> bool,
         sums: &mut [A],
-        fold: impl Fn(&mut A, &[u8]) + Sync,
+        fold: impl Fn(&mut A, usize, &[u8]) + Sync,
     ) -> Result<bool, PimError> {
         if sums.is_empty() {
             return Err(PimError::BadArgument(
@@ -1170,7 +1171,7 @@ impl DpuSet {
             land(dpu, &config.faults, deliveries, &seqs)?;
             let cycles = dpu.execute(kernel, config)?;
             let (offset, len) = (fold_bytes.start, fold_bytes.len());
-            lend_or_read(dpu.mram(), offset, len, buf, |table| fold(sum, table))?;
+            lend_or_read(dpu.mram(), offset, len, buf, |table| fold(sum, dpu.id(), table))?;
             Ok(cycles)
         };
         let mut selected = select(&mut self.dpus, indices);
@@ -1814,7 +1815,11 @@ mod tests {
                         true
                     },
                     &mut sums,
-                    fold_words,
+                    |sum, dpu, b| {
+                        // `IdKernel` wrote each DPU's index at offset 0.
+                        assert_eq!(b[..8], (dpu as u64).to_le_bytes());
+                        fold_words(sum, b);
+                    },
                 )
                 .unwrap();
             assert!(launched);
@@ -1853,7 +1858,7 @@ mod tests {
                 0..8,
                 |_| false,
                 &mut sums,
-                fold_words,
+                |sum, _, b| fold_words(sum, b),
             )
             .unwrap();
         assert!(!launched);
@@ -1897,7 +1902,7 @@ mod tests {
                 fold_bytes,
                 |_| panic!("{what}: the hook ran"),
                 &mut sums,
-                fold_words,
+                |sum, _, b| fold_words(sum, b),
             );
             assert!(
                 matches!(result, Err(PimError::BadArgument(_) | PimError::Memory(_))),

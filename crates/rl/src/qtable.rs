@@ -463,7 +463,10 @@ impl FixedQTable {
 /// [`QTableSum`] for fixed-point tables: sums in `i64`, so no realistic
 /// table count overflows, and [`Self::mean`] truncates each `sum / n`
 /// toward zero back to `i32`. Unlike the FP32 sum it does not depend on
-/// the order of its tables, so partial sums combine with [`Self::merge`].
+/// the order of its tables, so partial sums combine with [`Self::merge`],
+/// and tables that differ from a common base in a few entries can be
+/// added as those entries' differences ([`Self::add_written`]) plus the
+/// base once per table ([`Self::add_base`]).
 #[derive(Debug)]
 pub struct FixedQTableSum {
     num_states: usize,
@@ -524,6 +527,44 @@ impl FixedQTableSum {
             *o += i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as i64;
         }
         self.tables += 1;
+    }
+
+    /// Adds one table in the MRAM layout that equals `base` except at
+    /// the entry indices `written`, touching only those entries: each
+    /// gets `table − base`, and the table is counted. The base itself is
+    /// left to [`Self::add_base`], once for all such tables, so
+    /// `add_written(t, b, w)` then `add_base(b, 1)` equals
+    /// `add_bytes(t)` whenever `t` and `b` agree outside `w`. `written`
+    /// must be distinct; an entry listed twice is added twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` or `base` is not `num_states * num_actions * 4`
+    /// bytes, or an entry lies outside the table.
+    pub fn add_written(&mut self, table: &[u8], base: &[u8], written: &[u32]) {
+        assert_eq!(table.len(), self.sums.len() * 4, "bad Q-table size");
+        assert_eq!(base.len(), table.len(), "bad base size");
+        let ((table, _), (base, _)) = (table.as_chunks::<4>(), base.as_chunks::<4>());
+        for &e in written {
+            let e = e as usize;
+            self.sums[e] += i32::from_le_bytes(table[e]) as i64 - i32::from_le_bytes(base[e]) as i64;
+        }
+        self.tables += 1;
+    }
+
+    /// Adds `copies` times the table `base` (MRAM layout) without
+    /// counting any table: the common term of the tables that
+    /// [`Self::add_written`] added relative to `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base.len() != num_states * num_actions * 4`.
+    pub fn add_base(&mut self, base: &[u8], copies: usize) {
+        assert_eq!(base.len(), self.sums.len() * 4, "bad base size");
+        let copies = copies as i64;
+        for (o, c) in self.sums.iter_mut().zip(base.chunks_exact(4)) {
+            *o += copies * i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as i64;
+        }
     }
 
     /// Adds every table `other` holds. Integer sums are exact, so
@@ -804,6 +845,63 @@ mod tests {
                 assert_eq!(merged.sums, sequential.sums, "split at {k}");
                 assert_eq!(merged.tables(), n, "split at {k}");
                 assert_eq!(merged.mean(), sequential.mean(), "split at {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn written_entries_plus_the_base_equal_the_dense_adds() {
+        let (ns, na) = (5, 6);
+        let scale = FixedScale::paper();
+        let n = 24;
+        let value = |r: u64| match r % 4 {
+            0 => i32::MIN,
+            1 => i32::MAX,
+            _ => (r >> 8) as i32,
+        };
+        let to_bytes = |values: &[i32]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+        let base: Vec<i32> = (0..ns * na).map(|e| value(mix(e as u64 ^ 0xBA5E))).collect();
+        assert!(base.iter().any(|&v| v != 0));
+        // Table t equals the base outside a pseudo-random set of entries;
+        // table 0 writes none (an empty DPU) and table 1 writes them all.
+        let tables: Vec<(Vec<u8>, Vec<u32>)> = (0..n)
+            .map(|t| {
+                let written: Vec<u32> = (0..ns * na)
+                    .filter(|&e| t == 1 || (t > 1 && mix((t * ns * na + e) as u64).is_multiple_of(5)))
+                    .map(|e| e as u32)
+                    .collect();
+                let mut values = base.clone();
+                for &e in &written {
+                    values[e as usize] = value(mix((t * 131 + e as usize) as u64 ^ 0x517E));
+                }
+                (to_bytes(&values), written)
+            })
+            .collect();
+        let base = to_bytes(&base);
+        let dense = |tables: &[(Vec<u8>, Vec<u32>)]| {
+            let mut sum = FixedQTableSum::new(ns, na, scale);
+            tables.iter().for_each(|(t, _)| sum.add_bytes(t));
+            sum
+        };
+        let sparse = |tables: &[(Vec<u8>, Vec<u32>)]| {
+            let mut sum = FixedQTableSum::new(ns, na, scale);
+            tables.iter().for_each(|(t, w)| sum.add_written(t, &base, w));
+            sum.add_base(&base, tables.len());
+            sum
+        };
+        let all = dense(&tables);
+        assert_eq!(sparse(&tables).sums, all.sums);
+        assert_eq!(sparse(&tables[..1]).mean().to_bytes(), base, "an empty DPU keeps the base");
+        for k in 0..=n {
+            let (head, tail) = tables.split_at(k);
+            let mut front = sparse(head);
+            front.merge(&sparse(tail));
+            let mut back = sparse(tail);
+            back.merge(&sparse(head));
+            for merged in [&front, &back] {
+                assert_eq!(merged.sums, all.sums, "split at {k}");
+                assert_eq!(merged.tables(), n, "split at {k}");
+                assert_eq!(merged.mean(), all.mean(), "split at {k}");
             }
         }
     }

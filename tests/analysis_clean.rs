@@ -210,6 +210,50 @@ fn generic_kernel_body_and_context_holder_are_scanned() {
     );
 }
 
+/// The data-type arithmetic the shared body calls through its type
+/// parameter (`D::mul(..)` with `D: Dtype`) is kernel code: a host float
+/// in `Int32::mul` is flagged with the chain through `update`, while the
+/// batched tier's `Em`, which `Int32::mul` reaches only through a value
+/// of its `O: Ops` parameter, is not scanned.
+#[test]
+fn dtype_implementations_are_scanned() {
+    let src = r#"
+        impl Kernel for SwiftRlKernel {
+            fn run(&self, ctx: &mut DpuContext<'_>) -> Result<(), KernelError> {
+                tasklet::<_, Int32, false>(&mut m, hdr)
+            }
+        }
+        fn tasklet<M: Machine, D: Dtype, const SARSA: bool>(m: &mut M, hdr: KernelHeader) {
+            update::<M, D, SARSA>(m, &hdr);
+        }
+        fn update<M: Machine, D: Dtype, const SARSA: bool>(m: &mut M, hdr: &KernelHeader) {
+            let discounted = D::mul(m.ops(), hdr.gamma, q_next);
+        }
+        impl Dtype for Int32 {
+            fn mul<O: Ops>(o: &mut O, a: u32, b: u32) -> u32 {
+                let wide = o.mul_wide(a as i32, b as i32);
+                (wide as f32 * 0.5) as u32
+            }
+        }
+        struct Em { tally: u64 }
+        impl Ops for Em {
+            fn mul_wide(&mut self, a: i32, b: i32) -> i64 {
+                (a as f32 * b as f32) as i64
+            }
+        }
+    "#;
+    let findings = check_file(Path::new("crates/core/src/kernels.rs"), src);
+    let k001: Vec<_> = findings.iter().filter(|f| f.rule == "K001").collect();
+    let lines: Vec<u32> = k001.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [16, 16], "the `f32` and the `0.5` in `Int32::mul` only: {findings:?}");
+    assert!(
+        k001[0]
+            .message
+            .contains("via SwiftRlKernel::run → tasklet → update → Int32::mul"),
+        "{k001:?}"
+    );
+}
+
 /// The workspace's own kernel body is in the kernel-reachable set, so the
 /// clean gate above covers the per-update path.
 #[test]
@@ -239,10 +283,15 @@ fn swiftrl_kernel_body_is_kernel_reachable() {
         "Interp::update_entry",
         "Interp::fadd",
         "Interp::lcg_below",
+        "Fp32::add",
+        "Fp32::stored",
+        "Int32::mul",
+        "Int32::max",
+        "Int32::gt",
     ] {
         assert!(reached.iter().any(|r| r == f), "{f} is not kernel-reachable: {reached:?}");
     }
-    for f in ["Sweep::fetch", "Em::fadd"] {
+    for f in ["Sweep::fetch", "Em::fadd", "Em::mul_wide", "Em::fstored"] {
         assert!(!reached.iter().any(|r| r == f), "{f} is kernel-reachable");
     }
 }

@@ -24,6 +24,7 @@ use swiftrl::core::runner::PimRunner;
 use swiftrl::core::service::CancelToken;
 use swiftrl::env::collect::collect_random;
 use swiftrl::env::frozen_lake::FrozenLake;
+use swiftrl::env::taxi::Taxi;
 use swiftrl::env::{ExperienceDataset, Transition};
 use swiftrl::pim::config::{ExecTier, PimConfig};
 use swiftrl::pim::faults::{FaultPlan, MramRegion};
@@ -480,10 +481,23 @@ fn fused_rounds_match_the_stepwise_loop_on_the_reference_tier() {
 fn edge_cases_match_the_stepwise_loop() {
     let data = dataset(2_000);
     let few = dataset(10);
+    let taxi = collect_random(&mut Taxi::new(), 320, 21);
     for tier in TIERS {
         for engine in ENGINES {
             for spec in [WorkloadSpec::q_learning_seq_int32(), sarsa_ran_fp32()] {
                 let label = |what: &str| format!("{spec}/{tier:?}/{engine:?}: {what}");
+                // Paper-shaped: a 500 × 6 Taxi table over 64 DPUs of five
+                // records each, so almost every entry of every DPU's table
+                // is one it never writes; with and without an initial
+                // broadcast under the round-0 table.
+                for initial_q in [0.0, -1.5] {
+                    Run {
+                        tier,
+                        engine,
+                        ..Run::new(spec, cfg(64, 4, 2).with_initial_q(initial_q), &taxi)
+                    }
+                    .check(&label(&format!("Taxi, 64 DPUs of 5 records, initial Q {initial_q}")));
+                }
                 let base = |cfg| Run {
                     tier,
                     engine,
